@@ -19,7 +19,7 @@ pub const DT_NANOSECONDS: f64 = 0.22;
 
 /// Per-device calibration: gate errors, durations, readout errors, and
 /// coherence times. Durations are in `dt`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     cx_error: BTreeMap<(usize, usize), f64>,
     cx_duration: BTreeMap<(usize, usize), u64>,

@@ -9,7 +9,8 @@ use caqr_circuit::{Gate, Instruction};
 use std::fmt;
 
 /// A quantum device: coupling graph + calibration data. The input every
-/// CaQR pass and the noisy simulator consume.
+/// CaQR pass and the noisy simulator consume. Two devices are `==` when
+/// their topologies, calibration tables and DPQA geometries all are.
 ///
 /// # Examples
 ///
@@ -21,7 +22,7 @@ use std::fmt;
 /// assert!(dev.topology().are_coupled(u, v));
 /// assert!(dev.calibration().cx_error(u, v) > 0.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     topology: Topology,
     calibration: Calibration,

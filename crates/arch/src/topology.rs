@@ -17,7 +17,7 @@ use std::fmt;
 /// assert!(!t.are_coupled(0, 4));
 /// assert_eq!(t.distance(0, 4), 4);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     name: String,
     graph: Graph,

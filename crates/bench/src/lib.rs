@@ -313,23 +313,47 @@ mod tests {
         assert!(device_for(64).num_qubits() >= 64);
     }
 
+    /// The grid runs on every CPU, so the QS strategies of one benchmark
+    /// share their sweep across workers; every cell must still equal its
+    /// compile alone.
     #[test]
     fn compile_grid_matches_direct_compiles() {
-        let benches = vec![caqr_benchmarks::bv::bv_all_ones(4)];
-        let strategies = [Strategy::Baseline, Strategy::Sr];
-        let grid = compile_grid(&benches, &strategies);
-        assert_eq!(grid.len(), 1);
-        assert_eq!(grid[0].len(), 2);
-        for (strategy, cell) in strategies.iter().zip(&grid[0]) {
-            let direct = caqr::compile(
-                &benches[0].circuit,
-                &device_for(benches[0].circuit.num_qubits()),
-                *strategy,
-            )
-            .expect("fits");
-            let batched = cell.as_ref().expect("fits");
-            assert_eq!(batched.circuit, direct.circuit);
-            assert_eq!(batched.swaps, direct.swaps);
+        let benches = vec![
+            caqr_benchmarks::bv::bv_all_ones(4),
+            caqr_benchmarks::qaoa::qaoa_benchmark(
+                6,
+                0.3,
+                caqr_benchmarks::qaoa::GraphKind::Random,
+                EXPERIMENT_SEED,
+            ),
+        ];
+        let grid = compile_grid(&benches, &Strategy::ALL);
+        assert_eq!(grid.len(), benches.len());
+        for (bench, row) in benches.iter().zip(&grid) {
+            assert_eq!(row.len(), Strategy::ALL.len());
+            let device = device_for(bench.circuit.num_qubits());
+            for (strategy, cell) in Strategy::ALL.iter().zip(row) {
+                let direct = caqr::compile(&bench.circuit, &device, *strategy).expect("fits");
+                let batched = cell.as_ref().expect("fits");
+                let what = format!("{} {strategy}", bench.name);
+                assert_eq!(batched.circuit, direct.circuit, "{what}");
+                assert_eq!(
+                    (
+                        batched.qubits,
+                        batched.depth,
+                        batched.duration_dt,
+                        batched.swaps
+                    ),
+                    (
+                        direct.qubits,
+                        direct.depth,
+                        direct.duration_dt,
+                        direct.swaps
+                    ),
+                    "{what}"
+                );
+                assert_eq!(batched.esp.to_bits(), direct.esp.to_bits(), "{what}");
+            }
         }
     }
 }

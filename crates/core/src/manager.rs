@@ -5,6 +5,13 @@
 //! names — so strategies, CLI `--passes` overrides, and future custom
 //! pipelines all flow through the same machinery. `compile_traced` is a
 //! thin wrapper that installs a [`StageTrace`]-recording observer.
+//!
+//! A QS strategy's recipe splits where its routed sweep is complete:
+//! [`PassManager::for_sweep`] builds the sweep every QS strategy shares,
+//! and [`PassManager::for_selection`] runs one strategy's selection on a
+//! context seeded with it ([`CompileCtx::with_routed_sweep`]). Running
+//! the two halves back to back is the same pass sequence as
+//! [`PassManager::for_strategy`].
 
 use crate::cancel::CancelToken;
 use crate::error::CaqrError;
@@ -12,7 +19,7 @@ use crate::pass::{
     BaselineRoutePass, CommutingAnalysisPass, CompileCtx, OptimizePass, Pass, QsSweepPass,
     ReportPass, RouteSweepPass, SelectObjective, SelectPass, SrRoutePass,
 };
-use crate::pipeline::{CompileReport, Stage, StageTrace, Strategy};
+use crate::pipeline::{CompileReport, Stage, StageTrace, Strategy, SWEEP_PASSES};
 use crate::router::{CostModelSpec, RouterConfig};
 use caqr_arch::Device;
 #[cfg(debug_assertions)]
@@ -103,12 +110,29 @@ impl PassManager {
     /// The recipe for `strategy` — the declarative replacement for the
     /// old hard-coded `match` in `compile_stages`.
     pub fn for_strategy(strategy: Strategy) -> Self {
-        let names = strategy.pass_names();
-        let passes = names
-            .iter()
-            .map(|n| create_pass(n).expect("strategy recipes only name registered passes"))
-            .collect();
-        PassManager { passes }
+        Self::from_recipe(&strategy.pass_names())
+    }
+
+    /// The passes that build the routed QS sweep ([`SWEEP_PASSES`]): the
+    /// part of the recipe every QS strategy shares. Run it with
+    /// [`PassManager::run_in`] and take the context's `routed_sweep`.
+    pub fn for_sweep() -> Self {
+        Self::from_recipe(&SWEEP_PASSES)
+    }
+
+    /// The rest of `strategy`'s recipe once its routed sweep exists: the
+    /// `select-*` pass and `report`, to run on a context seeded with
+    /// [`CompileCtx::with_routed_sweep`]. `None` for the strategies that
+    /// build no sweep.
+    pub fn for_selection(strategy: Strategy) -> Option<Self> {
+        strategy
+            .selection_pass_names()
+            .map(|names| Self::from_recipe(&names))
+    }
+
+    fn from_recipe(names: &[&str]) -> Self {
+        Self::from_names(names.iter().copied())
+            .expect("strategy recipes only name registered passes")
     }
 
     /// Builds a manager from explicit pass names (the CLI `--passes`
@@ -259,16 +283,44 @@ impl PassManager {
         Ok(report)
     }
 
-    fn run_ctx(
+    /// Compiles a context the caller built (one seeded with a routed sweep,
+    /// say) and returns its report.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`PassManager::run_observed_cancellable`].
+    pub fn run_ctx(
         &self,
         mut ctx: CompileCtx<'_>,
         observer: &mut dyn PassObserver,
         cancel: &CancelToken,
     ) -> Result<CompileReport, CaqrError> {
+        self.run_in(&mut ctx, observer, cancel)?;
+        ctx.report.take().ok_or(CaqrError::MissingArtifact {
+            pass: "pass-manager",
+            artifact: "compile report",
+        })
+    }
+
+    /// Runs the passes over a context the caller keeps, for a recipe whose
+    /// product is an artifact other than the report (the routed sweep of
+    /// [`PassManager::for_sweep`]). Cancellation and the observer work as
+    /// in [`PassManager::run_observed_cancellable`].
+    ///
+    /// # Errors
+    ///
+    /// The first pass failure, or [`CaqrError::DeadlineExceeded`] on
+    /// cancellation.
+    pub fn run_in(
+        &self,
+        ctx: &mut CompileCtx<'_>,
+        observer: &mut dyn PassObserver,
+        cancel: &CancelToken,
+    ) -> Result<(), CaqrError> {
         for pass in &self.passes {
             cancel.check(pass.name())?;
             let start = Instant::now();
-            let result = pass.run(&mut ctx);
+            let result = pass.run(ctx);
             observer.pass_complete(pass.name(), pass.stage(), start.elapsed());
             result?;
             // Angle-independence audit: a pass run on a template may never
@@ -283,16 +335,14 @@ impl PassManager {
                 );
             }
         }
-        ctx.report.take().ok_or(CaqrError::MissingArtifact {
-            pass: "pass-manager",
-            artifact: "compile report",
-        })
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn every_registered_pass_resolves() {
@@ -358,5 +408,63 @@ mod tests {
         let pm =
             PassManager::from_names(["optimize", "baseline-route", "report"]).expect("valid names");
         assert_eq!(pm.pass_names().len(), 3);
+    }
+
+    /// One routed sweep, built once, seeds the selection of every QS
+    /// strategy; each result equals that strategy's full recipe.
+    #[test]
+    fn selections_on_one_shared_sweep_equal_full_recipes() {
+        let device = Device::mumbai(7);
+        let circuits = [
+            caqr_benchmarks::bv::bv_all_ones(6).circuit,
+            caqr_benchmarks::revlib::xor_5().circuit,
+            caqr_benchmarks::qaoa::qaoa_benchmark(
+                8,
+                0.3,
+                caqr_benchmarks::qaoa::GraphKind::Random,
+                5,
+            )
+            .circuit,
+        ];
+        let live = CancelToken::new();
+        for circuit in circuits {
+            let mut ctx = CompileCtx::new(circuit.clone(), &device, Strategy::QsMaxReuse);
+            PassManager::for_sweep()
+                .run_in(&mut ctx, &mut NoopObserver, &live)
+                .expect("sweep builds");
+            let sweep = ctx
+                .routed_sweep
+                .take()
+                .expect("route-sweep routed the sweep");
+            for strategy in Strategy::ALL {
+                let Some(selection) = PassManager::for_selection(strategy) else {
+                    assert!(matches!(strategy, Strategy::Baseline | Strategy::Sr));
+                    continue;
+                };
+                let seeded = CompileCtx::new(circuit.clone(), &device, strategy)
+                    .with_routed_sweep(Arc::clone(&sweep));
+                let shared = selection
+                    .run_ctx(seeded, &mut NoopObserver, &live)
+                    .expect("selection runs");
+                let alone = crate::compile(&circuit, &device, strategy).expect("fits");
+                assert_eq!(shared.circuit, alone.circuit, "{strategy}");
+                assert_eq!(
+                    (
+                        shared.qubits,
+                        shared.depth,
+                        shared.duration_dt,
+                        shared.swaps
+                    ),
+                    (alone.qubits, alone.depth, alone.duration_dt, alone.swaps),
+                    "{strategy}"
+                );
+                assert_eq!(shared.esp.to_bits(), alone.esp.to_bits(), "{strategy}");
+            }
+            assert_eq!(
+                Arc::strong_count(&sweep),
+                1,
+                "selections drop their reference"
+            );
+        }
     }
 }

@@ -25,6 +25,14 @@ use caqr_circuit::depth::DurationModel;
 use caqr_circuit::{Circuit, CircuitDag};
 use caqr_graph::Graph;
 use std::rc::Rc;
+use std::sync::Arc;
+
+/// Every QS sweep point routed onto the device, as `(logical qubit count,
+/// routed circuit)` in sweep order: the product of
+/// [`SWEEP_PASSES`](crate::pipeline::SWEEP_PASSES). It is read-only once
+/// built, so one sweep behind an `Arc` can seed the selection of every QS
+/// strategy (see [`CompileCtx::with_routed_sweep`]).
+pub type RoutedSweep = Vec<(usize, RoutedCircuit)>;
 
 /// Lazily-built, explicitly-invalidated analyses of one circuit.
 ///
@@ -129,8 +137,8 @@ pub struct CompileCtx<'d> {
     /// count), produced by `qs-sweep`.
     pub sweep: Option<Vec<SweepPoint>>,
     /// Every sweep point routed onto the device, produced by
-    /// `route-sweep`; tuples are `(logical qubit count, routed circuit)`.
-    pub routed_sweep: Option<Vec<(usize, RoutedCircuit)>>,
+    /// `route-sweep` or seeded by [`CompileCtx::with_routed_sweep`].
+    pub routed_sweep: Option<Arc<RoutedSweep>>,
     /// The selected hardware-compliant circuit, produced by a routing or
     /// selection pass.
     pub routed: Option<RoutedCircuit>,
@@ -175,6 +183,16 @@ impl<'d> CompileCtx<'d> {
     /// audited for angle-independence (debug builds).
     pub fn with_parametric(mut self, num_slots: u32) -> Self {
         self.parametric_slots = Some(num_slots);
+        self
+    }
+
+    /// The same context seeded with an already-routed sweep, as if the
+    /// [`SWEEP_PASSES`](crate::pipeline::SWEEP_PASSES) had run: a QS
+    /// strategy's selection passes can then run on it directly. Those
+    /// passes read only the sweep, never the working circuit. The sweep
+    /// must come from this context's circuit, device and router.
+    pub fn with_routed_sweep(mut self, sweep: Arc<RoutedSweep>) -> Self {
+        self.routed_sweep = Some(sweep);
         self
     }
 
@@ -356,7 +374,7 @@ impl Pass for RouteSweepPass {
             let routed = crate::baseline::compile_with(&p.circuit, ctx.device(), router)?;
             out.push((p.qubits, routed));
         }
-        ctx.routed_sweep = Some(out);
+        ctx.routed_sweep = Some(Arc::new(out));
         Ok(())
     }
 }
@@ -387,7 +405,9 @@ impl SelectObjective {
 }
 
 /// Sweep-point selection: picks the routed candidate the objective asks
-/// for. ESP is evaluated once per candidate (not once per comparison).
+/// for. It reads the sweep in place and clones only the point it picks,
+/// so a shared sweep serves any number of selections. ESP is evaluated
+/// once per candidate (not once per comparison).
 pub struct SelectPass {
     /// The objective this instance selects by.
     pub objective: SelectObjective,
@@ -408,29 +428,23 @@ impl Pass for SelectPass {
             artifact: "routed sweep",
         })?;
         let device = ctx.device();
+        let candidates = sweep.iter();
         let picked = match self.objective {
-            SelectObjective::MaxReuse => sweep.into_iter().min_by_key(|(qubits, _)| *qubits),
-            SelectObjective::MinDepth => sweep
-                .into_iter()
-                .min_by_key(|(_, r)| (r.circuit.depth(), r.physical_qubits_used)),
-            SelectObjective::MinSwap => sweep
-                .into_iter()
+            SelectObjective::MaxReuse => candidates.min_by_key(|(qubits, _)| *qubits),
+            SelectObjective::MinDepth => {
+                candidates.min_by_key(|(_, r)| (r.circuit.depth(), r.physical_qubits_used))
+            }
+            SelectObjective::MinSwap => candidates
                 // Movement stages are the DPQA analogue of SWAPs; the sum
                 // degenerates to plain swap_count on the SWAP backend.
                 .min_by_key(|(_, r)| (r.swap_count + r.movement_stages, r.circuit.depth())),
-            SelectObjective::MaxEsp => {
-                let scored: Vec<(f64, (usize, RoutedCircuit))> = sweep
-                    .into_iter()
-                    .map(|entry| (crate::esp::estimate(&entry.1.circuit, device), entry))
-                    .collect();
-                scored
-                    .into_iter()
-                    .max_by(|(a, _), (b, _)| a.total_cmp(b))
-                    .map(|(_, entry)| entry)
-            }
+            SelectObjective::MaxEsp => candidates
+                .map(|entry| (crate::esp::estimate(&entry.1.circuit, device), entry))
+                .max_by(|(a, _), (b, _)| a.total_cmp(b))
+                .map(|(_, entry)| entry),
         };
         let (_, routed) = picked.ok_or(CaqrError::EmptySweep { pass: self.name() })?;
-        ctx.routed = Some(routed);
+        ctx.routed = Some(routed.clone());
         Ok(())
     }
 }
@@ -655,5 +669,34 @@ mod tests {
             assert_eq!(obj.pass_name(), name);
             assert_eq!(SelectPass { objective: obj }.name(), name);
         }
+    }
+
+    #[test]
+    fn select_reads_a_shared_sweep_and_copies_only_its_pick() -> Result<(), CaqrError> {
+        let dev = Device::mumbai(1);
+        let mut ctx = CompileCtx::new(toy(), &dev, Strategy::QsMaxReuse);
+        OptimizePass.run(&mut ctx)?;
+        CommutingAnalysisPass.run(&mut ctx)?;
+        QsSweepPass.run(&mut ctx)?;
+        RouteSweepPass.run(&mut ctx)?;
+        let sweep = Arc::clone(ctx.routed_sweep.as_ref().expect("route-sweep ran"));
+        let points = sweep.len();
+        SelectPass {
+            objective: SelectObjective::MaxReuse,
+        }
+        .run(&mut ctx)?;
+        assert!(
+            ctx.routed_sweep.is_none(),
+            "the pass drops its context's reference"
+        );
+        assert_eq!(Arc::strong_count(&sweep), 1);
+        assert_eq!(sweep.len(), points, "the shared sweep is left whole");
+        let best = sweep
+            .iter()
+            .min_by_key(|(qubits, _)| *qubits)
+            .expect("non-empty");
+        let picked = ctx.routed.as_ref().expect("selected");
+        assert_eq!(picked.circuit, best.1.circuit);
+        Ok(())
     }
 }

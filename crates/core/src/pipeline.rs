@@ -10,11 +10,18 @@
 use crate::error::CaqrError;
 use crate::esp;
 use crate::manager::PassManager;
+use crate::pass::SelectObjective;
 use crate::router::RouterConfig;
 use caqr_arch::Device;
 use caqr_circuit::{Circuit, ParametricCircuit};
 use std::fmt;
 use std::time::{Duration, Instant};
+
+/// The passes that build the routed QS sweep. Their product depends only
+/// on the input circuit, the device and the routing policy, never on the
+/// strategy: every QS strategy runs them, then only its own selection
+/// (see [`Strategy::sweep_objective`]).
+pub const SWEEP_PASSES: [&str; 4] = ["optimize", "commuting-analysis", "qs-sweep", "route-sweep"];
 
 /// Which compiler to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,44 +54,37 @@ impl Strategy {
         Strategy::Sr,
     ];
 
+    /// The objective a QS strategy picks its point of the routed sweep
+    /// by; `None` for the strategies that build no sweep.
+    ///
+    /// This is the one declaration of which strategies share a sweep: a
+    /// QS strategy is [`SWEEP_PASSES`] followed by its
+    /// [`Strategy::selection_pass_names`].
+    pub fn sweep_objective(self) -> Option<SelectObjective> {
+        match self {
+            Strategy::Baseline | Strategy::Sr => None,
+            Strategy::QsMaxReuse => Some(SelectObjective::MaxReuse),
+            Strategy::QsMinDepth => Some(SelectObjective::MinDepth),
+            Strategy::QsMinSwap => Some(SelectObjective::MinSwap),
+            Strategy::QsMaxEsp => Some(SelectObjective::MaxEsp),
+        }
+    }
+
+    /// The passes a QS strategy runs once its routed sweep exists: its
+    /// `select-*` pass, then `report`. `None` for the strategies that
+    /// build no sweep.
+    pub fn selection_pass_names(self) -> Option<[&'static str; 2]> {
+        self.sweep_objective()
+            .map(|objective| [objective.pass_name(), "report"])
+    }
+
     /// The pass-sequence recipe this strategy declares: the registered
     /// pass names, in execution order.
-    pub fn pass_names(self) -> &'static [&'static str] {
-        match self {
-            Strategy::Baseline => &["optimize", "baseline-route", "report"],
-            Strategy::Sr => &["optimize", "commuting-analysis", "sr-route", "report"],
-            Strategy::QsMaxReuse => &[
-                "optimize",
-                "commuting-analysis",
-                "qs-sweep",
-                "route-sweep",
-                "select-max-reuse",
-                "report",
-            ],
-            Strategy::QsMinDepth => &[
-                "optimize",
-                "commuting-analysis",
-                "qs-sweep",
-                "route-sweep",
-                "select-min-depth",
-                "report",
-            ],
-            Strategy::QsMinSwap => &[
-                "optimize",
-                "commuting-analysis",
-                "qs-sweep",
-                "route-sweep",
-                "select-min-swap",
-                "report",
-            ],
-            Strategy::QsMaxEsp => &[
-                "optimize",
-                "commuting-analysis",
-                "qs-sweep",
-                "route-sweep",
-                "select-max-esp",
-                "report",
-            ],
+    pub fn pass_names(self) -> Vec<&'static str> {
+        match (self, self.selection_pass_names()) {
+            (_, Some(selection)) => SWEEP_PASSES.iter().chain(&selection).copied().collect(),
+            (Strategy::Sr, None) => vec!["optimize", "commuting-analysis", "sr-route", "report"],
+            (_, None) => vec!["optimize", "baseline-route", "report"],
         }
     }
 }
@@ -649,5 +649,28 @@ mod tests {
         assert!(max.qubits <= 6);
         assert!(max.qubits + 1 >= bound);
         Ok(())
+    }
+
+    #[test]
+    fn qs_strategies_are_the_shared_sweep_then_their_selection() {
+        let sharing: Vec<Strategy> = Strategy::ALL
+            .into_iter()
+            .filter(|s| s.sweep_objective().is_some())
+            .collect();
+        assert_eq!(
+            sharing,
+            [
+                Strategy::QsMaxReuse,
+                Strategy::QsMinDepth,
+                Strategy::QsMinSwap,
+                Strategy::QsMaxEsp
+            ]
+        );
+        for strategy in sharing {
+            let names = strategy.pass_names();
+            assert_eq!(names[..SWEEP_PASSES.len()], SWEEP_PASSES, "{strategy}");
+            let selection = strategy.selection_pass_names().expect("QS selects");
+            assert_eq!(names[SWEEP_PASSES.len()..], selection, "{strategy}");
+        }
     }
 }

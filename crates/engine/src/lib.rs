@@ -50,6 +50,7 @@ pub mod job;
 pub mod metrics;
 pub mod pool;
 pub mod stream;
+mod sweep;
 
 pub use bind::{BindJob, BindOutcome, BindReport};
 pub use cache::{CacheStats, CompileCache};

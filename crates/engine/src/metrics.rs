@@ -81,6 +81,13 @@ pub struct EngineMetrics {
     pub template_cache_hits: usize,
     /// Bind-runs that compiled their template cold.
     pub template_cache_misses: usize,
+    /// Routed QS sweeps the batch built. A QS job builds its sweep unless
+    /// another job of the batch with the same circuit, device and routing
+    /// policy already has.
+    pub sweeps_computed: usize,
+    /// QS jobs that ran only their selection, on a sweep another job of
+    /// the batch built.
+    pub sweeps_reused: usize,
 }
 
 impl EngineMetrics {
@@ -126,6 +133,8 @@ impl EngineMetrics {
         self.bind_total += other.bind_total;
         self.template_cache_hits += other.template_cache_hits;
         self.template_cache_misses += other.template_cache_misses;
+        self.sweeps_computed += other.sweeps_computed;
+        self.sweeps_reused += other.sweeps_reused;
         self.cache = other.cache;
         for (&stage, &span) in &other.stage_totals {
             *self.stage_totals.entry(stage).or_default() += span;
@@ -155,6 +164,11 @@ impl EngineMetrics {
         ));
         out.push_str(&format!("swaps_inserted         {}\n", self.swaps_inserted));
         out.push_str(&format!("reuse_pairs            {}\n", self.reuse_pairs));
+        out.push_str(&format!(
+            "sweeps_computed        {}\n",
+            self.sweeps_computed
+        ));
+        out.push_str(&format!("sweeps_reused          {}\n", self.sweeps_reused));
         for (name, t) in &self.policy_totals {
             out.push_str(&format!(
                 "policy_{:<16} ok={} swaps={} depth={} duration_dt={}\n",
@@ -244,7 +258,8 @@ impl EngineMetrics {
              \"policies\":{{{}}},\
              \"stage_us\":{{{}}},\"pass_us\":{{{}}},\"queue_wait_us\":{},\"compile_us\":{},\
              \"batch_wall_us\":{},\"binds_total\":{},\"bind_us\":{},\
-             \"template_cache_hits\":{},\"template_cache_misses\":{}}}",
+             \"template_cache_hits\":{},\"template_cache_misses\":{},\
+             \"sweeps_computed\":{},\"sweeps_reused\":{}}}",
             self.jobs_total,
             self.jobs_ok,
             self.jobs_failed,
@@ -264,6 +279,8 @@ impl EngineMetrics {
             self.bind_total.as_micros(),
             self.template_cache_hits,
             self.template_cache_misses,
+            self.sweeps_computed,
+            self.sweeps_reused,
         )
     }
 }
@@ -424,6 +441,29 @@ mod tests {
         assert_eq!(metrics.bind_total, Duration::from_micros(50));
         assert_eq!(metrics.template_cache_hits, 3);
         assert_eq!(metrics.template_cache_misses, 1);
+    }
+
+    #[test]
+    fn sweep_counters_surface_in_table_json_and_merge() {
+        let mut metrics = EngineMetrics {
+            sweeps_computed: 24,
+            sweeps_reused: 72,
+            ..Default::default()
+        };
+        let table = metrics.render_table();
+        assert!(table.contains("sweeps_computed        24"), "{table}");
+        assert!(table.contains("sweeps_reused          72"), "{table}");
+        let json = metrics.to_json();
+        assert!(
+            json.contains("\"sweeps_computed\":24,\"sweeps_reused\":72"),
+            "{json}"
+        );
+        metrics.merge(&EngineMetrics {
+            sweeps_computed: 1,
+            sweeps_reused: 3,
+            ..Default::default()
+        });
+        assert_eq!((metrics.sweeps_computed, metrics.sweeps_reused), (25, 75));
     }
 
     #[test]

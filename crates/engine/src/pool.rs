@@ -1,19 +1,20 @@
 //! The batch executor: a fixed worker pool over `std::thread::scope`,
-//! with per-job panic isolation, an optional shared compile cache, and
-//! deterministic result ordering.
+//! with per-job panic isolation, an optional shared compile cache, a
+//! per-batch memo of routed QS sweeps, and deterministic result ordering.
 
 use crate::cache::CompileCache;
 use crate::job::{BatchReport, BatchRequest, CompileJob, FailedJob, JobError, JobOutcome};
 use crate::metrics::EngineMetrics;
-use caqr::{CancelToken, CaqrError, CompileReport, StageTrace};
+use crate::sweep::SweepMemo;
+use caqr::{CancelToken, CaqrError, CompileReport, PassManager, StageTrace};
 use caqr_sim::effective_workers;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
 
-/// The signature of the per-job compiler the pool drives. The production
-/// engine uses [`caqr::compile_traced_with`]; tests inject panicking or
+/// A per-job compiler for [`Engine::run_with`]: every job of the batch
+/// goes through it, with no sweep sharing. Tests inject panicking or
 /// counting stand-ins.
 pub trait JobCompiler: Sync {
     /// Compiles one job, returning the report (or error) plus stage
@@ -30,30 +31,39 @@ where
     }
 }
 
+/// What compiling one job yields: the report (or error) plus stage
+/// timings.
+type Compiled = (Result<CompileReport, CaqrError>, StageTrace);
+
 /// The batch-compilation engine.
 ///
 /// Stateless apart from configuration: every [`Engine::run`] call builds
-/// its own cache (if enabled) and worker pool, so runs are independent
-/// and results depend only on the request.
+/// its own cache (if enabled), sweep memo and worker pool, so runs are
+/// independent and results depend only on the request.
 #[derive(Debug, Default)]
 pub struct Engine;
 
 impl Engine {
     /// Runs `request` through the full CaQR pipeline. Each job routes
-    /// under its own [`CompileJob::router`] policy.
+    /// under its own [`CompileJob::router`] policy. The QS jobs of one
+    /// circuit, device and policy build their routed sweep once and each
+    /// run only their own selection on it; every report equals that job
+    /// compiled alone.
     pub fn run(request: &BatchRequest) -> BatchReport {
-        Self::run_with(request, &|job: &CompileJob| {
-            caqr::compile_traced_with(&job.circuit, &job.device, job.strategy, job.router)
-        })
+        let local = local_cache(request);
+        Self::run_pipeline(request, local.as_ref(), &CancelToken::new())
     }
 
     /// Runs `request` with a custom per-job compiler (test seam).
     pub fn run_with<C: JobCompiler>(request: &BatchRequest, compiler: &C) -> BatchReport {
-        let local = match request.options.cache_capacity {
-            0 => None,
-            capacity => Some(CompileCache::new(capacity)),
-        };
-        Self::run_impl(request, local.as_ref(), compiler, &CancelToken::new())
+        let local = local_cache(request);
+        Self::run_impl(
+            request,
+            local.as_ref(),
+            &|_, job: &CompileJob| compiler.compile(job),
+            &SweepMemo::default(),
+            &CancelToken::new(),
+        )
     }
 
     /// Runs `request` against a caller-owned cache, under a
@@ -65,32 +75,44 @@ impl Engine {
     /// boundary; jobs not yet started fail with
     /// [`CaqrError::DeadlineExceeded`] without running at all. With a
     /// shared cache, `metrics.cache` reports the cache's *cumulative*
-    /// counters, not this run's delta.
+    /// counters, not this run's delta. QS sweeps are shared within the
+    /// batch as in [`Engine::run`], never across calls.
     pub fn run_shared(
         request: &BatchRequest,
         cache: Option<&CompileCache>,
         cancel: &CancelToken,
     ) -> BatchReport {
-        Self::run_impl(
-            request,
-            cache,
-            &|job: &CompileJob| {
-                caqr::compile_traced_cancellable_with(
+        Self::run_pipeline(request, cache, cancel)
+    }
+
+    /// The CaQR pipeline with the batch's [`SweepMemo`]: a QS job builds
+    /// or reuses its key's routed sweep and runs only its selection on it;
+    /// every other job runs its strategy's full recipe.
+    fn run_pipeline(
+        request: &BatchRequest,
+        cache: Option<&CompileCache>,
+        cancel: &CancelToken,
+    ) -> BatchReport {
+        let memo = SweepMemo::plan(&request.jobs);
+        let compile =
+            |index: usize, job: &CompileJob| match PassManager::for_selection(job.strategy) {
+                Some(selection) => memo.compile(index, job, &selection, cancel),
+                None => caqr::compile_traced_cancellable_with(
                     &job.circuit,
                     &job.device,
                     job.strategy,
                     job.router,
                     cancel,
-                )
-            },
-            cancel,
-        )
+                ),
+            };
+        Self::run_impl(request, cache, &compile, &memo, cancel)
     }
 
-    fn run_impl<C: JobCompiler>(
+    fn run_impl(
         request: &BatchRequest,
         cache: Option<&CompileCache>,
-        compiler: &C,
+        compile: &(dyn Fn(usize, &CompileJob) -> Compiled + Sync),
+        memo: &SweepMemo,
         cancel: &CancelToken,
     ) -> BatchReport {
         let started = Instant::now();
@@ -122,8 +144,9 @@ impl Engine {
                             queue_wait,
                         })
                     } else {
-                        run_one(job, cache, compiler, queue_wait)
+                        run_one(job, cache, || compile(index, job), queue_wait)
                     };
+                    memo.finish(index);
                     if tx.send((index, result)).is_err() {
                         break;
                     }
@@ -167,17 +190,26 @@ impl Engine {
         if let Some(cache) = &cache {
             metrics.cache = cache.stats();
         }
+        memo.record(&mut metrics);
         metrics.batch_wall = started.elapsed();
 
         BatchReport { results, metrics }
     }
 }
 
+/// The batch's own compile cache, unless `cache_capacity` disables it.
+fn local_cache(request: &BatchRequest) -> Option<CompileCache> {
+    match request.options.cache_capacity {
+        0 => None,
+        capacity => Some(CompileCache::new(capacity)),
+    }
+}
+
 /// Compiles one job with cache lookup and panic isolation.
-fn run_one<C: JobCompiler>(
+fn run_one(
     job: &CompileJob,
     cache: Option<&CompileCache>,
-    compiler: &C,
+    compile: impl FnOnce() -> Compiled,
     queue_wait: std::time::Duration,
 ) -> Result<JobOutcome, FailedJob> {
     let started = Instant::now();
@@ -202,7 +234,7 @@ fn run_one<C: JobCompiler>(
         }
     }
 
-    let compiled = catch_unwind(AssertUnwindSafe(|| compiler.compile(job)));
+    let compiled = catch_unwind(AssertUnwindSafe(compile));
     match compiled {
         Ok((Ok(report), trace)) => {
             if let Some((cache, fingerprint)) = key {
@@ -378,7 +410,10 @@ mod tests {
 
     #[test]
     fn cache_hit_equals_cold_compile() {
-        let warm_request = BatchRequest::new(jobs().into_iter().chain(jobs()).collect::<Vec<_>>());
+        // One worker: with more, a repeat can start before its original
+        // has finished and then miss the cache.
+        let warm_request = BatchRequest::new(jobs().into_iter().chain(jobs()).collect::<Vec<_>>())
+            .with_options(BatchOptions::with_workers(1));
         let report = Engine::run(&warm_request);
         for (cold, warm) in report.results[..3].iter().zip(&report.results[3..]) {
             let (cold, warm) = (cold.as_ref().unwrap(), warm.as_ref().unwrap());

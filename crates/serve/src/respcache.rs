@@ -19,6 +19,7 @@
 //! batch responses are large, rarer, and carry per-entry `cache_hit`
 //! fields, so they go to the engine every time.
 
+use caqr_circuit::fingerprint::StableHasher;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -143,19 +144,13 @@ fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
         .position(|window| window == needle)
 }
 
-/// FNV-1a over (endpoint, body), widened to 128 bits — the same
-/// content-addressing idea as the engine's compile-cache fingerprints.
+/// The 128-bit content key of (endpoint, body): the same stable FNV-1a
+/// hasher as the engine's compile-cache fingerprints.
 fn fingerprint(endpoint: u8, body: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut hash = OFFSET;
-    hash ^= endpoint as u128;
-    hash = hash.wrapping_mul(PRIME);
-    for &byte in body {
-        hash ^= byte as u128;
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
+    let mut h = StableHasher::new();
+    h.write_u8(endpoint);
+    h.write_bytes(body);
+    h.finish().as_u128()
 }
 
 #[cfg(test)]
@@ -185,6 +180,18 @@ mod tests {
         assert!(cache.lookup(2, b"body").is_none(), "endpoint is in the key");
         assert!(cache.lookup(1, b"other").is_none(), "body is in the key");
         assert_eq!(cache.lookup(1, b"body").unwrap(), b"compile".to_vec());
+    }
+
+    /// The key of one fixed request, pinned to the value the response
+    /// cache has always computed for it: FNV-1a 128 over the endpoint
+    /// byte, then the body.
+    #[test]
+    fn key_of_a_fixed_request_is_pinned() {
+        let body = br#"{"qasm":"OPENQASM 2.0;","strategy":"sr"}"#;
+        assert_eq!(
+            fingerprint(1, body),
+            0xb5df_b204_84c2_dd2b_6f41_6d85_b4d9_910b
+        );
     }
 
     #[test]
