@@ -6,12 +6,15 @@
 //! pipelines all flow through the same machinery. `compile_traced` is a
 //! thin wrapper that installs a [`StageTrace`]-recording observer.
 //!
-//! A QS strategy's recipe splits where its routed sweep is complete:
-//! [`PassManager::for_sweep`] builds the sweep every QS strategy shares,
-//! and [`PassManager::for_selection`] runs one strategy's selection on a
-//! context seeded with it ([`CompileCtx::with_routed_sweep`]). Running
-//! the two halves back to back is the same pass sequence as
-//! [`PassManager::for_strategy`].
+//! A recipe that consumes a sweep splits where that sweep is complete.
+//! [`PassManager::for_logical_sweep`] builds the logical sweep that SR-CaQR
+//! and every QS strategy share, and [`PassManager::for_route_sweep`]
+//! routes it into the sweep the QS strategies share.
+//! [`PassManager::for_selection`] then runs one strategy's selection on a
+//! context seeded with the sweep it reads: the routed one for a QS
+//! strategy ([`CompileCtx::with_routed_sweep`]), the logical one for SR
+//! ([`CompileCtx::with_sweep`]). Running the pieces back to back is the
+//! same pass sequence as [`PassManager::for_strategy`].
 
 use crate::cancel::CancelToken;
 use crate::error::CaqrError;
@@ -19,7 +22,9 @@ use crate::pass::{
     BaselineRoutePass, CommutingAnalysisPass, CompileCtx, OptimizePass, Pass, QsSweepPass,
     ReportPass, RouteSweepPass, SelectObjective, SelectPass, SrRoutePass,
 };
-use crate::pipeline::{CompileReport, Stage, StageTrace, Strategy, SWEEP_PASSES};
+use crate::pipeline::{
+    CompileReport, Stage, StageTrace, Strategy, LOGICAL_SWEEP_PASSES, SWEEP_PASSES,
+};
 use crate::router::{CostModelSpec, RouterConfig};
 use caqr_arch::Device;
 #[cfg(debug_assertions)]
@@ -113,17 +118,29 @@ impl PassManager {
         Self::from_recipe(&strategy.pass_names())
     }
 
-    /// The passes that build the routed QS sweep ([`SWEEP_PASSES`]): the
-    /// part of the recipe every QS strategy shares. Run it with
-    /// [`PassManager::run_in`] and take the context's `routed_sweep`.
-    pub fn for_sweep() -> Self {
-        Self::from_recipe(&SWEEP_PASSES)
+    /// The passes that build the logical QS sweep
+    /// ([`LOGICAL_SWEEP_PASSES`]): the part of the recipe SR-CaQR and
+    /// every QS strategy share. Run it with [`PassManager::run_in`] and
+    /// take the context's `sweep`.
+    pub fn for_logical_sweep() -> Self {
+        Self::from_recipe(&LOGICAL_SWEEP_PASSES)
     }
 
-    /// The rest of `strategy`'s recipe once its routed sweep exists: the
-    /// `select-*` pass and `report`, to run on a context seeded with
-    /// [`CompileCtx::with_routed_sweep`]. `None` for the strategies that
-    /// build no sweep.
+    /// The passes that route a logical sweep into the one every QS
+    /// strategy shares: those [`SWEEP_PASSES`] adds to
+    /// [`LOGICAL_SWEEP_PASSES`]. Run it with [`PassManager::run_in`] on a
+    /// context seeded with [`CompileCtx::with_sweep`] and take the
+    /// context's `routed_sweep`.
+    pub fn for_route_sweep() -> Self {
+        Self::from_recipe(&SWEEP_PASSES[LOGICAL_SWEEP_PASSES.len()..])
+    }
+
+    /// The rest of `strategy`'s recipe once the sweep it reads exists
+    /// ([`Strategy::selection_pass_names`]): a QS strategy's `select-*`
+    /// pass and `report`, to run on a context seeded with
+    /// [`CompileCtx::with_routed_sweep`], or SR-CaQR's `sr-route` and
+    /// `report`, to run on one seeded with [`CompileCtx::with_sweep`].
+    /// `None` for the baseline, which reads no sweep.
     pub fn for_selection(strategy: Strategy) -> Option<Self> {
         strategy
             .selection_pass_names()
@@ -283,8 +300,8 @@ impl PassManager {
         Ok(report)
     }
 
-    /// Compiles a context the caller built (one seeded with a routed sweep,
-    /// say) and returns its report.
+    /// Compiles a context the caller built (one seeded with a sweep, say)
+    /// and returns its report.
     ///
     /// # Errors
     ///
@@ -303,9 +320,9 @@ impl PassManager {
     }
 
     /// Runs the passes over a context the caller keeps, for a recipe whose
-    /// product is an artifact other than the report (the routed sweep of
-    /// [`PassManager::for_sweep`]). Cancellation and the observer work as
-    /// in [`PassManager::run_observed_cancellable`].
+    /// product is an artifact other than the report (the sweep of
+    /// [`PassManager::for_logical_sweep`], say). Cancellation and the
+    /// observer work as in [`PassManager::run_observed_cancellable`].
     ///
     /// # Errors
     ///
@@ -410,8 +427,10 @@ mod tests {
         assert_eq!(pm.pass_names().len(), 3);
     }
 
-    /// One routed sweep, built once, seeds the selection of every QS
-    /// strategy; each result equals that strategy's full recipe.
+    /// One logical sweep, built once, seeds SR-CaQR and, routed once, the
+    /// selection of every QS strategy; each result equals that strategy's
+    /// full recipe. BV_6 and XOR_5 take SR's regular flow, QAOA8 its
+    /// commuting flow.
     #[test]
     fn selections_on_one_shared_sweep_equal_full_recipes() {
         let device = Device::mumbai(7);
@@ -428,21 +447,32 @@ mod tests {
         ];
         let live = CancelToken::new();
         for circuit in circuits {
-            let mut ctx = CompileCtx::new(circuit.clone(), &device, Strategy::QsMaxReuse);
-            PassManager::for_sweep()
+            let mut ctx = CompileCtx::new(circuit.clone(), &device, Strategy::Sr);
+            PassManager::for_logical_sweep()
                 .run_in(&mut ctx, &mut NoopObserver, &live)
                 .expect("sweep builds");
-            let sweep = ctx
-                .routed_sweep
-                .take()
-                .expect("route-sweep routed the sweep");
+            let logical = ctx.sweep.take().expect("qs-sweep built the sweep");
+            assert_eq!(
+                logical.input.is_some(),
+                matches!(ctx.commuting, Some(Ok(_)))
+            );
+            let mut ctx = CompileCtx::new(Circuit::default(), &device, Strategy::QsMaxReuse)
+                .with_sweep(Arc::clone(&logical));
+            PassManager::for_route_sweep()
+                .run_in(&mut ctx, &mut NoopObserver, &live)
+                .expect("sweep routes");
+            let routed = ctx.routed_sweep.take().expect("route-sweep routed it");
+            drop(ctx);
             for strategy in Strategy::ALL {
                 let Some(selection) = PassManager::for_selection(strategy) else {
-                    assert!(matches!(strategy, Strategy::Baseline | Strategy::Sr));
+                    assert_eq!(strategy, Strategy::Baseline);
                     continue;
                 };
-                let seeded = CompileCtx::new(circuit.clone(), &device, strategy)
-                    .with_routed_sweep(Arc::clone(&sweep));
+                let seeded = CompileCtx::new(Circuit::default(), &device, strategy);
+                let seeded = match strategy.sweep_objective() {
+                    Some(_) => seeded.with_routed_sweep(Arc::clone(&routed)),
+                    None => seeded.with_sweep(Arc::clone(&logical)),
+                };
                 let shared = selection
                     .run_ctx(seeded, &mut NoopObserver, &live)
                     .expect("selection runs");
@@ -453,15 +483,23 @@ mod tests {
                         shared.qubits,
                         shared.depth,
                         shared.duration_dt,
-                        shared.swaps
+                        shared.swaps,
+                        shared.two_qubit_gates
                     ),
-                    (alone.qubits, alone.depth, alone.duration_dt, alone.swaps),
+                    (
+                        alone.qubits,
+                        alone.depth,
+                        alone.duration_dt,
+                        alone.swaps,
+                        alone.two_qubit_gates
+                    ),
                     "{strategy}"
                 );
                 assert_eq!(shared.esp.to_bits(), alone.esp.to_bits(), "{strategy}");
             }
+            assert_eq!(Arc::strong_count(&logical), 1, "SR drops its reference");
             assert_eq!(
-                Arc::strong_count(&sweep),
+                Arc::strong_count(&routed),
                 1,
                 "selections drop their reference"
             );

@@ -27,8 +27,23 @@ use caqr_graph::Graph;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Every QS sweep point routed onto the device, as `(logical qubit count,
-/// routed circuit)` in sweep order: the product of
+/// The QS reuse sweep of the working circuit: the product of
+/// [`LOGICAL_SWEEP_PASSES`](crate::pipeline::LOGICAL_SWEEP_PASSES). It is
+/// read-only once built, so one sweep behind an `Arc` can seed both
+/// `route-sweep` and SR-CaQR's version selection (see
+/// [`CompileCtx::with_sweep`]).
+#[derive(Debug, Clone)]
+pub struct LogicalSweep {
+    /// The circuit a commuting sweep was scheduled from. Its points all
+    /// reorder that circuit's gates, so SR-CaQR also routes it as given.
+    /// `None` for a regular sweep, whose point 0 is the circuit itself.
+    pub input: Option<Circuit>,
+    /// One logical circuit per achievable qubit count, widest first.
+    pub points: Vec<SweepPoint>,
+}
+
+/// Every QS sweep point that fits the device, routed onto it, as
+/// `(logical qubit count, routed circuit)` in sweep order: the product of
 /// [`SWEEP_PASSES`](crate::pipeline::SWEEP_PASSES). It is read-only once
 /// built, so one sweep behind an `Arc` can seed the selection of every QS
 /// strategy (see [`CompileCtx::with_routed_sweep`]).
@@ -134,8 +149,9 @@ pub struct CompileCtx<'d> {
     /// `commuting-analysis` pass runs.
     pub commuting: Option<Result<CommutingSpec, NotCommutingError>>,
     /// The QS reuse sweep (one logical circuit per achievable qubit
-    /// count), produced by `qs-sweep`.
-    pub sweep: Option<Vec<SweepPoint>>,
+    /// count), produced by `qs-sweep` or seeded by
+    /// [`CompileCtx::with_sweep`].
+    pub sweep: Option<Arc<LogicalSweep>>,
     /// Every sweep point routed onto the device, produced by
     /// `route-sweep` or seeded by [`CompileCtx::with_routed_sweep`].
     pub routed_sweep: Option<Arc<RoutedSweep>>,
@@ -183,6 +199,16 @@ impl<'d> CompileCtx<'d> {
     /// audited for angle-independence (debug builds).
     pub fn with_parametric(mut self, num_slots: u32) -> Self {
         self.parametric_slots = Some(num_slots);
+        self
+    }
+
+    /// The same context seeded with an already-built logical sweep, as if
+    /// the [`LOGICAL_SWEEP_PASSES`](crate::pipeline::LOGICAL_SWEEP_PASSES)
+    /// had run: `route-sweep` and SR-CaQR's `sr-route` can then run on it
+    /// directly. Those passes read only the sweep, never the working
+    /// circuit. The sweep must come from this context's circuit and device.
+    pub fn with_sweep(mut self, sweep: Arc<LogicalSweep>) -> Self {
+        self.sweep = Some(sweep);
         self
     }
 
@@ -339,19 +365,28 @@ impl Pass for QsSweepPass {
             pass: "qs-sweep",
             artifact: "commuting analysis",
         })?;
-        let points = match spec {
-            Ok(spec) => crate::qs::commuting::sweep(spec, crate::sr::default_matcher(spec)),
-            Err(_) => {
-                crate::qs::regular::sweep(ctx.circuit(), &ctx.device().logical_duration_model())
-            }
+        let sweep = match spec {
+            Ok(spec) => LogicalSweep {
+                input: Some(ctx.circuit().clone()),
+                points: crate::qs::commuting::sweep(spec, crate::sr::default_matcher(spec)),
+            },
+            Err(_) => LogicalSweep {
+                input: None,
+                points: crate::qs::regular::sweep(
+                    ctx.circuit(),
+                    &ctx.device().logical_duration_model(),
+                ),
+            },
         };
-        ctx.sweep = Some(points);
+        ctx.sweep = Some(Arc::new(sweep));
         Ok(())
     }
 }
 
-/// Routes every QS sweep point onto the device with the no-reuse policy.
-/// The paper's QS flow: logical transform first, hardware mapping second.
+/// Routes every QS sweep point onto the device with the no-reuse policy
+/// and keeps those that fit; when none fits, fails with the narrowest
+/// point's routing error. The paper's QS flow: logical transform first,
+/// hardware mapping second.
 pub struct RouteSweepPass;
 
 impl Pass for RouteSweepPass {
@@ -364,17 +399,22 @@ impl Pass for RouteSweepPass {
     }
 
     fn run(&self, ctx: &mut CompileCtx<'_>) -> Result<(), CaqrError> {
-        let points = ctx.sweep.take().ok_or(CaqrError::MissingArtifact {
+        let sweep = ctx.sweep.as_ref().ok_or(CaqrError::MissingArtifact {
             pass: "route-sweep",
             artifact: "reuse sweep",
         })?;
-        let mut out = Vec::with_capacity(points.len());
-        let router = ctx.router();
-        for p in points {
-            let routed = crate::baseline::compile_with(&p.circuit, ctx.device(), router)?;
-            out.push((p.qubits, routed));
+        let mut routed = Vec::with_capacity(sweep.points.len());
+        let mut last_err = None;
+        for p in &sweep.points {
+            match crate::baseline::compile_with(&p.circuit, ctx.device(), ctx.router()) {
+                Ok(r) => routed.push((p.qubits, r)),
+                Err(e) => last_err = Some(e),
+            }
         }
-        ctx.routed_sweep = Some(Arc::new(out));
+        if let Some(e) = last_err.filter(|_| routed.is_empty()) {
+            return Err(e);
+        }
+        ctx.routed_sweep = Some(Arc::new(routed));
         Ok(())
     }
 }
@@ -477,8 +517,7 @@ impl Pass for BaselineRoutePass {
 }
 
 /// SR-CaQR: the dynamic-circuit-aware delay/reclaim mapper with version
-/// selection, choosing the commuting or regular flow from the
-/// `commuting-analysis` artifact.
+/// selection over the logical sweep (see [`crate::sr`]).
 pub struct SrRoutePass;
 
 impl Pass for SrRoutePass {
@@ -491,17 +530,16 @@ impl Pass for SrRoutePass {
     }
 
     fn run(&self, ctx: &mut CompileCtx<'_>) -> Result<(), CaqrError> {
-        let spec = ctx.commuting.as_ref().ok_or(CaqrError::MissingArtifact {
+        let sweep = ctx.sweep.as_ref().ok_or(CaqrError::MissingArtifact {
             pass: "sr-route",
-            artifact: "commuting analysis",
+            artifact: "reuse sweep",
         })?;
-        let router = ctx.router();
-        let routed = match spec {
-            Ok(spec) => {
-                crate::sr::compile_commuting_with_cost(ctx.circuit(), ctx.device(), spec, router)?
-            }
-            Err(_) => crate::sr::compile_with(ctx.circuit(), ctx.device(), router)?,
-        };
+        let routed = crate::sr::select_version(
+            sweep.input.as_ref(),
+            &sweep.points,
+            ctx.device(),
+            ctx.router(),
+        )?;
         ctx.routed = Some(routed);
         Ok(())
     }
@@ -646,6 +684,10 @@ mod tests {
             Err(CaqrError::MissingArtifact { .. })
         ));
         assert!(matches!(
+            SrRoutePass.run(&mut ctx),
+            Err(CaqrError::MissingArtifact { .. })
+        ));
+        assert!(matches!(
             SelectPass {
                 objective: SelectObjective::MaxReuse
             }
@@ -679,6 +721,7 @@ mod tests {
         CommutingAnalysisPass.run(&mut ctx)?;
         QsSweepPass.run(&mut ctx)?;
         RouteSweepPass.run(&mut ctx)?;
+        assert!(ctx.sweep.is_some(), "route-sweep leaves the logical sweep");
         let sweep = Arc::clone(ctx.routed_sweep.as_ref().expect("route-sweep ran"));
         let points = sweep.len();
         SelectPass {

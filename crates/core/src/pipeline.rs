@@ -17,11 +17,23 @@ use caqr_circuit::{Circuit, ParametricCircuit};
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// The passes that build the routed QS sweep. Their product depends only
-/// on the input circuit, the device and the routing policy, never on the
-/// strategy: every QS strategy runs them, then only its own selection
-/// (see [`Strategy::sweep_objective`]).
-pub const SWEEP_PASSES: [&str; 4] = ["optimize", "commuting-analysis", "qs-sweep", "route-sweep"];
+/// The passes that build the logical QS sweep
+/// ([`LogicalSweep`](crate::pass::LogicalSweep)). Their product depends
+/// only on the input circuit and the device, never on the strategy. Every
+/// strategy whose recipe starts with them consumes a sweep
+/// ([`Strategy::consumes_sweep`]): SR-CaQR selects its version from the
+/// logical sweep, and the QS strategies route it first
+/// ([`SWEEP_PASSES`]).
+pub const LOGICAL_SWEEP_PASSES: [&str; 3] = ["optimize", "commuting-analysis", "qs-sweep"];
+
+/// The passes that build the routed QS sweep: the logical sweep, then
+/// `route-sweep`. Their product depends only on the input circuit, the
+/// device and the routing policy: every QS strategy runs them, then only
+/// its own selection (see [`Strategy::sweep_objective`]).
+pub const SWEEP_PASSES: [&str; 4] = {
+    let [optimize, analysis, sweep] = LOGICAL_SWEEP_PASSES;
+    [optimize, analysis, sweep, "route-sweep"]
+};
 
 /// Which compiler to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,10 +67,10 @@ impl Strategy {
     ];
 
     /// The objective a QS strategy picks its point of the routed sweep
-    /// by; `None` for the strategies that build no sweep.
+    /// by; `None` for the strategies that route no sweep.
     ///
-    /// This is the one declaration of which strategies share a sweep: a
-    /// QS strategy is [`SWEEP_PASSES`] followed by its
+    /// This is the one declaration of which strategies share the routed
+    /// sweep: a QS strategy is [`SWEEP_PASSES`] followed by its
     /// [`Strategy::selection_pass_names`].
     pub fn sweep_objective(self) -> Option<SelectObjective> {
         match self {
@@ -70,22 +82,37 @@ impl Strategy {
         }
     }
 
-    /// The passes a QS strategy runs once its routed sweep exists: its
-    /// `select-*` pass, then `report`. `None` for the strategies that
-    /// build no sweep.
+    /// The passes a strategy runs once the sweep it reads exists, then
+    /// `report`: a QS strategy its `select-*` pass on the routed sweep,
+    /// SR-CaQR `sr-route` on the logical sweep. `None` for the baseline,
+    /// which reads no sweep.
     pub fn selection_pass_names(self) -> Option<[&'static str; 2]> {
-        self.sweep_objective()
-            .map(|objective| [objective.pass_name(), "report"])
+        let selection = match (self, self.sweep_objective()) {
+            (_, Some(objective)) => objective.pass_name(),
+            (Strategy::Sr, None) => "sr-route",
+            (_, None) => return None,
+        };
+        Some([selection, "report"])
+    }
+
+    /// Whether this strategy's recipe builds the logical sweep
+    /// ([`LOGICAL_SWEEP_PASSES`]), so that it can read one another job
+    /// built instead.
+    pub fn consumes_sweep(self) -> bool {
+        self.pass_names().starts_with(&LOGICAL_SWEEP_PASSES)
     }
 
     /// The pass-sequence recipe this strategy declares: the registered
     /// pass names, in execution order.
     pub fn pass_names(self) -> Vec<&'static str> {
-        match (self, self.selection_pass_names()) {
-            (_, Some(selection)) => SWEEP_PASSES.iter().chain(&selection).copied().collect(),
-            (Strategy::Sr, None) => vec!["optimize", "commuting-analysis", "sr-route", "report"],
-            (_, None) => vec!["optimize", "baseline-route", "report"],
-        }
+        let Some(selection) = self.selection_pass_names() else {
+            return vec!["optimize", "baseline-route", "report"];
+        };
+        let sweep: &[&str] = match self.sweep_objective() {
+            Some(_) => &SWEEP_PASSES,
+            None => &LOGICAL_SWEEP_PASSES,
+        };
+        sweep.iter().chain(&selection).copied().collect()
     }
 }
 
@@ -594,6 +621,41 @@ mod tests {
         Ok(())
     }
 
+    /// BV_6 is wider than a 4-qubit line, but its reuse points are not:
+    /// `route-sweep` keeps the points that fit, so every QS strategy
+    /// compiles it, coupling-valid and with the input's exact output
+    /// distribution.
+    #[test]
+    fn qs_strategies_use_the_sweep_points_that_fit() -> TestResult {
+        use caqr_sim::exact;
+        use std::collections::BTreeMap;
+        let dev = Device::with_synthetic_calibration(caqr_arch::Topology::line(4), 1);
+        let c = bv(6);
+        let mask = (1u64 << c.num_clbits()) - 1;
+        let reference: BTreeMap<u64, f64> = exact::distribution(&c)?.into_iter().collect();
+        for strategy in Strategy::ALL
+            .into_iter()
+            .filter(|s| s.sweep_objective().is_some())
+        {
+            let report = compile(&c, &dev, strategy)?;
+            for instr in report.circuit.iter().filter(|i| i.is_two_qubit()) {
+                let (a, b) = (instr.qubits[0].index(), instr.qubits[1].index());
+                assert!(dev.topology().are_coupled(a, b), "{strategy}: {a}-{b}");
+            }
+            let (compact, _) = report.circuit.compact_qubits();
+            let mut got: BTreeMap<u64, f64> = BTreeMap::new();
+            for (value, p) in exact::distribution(&compact)? {
+                *got.entry(value & mask).or_default() += p;
+            }
+            assert_eq!(got.len(), reference.len(), "{strategy}");
+            for (value, p) in &reference {
+                let q = got.get(value).copied().unwrap_or(0.0);
+                assert!((p - q).abs() < 1e-9, "{strategy}: {value:b} {p} vs {q}");
+            }
+        }
+        Ok(())
+    }
+
     #[test]
     fn trace_survives_failure() {
         // 10 logical qubits cannot fit a 3-qubit line under baseline.
@@ -652,13 +714,17 @@ mod tests {
     }
 
     #[test]
-    fn qs_strategies_are_the_shared_sweep_then_their_selection() {
-        let sharing: Vec<Strategy> = Strategy::ALL
+    fn sweep_consumers_are_a_sweep_then_their_selection() {
+        assert_eq!(
+            SWEEP_PASSES[..LOGICAL_SWEEP_PASSES.len()],
+            LOGICAL_SWEEP_PASSES
+        );
+        let routing: Vec<Strategy> = Strategy::ALL
             .into_iter()
             .filter(|s| s.sweep_objective().is_some())
             .collect();
         assert_eq!(
-            sharing,
+            routing,
             [
                 Strategy::QsMaxReuse,
                 Strategy::QsMinDepth,
@@ -666,11 +732,32 @@ mod tests {
                 Strategy::QsMaxEsp
             ]
         );
-        for strategy in sharing {
+        let consumers: Vec<Strategy> = Strategy::ALL
+            .into_iter()
+            .filter(|s| s.consumes_sweep())
+            .collect();
+        assert_eq!(consumers, Strategy::ALL[1..]);
+        for strategy in consumers {
+            let sweep: &[&str] = if routing.contains(&strategy) {
+                &SWEEP_PASSES
+            } else {
+                &LOGICAL_SWEEP_PASSES
+            };
             let names = strategy.pass_names();
-            assert_eq!(names[..SWEEP_PASSES.len()], SWEEP_PASSES, "{strategy}");
-            let selection = strategy.selection_pass_names().expect("QS selects");
-            assert_eq!(names[SWEEP_PASSES.len()..], selection, "{strategy}");
+            assert_eq!(names[..sweep.len()], *sweep, "{strategy}");
+            let selection = strategy.selection_pass_names().expect("consumers select");
+            assert_eq!(names[sweep.len()..], selection, "{strategy}");
         }
+        assert_eq!(
+            Strategy::Sr.pass_names(),
+            [
+                "optimize",
+                "commuting-analysis",
+                "qs-sweep",
+                "sr-route",
+                "report"
+            ]
+        );
+        assert!(Strategy::Baseline.selection_pass_names().is_none());
     }
 }

@@ -413,23 +413,6 @@ pub mod commuting {
             .find(|p| p.qubits <= target)
             .map(|p| p.circuit)
     }
-
-    /// The reuse pairs at the sweep's "sweet spot": the largest saving
-    /// whose circuit depth stays within `slack` (e.g. 0.1 = 10%) of the
-    /// minimum-depth candidate. SR-CaQR's commuting path seeds its
-    /// dependence graph with these (§3.3.2, Step 1).
-    pub fn sweet_spot_pairs(spec: &CommutingSpec, matcher: Matcher, slack: f64) -> Vec<ReusePair> {
-        let all = candidates(spec, matcher);
-        let Some(min_depth) = all.iter().map(|(_, c)| c.depth()).min() else {
-            return Vec::new();
-        };
-        let limit = (min_depth as f64 * (1.0 + slack)).ceil() as usize;
-        all.into_iter()
-            .filter(|(_, c)| c.depth() <= limit)
-            .max_by_key(|(pairs, c)| (pairs.len(), std::cmp::Reverse(c.depth())))
-            .map(|(pairs, _)| pairs)
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -624,15 +607,6 @@ mod tests {
             commuting::to_target(&spec, min.saturating_sub(1).max(1), Matcher::Greedy).is_none()
                 || min == 1
         );
-        Ok(())
-    }
-
-    #[test]
-    fn sweet_spot_within_slack() -> TestResult {
-        let g = gen::random_graph(8, 0.3, 11);
-        let spec = qaoa(&g)?;
-        let pairs = commuting::sweet_spot_pairs(&spec, Matcher::Greedy, 0.15);
-        assert!(spec.pairs_valid(&pairs));
         Ok(())
     }
 

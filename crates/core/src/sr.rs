@@ -5,19 +5,28 @@
 //! circuit: it delays off-critical gates so fresh logical qubits can map
 //! onto *reclaimed* physical qubits close to their partners (avoiding
 //! SWAPs), chooses physical qubits by error variability, and saves qubits
-//! as a side effect. The commuting-gate variant first imposes a partial
-//! gate order using QS-CaQR's sweet-spot reuse pairs (§3.3.2 Step 1), then
-//! runs the same mapper.
+//! as a side effect.
 //!
-//! Every candidate version is routed under two policies; each candidate
-//! circuit gets one shared [`AnalysisCache`] so its DAG, interaction
-//! graph, and critical-path marks are built once, not once per policy.
+//! It follows the paper's generate-versions-and-select flow. The versions
+//! are the input and every point of its QS-CaQR sweep (§3.2); for a
+//! commuting-gate circuit (§3.3.2) the matching scheduler builds that
+//! sweep, so each point imposes the partial gate order of one reuse level.
+//! Every version is routed under both the delay/reclaim policy and the
+//! eager-placement (no-reuse) policy, and the best compiled circuit wins:
+//! fewest SWAPs (plus DPQA movement stages), then fewest qubits, then
+//! least depth. The `sr-route` pass runs the same selection on the sweep
+//! `qs-sweep` built, so a caller that also runs a QS strategy can build
+//! that sweep once.
+//!
+//! Each candidate circuit gets one shared [`AnalysisCache`] so its DAG,
+//! interaction graph, and critical-path marks are built once, not once per
+//! policy.
 
 use crate::commuting::{CommutingSpec, Matcher};
 use crate::error::CaqrError;
 use crate::pass::AnalysisCache;
-use crate::qs;
-use crate::router::{self, CostModelSpec, RoutedCircuit, RouterConfig, RouterOptions};
+use crate::qs::{self, SweepPoint};
+use crate::router::{self, RoutedCircuit, RouterConfig, RouterOptions};
 use caqr_arch::Device;
 use caqr_circuit::parametric::{self, ParametricCircuit};
 use caqr_circuit::Circuit;
@@ -42,71 +51,65 @@ fn route_versions(
     }
 }
 
-/// Compiles a regular circuit with SR-CaQR (§3.3.1): the delay/reclaim
-/// mapper routes the original circuit *and* each QS-CaQR sweep point, the
-/// eager-placement policy provides the no-reuse reference, and the best
-/// compiled version wins — ranked by SWAPs, then qubit usage, then depth.
-/// This is the paper's generate-versions-and-select flow; it guarantees
-/// SR is never worse than either the baseline or the best QS sweep point
-/// on SWAP count.
+/// Compiles a regular circuit with SR-CaQR (§3.3.1): version selection
+/// over the circuit's QS-CaQR sweep, whose point 0 is the circuit itself,
+/// each point routed under the delay/reclaim then the eager-placement
+/// policy. SR is therefore never worse than either the baseline or the
+/// best QS sweep point on SWAP count.
 ///
 /// # Errors
 ///
 /// Returns [`CaqrError::OutOfQubits`] when no version fits the device.
 pub fn compile(circuit: &Circuit, device: &Device) -> Result<RoutedCircuit, CaqrError> {
-    compile_with(circuit, device, CostModelSpec::Hop)
+    let points = qs::regular::sweep(circuit, &device.logical_duration_model());
+    select_version(None, &points, device, RouterConfig::default())
 }
 
-/// [`compile`] under an explicit routing policy — a bare swap-scoring
-/// [`CostModelSpec`] or a full [`RouterConfig`] (backend + cost model) —
-/// applied to every candidate version under both policies.
+/// SR-CaQR's version selection, shared by the `sr-route` pass and the
+/// free functions of this module. Routes each version under two policies
+/// and keeps the best compiled circuit, ranked by SWAPs (plus DPQA
+/// movement stages), then qubit usage, then depth; a tie goes to the
+/// earlier candidate.
+///
+/// The versions, in order: `input` under the eager-placement then the
+/// delay/reclaim policy, when given (a commuting circuit, whose sweep
+/// points all reorder its gates); then every sweep point under the
+/// delay/reclaim then the eager-placement policy. A regular sweep needs
+/// no `input`: its point 0 is the circuit itself.
 ///
 /// # Errors
 ///
-/// Returns [`CaqrError::OutOfQubits`] when no version fits the device.
-pub fn compile_with(
-    circuit: &Circuit,
+/// The last routing error when no version fits the device.
+pub(crate) fn select_version(
+    input: Option<&Circuit>,
+    points: &[SweepPoint],
     device: &Device,
-    router_config: impl Into<RouterConfig>,
+    router: RouterConfig,
 ) -> Result<RoutedCircuit, CaqrError> {
-    let router_config = router_config.into();
-    let policies = [
-        RouterOptions::sr().with_router(router_config),
-        RouterOptions::baseline().with_router(router_config),
-    ];
-    let mut best: Option<RoutedCircuit> = None;
+    let sr = RouterOptions::sr().with_router(router);
+    let baseline = RouterOptions::baseline().with_router(router);
+    let versions = input
+        .map(|circuit| (circuit, [baseline, sr]))
+        .into_iter()
+        .chain(points.iter().map(|point| (&point.circuit, [sr, baseline])));
+    let mut best: Option<((usize, usize, usize), RoutedCircuit)> = None;
     let mut last_err = None;
-    let key = |r: &RoutedCircuit| {
-        (
-            r.swap_count + r.movement_stages,
-            r.physical_qubits_used,
-            r.circuit.depth(),
-        )
-    };
-    let consider = |candidate: Result<RoutedCircuit, CaqrError>,
-                    best: &mut Option<RoutedCircuit>,
-                    last_err: &mut Option<CaqrError>| {
-        match candidate {
+    for (circuit, policies) in versions {
+        route_versions(circuit, device, policies, |candidate| match candidate {
             Ok(routed) => {
-                if best.as_ref().is_none_or(|b| key(&routed) < key(b)) {
-                    *best = Some(routed);
+                let key = (
+                    routed.swap_count + routed.movement_stages,
+                    routed.physical_qubits_used,
+                    routed.circuit.depth(),
+                );
+                if best.as_ref().is_none_or(|(b, _)| key < *b) {
+                    best = Some((key, routed));
                 }
             }
-            Err(e) => *last_err = Some(e),
-        }
-    };
-    route_versions(circuit, device, policies, |c| {
-        consider(c, &mut best, &mut last_err)
-    });
-    for point in qs::regular::sweep(circuit, &device.logical_duration_model()) {
-        if point.reuses == 0 {
-            continue; // the original was handled above
-        }
-        route_versions(&point.circuit, device, policies, |c| {
-            consider(c, &mut best, &mut last_err)
+            Err(e) => last_err = Some(e),
         });
     }
-    finish(best, last_err)
+    finish(best.map(|(_, routed)| routed), last_err)
 }
 
 /// Resolves the best candidate, or the last routing error when every
@@ -203,15 +206,16 @@ pub fn compile_for_fidelity_template(
     Ok(routed)
 }
 
-/// Compiles a commuting-gate circuit with SR-CaQR (§3.3.2): QS-CaQR finds
-/// the sweet-spot reuse pairs, those impose the partial gate order, and
-/// the dynamic-circuit-aware mapper routes the result. Several reuse
-/// levels are compiled (none, half of the sweet spot, the sweet spot) and
-/// the best compiled circuit wins — ranked by SWAPs, then qubit usage,
-/// then duration — mirroring the paper's generate-versions-and-select
-/// flow.
+/// Compiles a commuting-gate circuit with SR-CaQR (§3.3.2): version
+/// selection over the circuit as given (under the eager-placement then the
+/// delay/reclaim policy) and every point of its QS-CaQR sweep (under the
+/// delay/reclaim then the eager-placement policy), each point the matching
+/// scheduler's gate order for one reuse level (0 up to the maximum). That
+/// is a strict superset of the QS-min-SWAP candidates, so SR never loses
+/// Table 2's comparison by construction. `_slack` is ignored: every reuse
+/// level is a version.
 ///
-/// Falls back to the regular path when the circuit does not have the
+/// Falls back to [`compile`] when the circuit does not have the
 /// commuting-layer shape.
 ///
 /// # Errors
@@ -225,85 +229,8 @@ pub fn compile_commuting(
     let Ok(spec) = CommutingSpec::from_circuit(circuit) else {
         return compile(circuit, device);
     };
-    compile_commuting_with(circuit, device, &spec)
-}
-
-/// [`compile_commuting`] with a precomputed [`CommutingSpec`] — the entry
-/// point the pass pipeline uses so the `commuting-analysis` artifact is
-/// not recomputed.
-///
-/// # Errors
-///
-/// Returns [`CaqrError::OutOfQubits`] as for [`compile`].
-pub fn compile_commuting_with(
-    circuit: &Circuit,
-    device: &Device,
-    spec: &CommutingSpec,
-) -> Result<RoutedCircuit, CaqrError> {
-    compile_commuting_with_cost(circuit, device, spec, CostModelSpec::Hop)
-}
-
-/// [`compile_commuting_with`] under an explicit routing policy — a bare
-/// swap-scoring [`CostModelSpec`] or a full [`RouterConfig`] — applied to
-/// every candidate version under both policies.
-///
-/// # Errors
-///
-/// Returns [`CaqrError::OutOfQubits`] as for [`compile`].
-pub fn compile_commuting_with_cost(
-    circuit: &Circuit,
-    device: &Device,
-    spec: &CommutingSpec,
-    router_config: impl Into<RouterConfig>,
-) -> Result<RoutedCircuit, CaqrError> {
-    let router_config = router_config.into();
-    let matcher = default_matcher(spec);
-    let mut best: Option<RoutedCircuit> = None;
-    let mut last_err = None;
-    let key = |r: &RoutedCircuit| {
-        (
-            r.swap_count + r.movement_stages,
-            r.physical_qubits_used,
-            r.circuit.depth(),
-        )
-    };
-    let consider = |candidate: Result<RoutedCircuit, CaqrError>,
-                    best: &mut Option<RoutedCircuit>,
-                    last_err: &mut Option<CaqrError>| {
-        match candidate {
-            Ok(routed) => {
-                if best.as_ref().is_none_or(|b| key(&routed) < key(b)) {
-                    *best = Some(routed);
-                }
-            }
-            Err(e) => *last_err = Some(e),
-        }
-    };
-    // The untouched input (original gate order) under both policies.
-    route_versions(
-        circuit,
-        device,
-        [
-            RouterOptions::baseline().with_router(router_config),
-            RouterOptions::sr().with_router(router_config),
-        ],
-        |c| consider(c, &mut best, &mut last_err),
-    );
-    // Every QS sweep point (scheduler-ordered, 0..max reuse) under both
-    // policies — a strict superset of the QS-min-SWAP candidate set, so
-    // SR never loses Table 2's comparison by construction.
-    for point in qs::commuting::sweep(spec, matcher) {
-        route_versions(
-            &point.circuit,
-            device,
-            [
-                RouterOptions::sr().with_router(router_config),
-                RouterOptions::baseline().with_router(router_config),
-            ],
-            |c| consider(c, &mut best, &mut last_err),
-        );
-    }
-    finish(best, last_err)
+    let points = qs::commuting::sweep(&spec, default_matcher(&spec));
+    select_version(Some(circuit), &points, device, RouterConfig::default())
 }
 
 /// Blossom matching for small instances; the §3.4 greedy alternative once
@@ -418,18 +345,19 @@ mod tests {
         Ok(())
     }
 
+    /// The `sr-route` pass and the free functions run one selection: on a
+    /// circuit the peephole pass leaves as it is, SR through the pipeline
+    /// equals the free function for its shape.
     #[test]
-    fn commuting_with_spec_matches_recomputed_spec() -> TestResult {
+    fn sr_route_pass_matches_the_free_functions() -> TestResult {
         let dev = Device::mumbai(3);
-        let c = qaoa_circuit(8, 0.3, 5);
-        let spec = CommutingSpec::from_circuit(&c).map_err(|e| e.to_string())?;
-        let with = compile_commuting_with(&c, &dev, &spec)?;
-        let recomputed = compile_commuting(&c, &dev, 0.1)?;
-        assert_eq!(
-            with.circuit.fingerprint(),
-            recomputed.circuit.fingerprint(),
-            "precomputed spec must not change the result"
-        );
+        for c in [qaoa_circuit(8, 0.3, 5), bv(6)] {
+            assert_eq!(caqr_circuit::optimize::peephole(&c), c);
+            let piped = crate::compile(&c, &dev, crate::Strategy::Sr)?;
+            let free = compile_commuting(&c, &dev, 0.1)?;
+            assert_eq!(piped.circuit, free.circuit);
+            assert_eq!(piped.swaps, free.swap_count);
+        }
         Ok(())
     }
 

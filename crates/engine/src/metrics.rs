@@ -81,12 +81,14 @@ pub struct EngineMetrics {
     pub template_cache_hits: usize,
     /// Bind-runs that compiled their template cold.
     pub template_cache_misses: usize,
-    /// Routed QS sweeps the batch built. A QS job builds its sweep unless
-    /// another job of the batch with the same circuit, device and routing
-    /// policy already has.
+    /// Logical QS sweeps the batch built. A job that consumes a sweep (SR
+    /// or QS) builds it unless another job of the batch with the same
+    /// circuit, device and routing policy already has; it counts here once
+    /// it holds the sweep its selection reads.
     pub sweeps_computed: usize,
-    /// QS jobs that ran only their selection, on a sweep another job of
-    /// the batch built.
+    /// SR and QS jobs that ran only their selection, on a sweep another
+    /// job of the batch built (for a QS job, the routed sweep or the
+    /// logical sweep it routed).
     pub sweeps_reused: usize,
 }
 

@@ -1,6 +1,6 @@
 //! The batch executor: a fixed worker pool over `std::thread::scope`,
 //! with per-job panic isolation, an optional shared compile cache, a
-//! per-batch memo of routed QS sweeps, and deterministic result ordering.
+//! per-batch memo of QS sweeps, and deterministic result ordering.
 
 use crate::cache::CompileCache;
 use crate::job::{BatchReport, BatchRequest, CompileJob, FailedJob, JobError, JobOutcome};
@@ -45,10 +45,10 @@ pub struct Engine;
 
 impl Engine {
     /// Runs `request` through the full CaQR pipeline. Each job routes
-    /// under its own [`CompileJob::router`] policy. The QS jobs of one
-    /// circuit, device and policy build their routed sweep once and each
-    /// run only their own selection on it; every report equals that job
-    /// compiled alone.
+    /// under its own [`CompileJob::router`] policy. The SR and QS jobs of
+    /// one circuit, device and policy build their QS sweep once, the QS
+    /// jobs route it once, and each job runs only its own selection on it;
+    /// every report equals that job compiled alone.
     pub fn run(request: &BatchRequest) -> BatchReport {
         let local = local_cache(request);
         Self::run_pipeline(request, local.as_ref(), &CancelToken::new())
@@ -75,8 +75,8 @@ impl Engine {
     /// boundary; jobs not yet started fail with
     /// [`CaqrError::DeadlineExceeded`] without running at all. With a
     /// shared cache, `metrics.cache` reports the cache's *cumulative*
-    /// counters, not this run's delta. QS sweeps are shared within the
-    /// batch as in [`Engine::run`], never across calls.
+    /// counters, not this run's delta. Sweeps are shared within the batch
+    /// as in [`Engine::run`], never across calls.
     pub fn run_shared(
         request: &BatchRequest,
         cache: Option<&CompileCache>,
@@ -85,9 +85,9 @@ impl Engine {
         Self::run_pipeline(request, cache, cancel)
     }
 
-    /// The CaQR pipeline with the batch's [`SweepMemo`]: a QS job builds
-    /// or reuses its key's routed sweep and runs only its selection on it;
-    /// every other job runs its strategy's full recipe.
+    /// The CaQR pipeline with the batch's [`SweepMemo`]: a job that
+    /// consumes a sweep builds or reuses its key's sweeps and runs only its
+    /// selection on them; the baseline runs its full recipe.
     fn run_pipeline(
         request: &BatchRequest,
         cache: Option<&CompileCache>,

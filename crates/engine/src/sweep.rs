@@ -1,37 +1,44 @@
-//! The per-batch sweep memo: one routed QS sweep per key, shared by every
-//! QS strategy of a batch.
+//! The per-batch sweep memo: one logical QS sweep per key, shared by
+//! SR-CaQR and every QS strategy of a batch, and one routed sweep per key,
+//! shared by the QS strategies.
 //!
-//! A QS strategy is the routed sweep ([`caqr::SWEEP_PASSES`]) followed by
-//! its own selection ([`caqr::Strategy::sweep_objective`]), and the sweep
-//! depends only on the input circuit, the device and the routing policy.
-//! So the QS strategies of one (circuit, device, router) in a batch all
-//! build the same sweep. [`SweepMemo::plan`] groups a batch's QS jobs by
-//! that key before its workers start: by fingerprint first, then by
-//! comparing circuit, device and router in full, so two jobs share a sweep
-//! only when every input is equal, never on a hash alone. A `CompileJob`
-//! carries no template slots; a circuit holding NaN-boxed slot angles
-//! never compares equal and so never shares. Only keys that two or more QS
-//! jobs hold get an entry; a batch in which no key repeats gets an empty
-//! memo and takes no lock.
+//! Every strategy that consumes a sweep ([`caqr::Strategy::consumes_sweep`])
+//! starts by building the logical sweep ([`caqr::LOGICAL_SWEEP_PASSES`]). A
+//! QS strategy then routes it ([`caqr::SWEEP_PASSES`]) and selects one
+//! point ([`caqr::Strategy::sweep_objective`]); SR-CaQR selects its version
+//! from the logical sweep itself. Both sweeps depend only on the input
+//! circuit, the device and the routing policy, so the consumers of one
+//! (circuit, device, router) in a batch all build the same ones.
+//! [`SweepMemo::plan`] groups a batch's consumers by that key before its
+//! workers start: by fingerprint first, then by comparing circuit, device
+//! and router in full, so two jobs share a sweep only when every input is
+//! equal, never on a hash alone. A `CompileJob` carries no template slots;
+//! a circuit holding NaN-boxed slot angles never compares equal and so
+//! never shares. Only keys that two or more consumers hold get an entry; a
+//! batch in which no key repeats gets an empty memo and takes no lock.
 //!
-//! An entry is single-flight. The first of its jobs to arrive builds the
-//! sweep and publishes it; a job arriving meanwhile waits, then runs only
-//! its selection. If the build fails (a compile error, cancellation or a
-//! panic), the entry resets and the next job builds the sweep itself, so
-//! each job returns the error it would return alone. Once the last job of
-//! a key has finished (hit, miss or failure), the entry drops its sweep.
+//! An entry holds two single-flight products. The first job of its key to
+//! arrive, QS or SR, builds the logical sweep; the first QS job routes it.
+//! A job arriving meanwhile waits for the product it needs, then runs only
+//! its selection. SR needs only the logical sweep: it never waits on the
+//! routed one, nor fails because of it. If a build fails (a compile error,
+//! cancellation or a panic), that product resets and the next job that
+//! needs it builds it itself, so each job returns the error it would
+//! return alone. Once the last job of a key has finished (hit, miss or
+//! failure), the entry drops both products.
 
 use crate::job::CompileJob;
 use crate::metrics::EngineMetrics;
 use caqr::{
-    CancelToken, CaqrError, CompileCtx, CompileReport, PassManager, RoutedSweep, StageTrace,
+    CancelToken, CaqrError, CompileCtx, CompileReport, LogicalSweep, PassManager, RoutedSweep,
+    StageTrace,
 };
 use caqr_circuit::fingerprint::{Fingerprint, StableHasher};
 use caqr_circuit::Circuit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// One batch's shared sweeps, and how many sweeps its QS jobs built and
+/// One batch's shared sweeps, and how many sweeps its consumers built and
 /// reused.
 #[derive(Debug, Default)]
 pub(crate) struct SweepMemo {
@@ -44,19 +51,19 @@ pub(crate) struct SweepMemo {
 }
 
 impl SweepMemo {
-    /// Groups the QS jobs of a batch by sweep key; one entry per key that
+    /// Groups the sweep consumers of a batch by key; one entry per key that
     /// two or more of them hold.
     pub(crate) fn plan(jobs: &[CompileJob]) -> Self {
         let mut memo = SweepMemo::default();
-        let qs = || {
+        let consumers = || {
             jobs.iter()
                 .enumerate()
-                .filter(|(_, job)| job.strategy.sweep_objective().is_some())
+                .filter(|(_, job)| job.strategy.consumes_sweep())
         };
-        if qs().nth(1).is_none() {
+        if consumers().nth(1).is_none() {
             return memo;
         }
-        let mut keyed: Vec<(Fingerprint, usize)> = qs()
+        let mut keyed: Vec<(Fingerprint, usize)> = consumers()
             .map(|(index, job)| (sweep_fingerprint(job), index))
             .collect();
         keyed.sort_unstable();
@@ -84,9 +91,10 @@ impl SweepMemo {
         memo
     }
 
-    /// Compiles QS job `index` of the batch: builds its routed sweep, or
-    /// takes the one another job of its key built, then runs `selection`
-    /// (its strategy's [`PassManager::for_selection`]) on it. The trace
+    /// Compiles sweep-consuming job `index` of the batch: obtains the sweep
+    /// its `selection` ([`PassManager::for_selection`]) reads, the routed
+    /// one for a QS strategy and the logical one for SR, building whatever
+    /// its key does not hold yet. Then runs `selection` on it. The trace
     /// holds only the passes this job ran.
     pub(crate) fn compile(
         &self,
@@ -95,26 +103,34 @@ impl SweepMemo {
         selection: &PassManager,
         cancel: &CancelToken,
     ) -> (Result<CompileReport, CaqrError>, StageTrace) {
-        let mut trace = StageTrace::default();
-        let sweep = match self.entry(index) {
-            Some(entry) => entry.obtain(|| build_sweep(job, &mut trace, cancel)),
-            None => build_sweep(job, &mut trace, cancel).map(|sweep| (sweep, true)),
+        let mut obtain = Obtain {
+            entry: self.entry(index),
+            job,
+            cancel,
+            trace: StageTrace::default(),
+            built: false,
         };
-        let result = sweep.and_then(|(sweep, built)| {
+        // Selection reads only the sweep, so the context needs no copy of
+        // the job's circuit.
+        let ctx =
+            CompileCtx::new(Circuit::default(), &job.device, job.strategy).with_router(job.router);
+        let seeded = match job.strategy.sweep_objective() {
+            Some(_) => obtain.routed().map(|sweep| ctx.with_routed_sweep(sweep)),
+            None => obtain.logical().map(|sweep| ctx.with_sweep(sweep)),
+        };
+        let Obtain {
+            mut trace, built, ..
+        } = obtain;
+        let result = seeded.and_then(|ctx| {
             let counter = if built { &self.computed } else { &self.reused };
             counter.fetch_add(1, Ordering::Relaxed);
-            // Selection reads only the sweep, so the context needs no copy
-            // of the job's circuit.
-            let ctx = CompileCtx::new(Circuit::default(), &job.device, job.strategy)
-                .with_router(job.router)
-                .with_routed_sweep(sweep);
             selection.run_ctx(ctx, &mut trace, cancel)
         });
         (result, trace)
     }
 
     /// Counts job `index` as finished, whatever its outcome. The last job
-    /// of a key drops the key's sweep.
+    /// of a key drops the key's sweeps.
     pub(crate) fn finish(&self, index: usize) {
         if let Some(entry) = self.entry(index) {
             entry.finish();
@@ -133,20 +149,61 @@ impl SweepMemo {
     }
 }
 
-/// Runs the passes every QS strategy shares on `job` and returns their
-/// product.
-fn build_sweep(
-    job: &CompileJob,
-    trace: &mut StageTrace,
-    cancel: &CancelToken,
-) -> Result<Arc<RoutedSweep>, CaqrError> {
-    let mut ctx =
-        CompileCtx::new(job.circuit.clone(), &job.device, job.strategy).with_router(job.router);
-    PassManager::for_sweep().run_in(&mut ctx, trace, cancel)?;
-    ctx.routed_sweep.take().ok_or(CaqrError::MissingArtifact {
-        pass: "route-sweep",
-        artifact: "routed sweep",
-    })
+/// One job obtaining its sweep: what it builds is timed into `trace`, and
+/// `built` records whether it built the logical sweep itself.
+struct Obtain<'a> {
+    entry: Option<&'a Entry>,
+    job: &'a CompileJob,
+    cancel: &'a CancelToken,
+    trace: StageTrace,
+    built: bool,
+}
+
+impl Obtain<'_> {
+    /// The key's logical sweep: taken if published, awaited while another
+    /// job builds it, otherwise built here.
+    fn logical(&mut self) -> Result<Arc<LogicalSweep>, CaqrError> {
+        let entry = self.entry;
+        let mut build = || {
+            self.built = true;
+            let mut ctx = CompileCtx::new(
+                self.job.circuit.clone(),
+                &self.job.device,
+                self.job.strategy,
+            )
+            .with_router(self.job.router);
+            PassManager::for_logical_sweep().run_in(&mut ctx, &mut self.trace, self.cancel)?;
+            ctx.sweep.take().ok_or(CaqrError::MissingArtifact {
+                pass: "qs-sweep",
+                artifact: "reuse sweep",
+            })
+        };
+        match entry {
+            Some(entry) => entry.logical.obtain(build),
+            None => build(),
+        }
+    }
+
+    /// The key's routed sweep, obtained like [`Obtain::logical`]; building
+    /// it routes the key's logical sweep.
+    fn routed(&mut self) -> Result<Arc<RoutedSweep>, CaqrError> {
+        let entry = self.entry;
+        let mut build = || {
+            let sweep = self.logical()?;
+            let mut ctx = CompileCtx::new(Circuit::default(), &self.job.device, self.job.strategy)
+                .with_router(self.job.router)
+                .with_sweep(sweep);
+            PassManager::for_route_sweep().run_in(&mut ctx, &mut self.trace, self.cancel)?;
+            ctx.routed_sweep.take().ok_or(CaqrError::MissingArtifact {
+                pass: "route-sweep",
+                artifact: "routed sweep",
+            })
+        };
+        match entry {
+            Some(entry) => entry.routed.obtain(build),
+            None => build(),
+        }
+    }
 }
 
 /// The hashed half of a sweep key: routing policy (bit-exact), circuit and
@@ -159,108 +216,119 @@ fn sweep_fingerprint(job: &CompileJob) -> Fingerprint {
         .combine(job.device.fingerprint())
 }
 
-/// Whether two jobs build the same routed sweep, with every input
-/// compared in full.
+/// Whether two jobs build the same sweeps, with every input compared in
+/// full.
 fn same_sweep(a: &CompileJob, b: &CompileJob) -> bool {
     a.router == b.router && a.circuit == b.circuit && a.device == b.device
 }
 
-/// The sweep of one key and the jobs still to finish with it.
+/// The sweeps of one key and the jobs still to finish with them.
 #[derive(Debug)]
 struct Entry {
-    state: Mutex<State>,
-    published: Condvar,
-}
-
-#[derive(Debug)]
-struct State {
-    sweep: Sweep,
+    logical: Flight<Arc<LogicalSweep>>,
+    routed: Flight<Arc<RoutedSweep>>,
     /// Jobs of this key that have not finished yet.
-    pending: usize,
-}
-
-#[derive(Debug)]
-enum Sweep {
-    /// Not built, or dropped: the next job to arrive builds it.
-    Absent,
-    /// A job is building it; the others wait.
-    Building,
-    Ready(Arc<RoutedSweep>),
+    pending: AtomicUsize,
 }
 
 impl Entry {
     fn new(jobs: usize) -> Self {
         Entry {
-            state: Mutex::new(State {
-                sweep: Sweep::Absent,
-                pending: jobs,
-            }),
-            published: Condvar::new(),
+            logical: Flight::default(),
+            routed: Flight::default(),
+            pending: AtomicUsize::new(jobs),
         }
     }
 
-    /// Every update under this lock is a single assignment or decrement
-    /// and nothing under it can panic, so a poisoned guard still holds a
-    /// valid state.
-    fn lock(&self) -> MutexGuard<'_, State> {
+    fn finish(&self) {
+        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.logical.drop_product();
+            self.routed.drop_product();
+        }
+    }
+}
+
+/// One single-flight product of an entry.
+#[derive(Debug)]
+struct Flight<T> {
+    state: Mutex<Product<T>>,
+    published: Condvar,
+}
+
+#[derive(Debug)]
+enum Product<T> {
+    /// Not built, or dropped: the next job to need it builds it.
+    Absent,
+    /// A job is building it; the others wait.
+    Building,
+    Ready(T),
+}
+
+impl<T> Default for Flight<T> {
+    fn default() -> Self {
+        Flight {
+            state: Mutex::new(Product::Absent),
+            published: Condvar::new(),
+        }
+    }
+}
+
+impl<T> Flight<T> {
+    /// Every update under this lock is a single assignment and nothing
+    /// under it can panic, so a poisoned guard still holds a valid state.
+    fn lock(&self) -> MutexGuard<'_, Product<T>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The entry's sweep, with `true` when this call built it: taken if
-    /// published, awaited while another job builds it, otherwise built
-    /// here by `build`.
-    fn obtain(
-        &self,
-        build: impl FnOnce() -> Result<Arc<RoutedSweep>, CaqrError>,
-    ) -> Result<(Arc<RoutedSweep>, bool), CaqrError> {
+    fn drop_product(&self) {
+        *self.lock() = Product::Absent;
+    }
+}
+
+impl<T: Clone> Flight<T> {
+    /// The product: taken if published, awaited while another job builds
+    /// it, otherwise built here by `build`.
+    fn obtain(&self, build: impl FnOnce() -> Result<T, CaqrError>) -> Result<T, CaqrError> {
         let mut state = self.lock();
         loop {
-            match &state.sweep {
-                Sweep::Ready(sweep) => return Ok((Arc::clone(sweep), false)),
-                Sweep::Building => {
+            match &*state {
+                Product::Ready(product) => return Ok(product.clone()),
+                Product::Building => {
                     state = self
                         .published
                         .wait(state)
                         .unwrap_or_else(PoisonError::into_inner);
                 }
-                Sweep::Absent => break,
+                Product::Absent => break,
             }
         }
-        state.sweep = Sweep::Building;
+        *state = Product::Building;
         drop(state);
         let mut publish = Publish {
-            entry: self,
-            sweep: None,
+            flight: self,
+            product: None,
         };
-        let sweep = build()?;
-        publish.sweep = Some(Arc::clone(&sweep));
-        Ok((sweep, true))
-    }
-
-    fn finish(&self) {
-        let mut state = self.lock();
-        state.pending -= 1;
-        if state.pending == 0 {
-            state.sweep = Sweep::Absent;
-        }
+        let product = build()?;
+        publish.product = Some(product.clone());
+        Ok(product)
     }
 }
 
-/// Ends a build when dropped: publishes the sweep, or resets the entry
+/// Ends a build when dropped: publishes the product, or resets the flight
 /// when the build failed or panicked so that the next job builds it.
 /// Either way it wakes the waiting jobs.
-struct Publish<'a> {
-    entry: &'a Entry,
-    sweep: Option<Arc<RoutedSweep>>,
+struct Publish<'a, T> {
+    flight: &'a Flight<T>,
+    product: Option<T>,
 }
 
-impl Drop for Publish<'_> {
+impl<T> Drop for Publish<'_, T> {
     fn drop(&mut self) {
-        self.entry.lock().sweep = match self.sweep.take() {
-            Some(sweep) => Sweep::Ready(sweep),
-            None => Sweep::Absent,
+        *self.flight.lock() = match self.product.take() {
+            Some(product) => Product::Ready(product),
+            None => Product::Absent,
         };
-        self.entry.published.notify_all();
+        self.flight.published.notify_all();
     }
 }
 
@@ -281,19 +349,27 @@ mod tests {
         Arc::new(Vec::new())
     }
 
+    fn logical_sweep() -> Arc<LogicalSweep> {
+        Arc::new(LogicalSweep {
+            input: None,
+            points: Vec::new(),
+        })
+    }
+
     #[test]
-    fn plan_gives_entries_only_to_repeated_qs_keys() {
+    fn plan_gives_entries_only_to_repeated_consumer_keys() {
         let jobs = [
             job(Strategy::Baseline, 1),
             job(Strategy::QsMaxReuse, 1),
             job(Strategy::Sr, 1),
             job(Strategy::QsMaxEsp, 1),
             job(Strategy::QsMaxReuse, 2),
+            job(Strategy::Sr, 3),
         ];
         let memo = SweepMemo::plan(&jobs);
         assert_eq!(memo.entries.len(), 1);
-        assert_eq!(memo.entry_of, [None, Some(0), None, Some(0), None]);
-        assert_eq!(memo.lock_entry(0).pending, 2);
+        assert_eq!(memo.entry_of, [None, Some(0), Some(0), Some(0), None, None]);
+        assert_eq!(memo.entries[0].pending.load(Ordering::SeqCst), 3);
     }
 
     #[test]
@@ -301,6 +377,8 @@ mod tests {
         for jobs in [
             vec![job(Strategy::QsMaxReuse, 1)],
             vec![job(Strategy::QsMaxReuse, 1), job(Strategy::QsMinDepth, 2)],
+            vec![job(Strategy::Sr, 1), job(Strategy::Sr, 2)],
+            vec![job(Strategy::Sr, 1), job(Strategy::Baseline, 1)],
             vec![job(Strategy::Baseline, 1), job(Strategy::Baseline, 1)],
         ] {
             let memo = SweepMemo::plan(&jobs);
@@ -320,7 +398,7 @@ mod tests {
     fn equal_hashes_share_only_when_the_keys_compare_equal() {
         let graph = caqr_graph::gen::random_graph(5, 0.5, 3);
         let template = caqr_benchmarks::qaoa::maxcut_template(&graph, 1);
-        let jobs: Vec<CompileJob> = [Strategy::QsMaxReuse, Strategy::QsMinDepth]
+        let jobs: Vec<CompileJob> = [Strategy::QsMaxReuse, Strategy::Sr]
             .into_iter()
             .map(|s| CompileJob::new("t", template.circuit().clone(), Device::mumbai(1), s))
             .collect();
@@ -330,19 +408,17 @@ mod tests {
 
     #[test]
     fn failed_or_panicking_build_hands_the_build_to_the_next_job() {
-        let entry = Entry::new(4);
+        let flight = Flight::default();
         let failure = CaqrError::DeadlineExceeded { phase: "qs-sweep" };
-        assert_eq!(entry.obtain(|| Err(failure.clone())).unwrap_err(), failure);
+        assert_eq!(flight.obtain(|| Err(failure.clone())).unwrap_err(), failure);
         let panicked = catch_unwind(AssertUnwindSafe(|| {
-            entry.obtain(|| panic!("build panicked"))
+            flight.obtain(|| panic!("build panicked"))
         }));
         assert!(panicked.is_err());
-        let (built, fresh) = entry.obtain(|| Ok(sweep())).expect("third job builds");
-        assert!(fresh);
-        let (reused, fresh) = entry
+        let built = flight.obtain(|| Ok(sweep())).expect("third job builds");
+        let reused = flight
             .obtain(|| unreachable!("a published sweep is never rebuilt"))
             .expect("fourth job reuses");
-        assert!(!fresh);
         assert!(Arc::ptr_eq(&built, &reused));
     }
 
@@ -351,13 +427,13 @@ mod tests {
     /// still building or already published.
     #[test]
     fn jobs_arriving_during_a_build_take_its_sweep() {
-        let entry = &Entry::new(3);
+        let flight = &Flight::default();
         let (building_tx, building) = mpsc::channel();
         let (release, release_rx) = mpsc::channel::<()>();
         let (arrived_tx, arrived) = mpsc::channel();
         std::thread::scope(|scope| {
             let builder = scope.spawn(move || {
-                entry.obtain(|| {
+                flight.obtain(|| {
                     building_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
                     Ok(sweep())
@@ -369,7 +445,7 @@ mod tests {
                     let arrived_tx = arrived_tx.clone();
                     scope.spawn(move || {
                         arrived_tx.send(()).unwrap();
-                        entry.obtain(|| unreachable!("only one job builds"))
+                        flight.obtain(|| unreachable!("only one job builds"))
                     })
                 })
                 .collect();
@@ -377,26 +453,60 @@ mod tests {
                 arrived.recv().unwrap();
             }
             release.send(()).unwrap();
-            let (built, fresh) = builder.join().unwrap().unwrap();
-            assert!(fresh);
+            let built = builder.join().unwrap().unwrap();
             for waiter in waiters {
-                let (got, fresh) = waiter.join().unwrap().unwrap();
-                assert!(!fresh);
-                assert!(Arc::ptr_eq(&built, &got));
+                assert!(Arc::ptr_eq(&built, &waiter.join().unwrap().unwrap()));
             }
         });
     }
 
     #[test]
-    fn last_finished_job_drops_the_sweep() {
+    fn last_finished_job_drops_both_sweeps() {
         let entry = Entry::new(2);
-        let (built, _) = entry.obtain(|| Ok(sweep())).unwrap();
-        let weak = Arc::downgrade(&built);
-        drop(built);
+        let logical = Arc::downgrade(&entry.logical.obtain(|| Ok(logical_sweep())).unwrap());
+        let routed = Arc::downgrade(&entry.routed.obtain(|| Ok(sweep())).unwrap());
         entry.finish();
-        assert!(weak.upgrade().is_some(), "a job of the key is still to run");
+        assert!(
+            logical.upgrade().is_some(),
+            "a job of the key is still to run"
+        );
+        assert!(routed.upgrade().is_some());
         entry.finish();
-        assert!(weak.upgrade().is_none());
+        assert!(logical.upgrade().is_none());
+        assert!(routed.upgrade().is_none());
+    }
+
+    /// A QS job whose routing fails leaves the logical sweep it built to
+    /// the key's SR job, which runs only its own passes on it. (A DPQA job
+    /// on a fixed-coupling device fails in every routing pass.)
+    #[test]
+    fn failed_routing_leaves_the_logical_sweep_for_sr() {
+        let jobs: Vec<CompileJob> = [Strategy::QsMinSwap, Strategy::Sr]
+            .into_iter()
+            .map(|s| job(s, 1).with_backend(caqr::RoutingBackendSpec::Dpqa))
+            .collect();
+        let memo = SweepMemo::plan(&jobs);
+        assert_eq!(memo.entries.len(), 1);
+        let token = CancelToken::new();
+        let mut traces = Vec::new();
+        for (index, job) in jobs.iter().enumerate() {
+            let selection = PassManager::for_selection(job.strategy).expect("consumer");
+            let (result, trace) = memo.compile(index, job, &selection, &token);
+            let alone = caqr::compile_with(&job.circuit, &job.device, job.strategy, job.router);
+            assert!(matches!(
+                result,
+                Err(CaqrError::BackendDeviceMismatch { .. })
+            ));
+            assert_eq!(result.unwrap_err(), alone.unwrap_err(), "{}", job.strategy);
+            traces.push(trace);
+        }
+        let passes = |trace: &StageTrace| -> Vec<&str> {
+            trace.pass_spans().iter().map(|(name, _)| *name).collect()
+        };
+        assert_eq!(passes(&traces[0]), caqr::SWEEP_PASSES);
+        assert_eq!(passes(&traces[1]), ["sr-route"]);
+        assert_eq!(memo.computed.load(Ordering::Relaxed), 0);
+        assert_eq!(memo.reused.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -404,6 +514,7 @@ mod tests {
         let jobs: Vec<CompileJob> = [
             Strategy::QsMaxReuse,
             Strategy::QsMinDepth,
+            Strategy::Sr,
             Strategy::QsMinSwap,
             Strategy::QsMaxEsp,
         ]
@@ -414,7 +525,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for (index, job) in jobs.iter().enumerate() {
-            let selection = PassManager::for_selection(job.strategy).expect("QS");
+            let selection = PassManager::for_selection(job.strategy).expect("consumer");
             let (result, _) = memo.compile(index, job, &selection, &token);
             let (alone, _) = caqr::compile_traced_cancellable_with(
                 &job.circuit,
@@ -428,11 +539,5 @@ mod tests {
         }
         assert_eq!(memo.computed.load(Ordering::Relaxed), 0);
         assert_eq!(memo.reused.load(Ordering::Relaxed), 0);
-    }
-
-    impl SweepMemo {
-        fn lock_entry(&self, entry: usize) -> MutexGuard<'_, State> {
-            self.entries[entry].lock()
-        }
     }
 }

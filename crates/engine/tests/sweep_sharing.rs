@@ -1,11 +1,13 @@
-//! The per-batch QS sweep memo: every report equals its job compiled
-//! alone, keys never share across a differing input, and a failed sweep
-//! fails each job exactly as it fails alone.
+//! The per-batch sweep memo: every report equals its job compiled alone,
+//! SR and the QS strategies of a key build one sweep in any order, keys
+//! never share across a differing input, and a failed sweep fails each job
+//! exactly as it fails alone.
 
 use caqr::{CancelToken, CaqrError, CompileReport, CostModelSpec, RoutingBackendSpec, Strategy};
 use caqr_arch::Device;
 use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
 use caqr_benchmarks::{bv, revlib, Benchmark};
+use caqr_circuit::{Circuit, Qubit};
 use caqr_engine::{BatchOptions, BatchReport, BatchRequest, CompileJob, Engine, JobError};
 
 const QS: [Strategy; 4] = [
@@ -73,13 +75,12 @@ fn assert_matches_alone(jobs: &[CompileJob], report: &BatchReport) {
     }
 }
 
-/// The four QS strategies of `base` under each of `variants`: one key per
-/// variant.
-fn qs_family(variants: &[CompileJob]) -> Vec<CompileJob> {
+/// `strategies` of `base` under each of `variants`: one key per variant.
+fn family(strategies: &[Strategy], variants: &[CompileJob]) -> Vec<CompileJob> {
     variants
         .iter()
         .flat_map(|base| {
-            QS.iter().map(|&strategy| CompileJob {
+            strategies.iter().map(|&strategy| CompileJob {
                 strategy,
                 ..base.clone()
             })
@@ -87,56 +88,152 @@ fn qs_family(variants: &[CompileJob]) -> Vec<CompileJob> {
         .collect()
 }
 
-#[test]
-fn shared_sweeps_match_compiles_alone_on_both_backends() {
+/// The four QS strategies of `base` under each of `variants`.
+fn qs_family(variants: &[CompileJob]) -> Vec<CompileJob> {
+    family(&QS, variants)
+}
+
+/// Every input on Mumbai over SWAP and on the DPQA grid: one key each.
+fn keys() -> Vec<CompileJob> {
     let mumbai = Device::mumbai(3);
     let grid = Device::dpqa_grid(5, 5, 3);
-    let mut jobs = Vec::new();
-    for bench in inputs() {
-        for (device, backend) in [
-            (&mumbai, RoutingBackendSpec::Swap),
-            (&grid, RoutingBackendSpec::Dpqa),
-        ] {
-            for strategy in Strategy::ALL {
-                jobs.push(
-                    CompileJob::new(
-                        bench.name.clone(),
-                        bench.circuit.clone(),
-                        device.clone(),
-                        strategy,
-                    )
-                    .with_backend(backend),
-                );
-            }
-        }
-    }
-    let keys = inputs().len() * 2;
+    inputs()
+        .into_iter()
+        .flat_map(|bench| {
+            [
+                CompileJob::new(
+                    bench.name.clone(),
+                    bench.circuit.clone(),
+                    mumbai.clone(),
+                    Strategy::Baseline,
+                ),
+                CompileJob::new(bench.name, bench.circuit, grid.clone(), Strategy::Baseline)
+                    .with_backend(RoutingBackendSpec::Dpqa),
+            ]
+        })
+        .collect()
+}
+
+/// The passes each job of `report` ran, in request order.
+fn passes(report: &BatchReport) -> Vec<Vec<&'static str>> {
+    report
+        .results
+        .iter()
+        .map(|r| {
+            let outcome = r.as_ref().expect("compiled");
+            outcome.trace.pass_spans().iter().map(|(n, _)| *n).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn shared_sweeps_match_compiles_alone_on_both_backends() {
+    let keys = keys();
+    let jobs = family(&Strategy::ALL, &keys);
     for workers in [1, 4] {
         let report = run(jobs.clone(), workers);
         assert_matches_alone(&jobs, &report);
         let metrics = &report.metrics;
-        assert_eq!(metrics.sweeps_computed, keys, "{workers} workers");
-        assert_eq!(metrics.sweeps_reused, 3 * keys, "{workers} workers");
-        // A job that reused a sweep ran only its selection and report.
-        let built = report
-            .results
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .filter(|o| {
-                let passes: Vec<&str> = o.trace.pass_spans().iter().map(|(n, _)| *n).collect();
-                if o.strategy.sweep_objective().is_none() {
-                    return false;
-                }
-                if passes.contains(&"qs-sweep") {
-                    assert_eq!(passes, o.strategy.pass_names());
-                    true
-                } else {
-                    assert_eq!(passes, o.strategy.selection_pass_names().unwrap());
-                    false
-                }
-            })
-            .count();
-        assert_eq!(built, keys);
+        assert_eq!(metrics.sweeps_computed, keys.len(), "{workers} workers");
+        assert_eq!(metrics.sweeps_reused, 4 * keys.len(), "{workers} workers");
+        // Each job ran the tail of its recipe that starts where the sweep
+        // it found ended: one job of a key built the logical sweep, one QS
+        // job routed it, and the rest ran only their selection.
+        let mut built = 0;
+        let mut routed = 0;
+        for (job, passes) in jobs.iter().zip(passes(&report)) {
+            let recipe = job.strategy.pass_names();
+            assert_eq!(
+                passes,
+                recipe[recipe.len() - passes.len()..],
+                "{}",
+                job.strategy
+            );
+            if !job.strategy.consumes_sweep() {
+                assert_eq!(passes, recipe);
+                continue;
+            }
+            built += usize::from(passes.contains(&"qs-sweep"));
+            routed += usize::from(passes.contains(&"route-sweep"));
+            if !passes.contains(&"qs-sweep") && !passes.contains(&"route-sweep") {
+                assert_eq!(passes, job.strategy.selection_pass_names().unwrap());
+            }
+            if workers == 1 && job.strategy == Strategy::Sr {
+                assert_eq!(passes, ["sr-route", "report"], "QS ran first");
+            }
+        }
+        assert_eq!(
+            (built, routed),
+            (keys.len(), keys.len()),
+            "{workers} workers"
+        );
+    }
+}
+
+/// SR first: SR builds the logical sweep, the first QS job routes it, and
+/// the other three only select.
+#[test]
+fn sr_first_builds_the_sweep_the_qs_jobs_route() {
+    let keys = keys();
+    let order = [
+        Strategy::Sr,
+        Strategy::QsMaxReuse,
+        Strategy::QsMinDepth,
+        Strategy::QsMinSwap,
+        Strategy::QsMaxEsp,
+    ];
+    let jobs = family(&order, &keys);
+    for workers in [1, 4] {
+        let report = run(jobs.clone(), workers);
+        assert_matches_alone(&jobs, &report);
+        assert_eq!(report.metrics.sweeps_computed, keys.len());
+        assert_eq!(report.metrics.sweeps_reused, 4 * keys.len());
+        if workers == 1 {
+            for (job, passes) in jobs.iter().zip(passes(&report)) {
+                let expected: Vec<&str> = match job.strategy {
+                    Strategy::Sr => job.strategy.pass_names(),
+                    Strategy::QsMaxReuse => ["route-sweep", "select-max-reuse", "report"].into(),
+                    s => s.selection_pass_names().unwrap().into(),
+                };
+                assert_eq!(passes, expected, "{}", job.strategy);
+            }
+        }
+    }
+}
+
+/// Two SR jobs of one key share the logical sweep; an SR job beside only
+/// the baseline has no key to share and gets no entry.
+#[test]
+fn sr_pairs_share_and_a_lone_sr_builds_its_own() {
+    let keys = keys();
+    for workers in [1, 4] {
+        // Without the compile cache, which would serve the second job of
+        // each pair whole.
+        let pairs = family(&[Strategy::Sr, Strategy::Sr], &keys);
+        let report = Engine::run(
+            &BatchRequest::new(pairs.clone()).with_options(BatchOptions {
+                workers,
+                cache_capacity: 0,
+            }),
+        );
+        assert_matches_alone(&pairs, &report);
+        assert_eq!(report.metrics.sweeps_computed, keys.len());
+        assert_eq!(report.metrics.sweeps_reused, keys.len());
+        let runs: Vec<Vec<&str>> = passes(&report);
+        let built = runs.iter().filter(|p| p.contains(&"qs-sweep")).count();
+        assert_eq!(built, keys.len());
+        for passes in runs.iter().filter(|p| !p.contains(&"qs-sweep")) {
+            assert_eq!(passes, &["sr-route", "report"]);
+        }
+
+        let lone = family(&[Strategy::Baseline, Strategy::Sr], &keys);
+        let report = run(lone.clone(), workers);
+        assert_matches_alone(&lone, &report);
+        assert_eq!(report.metrics.sweeps_computed, keys.len());
+        assert_eq!(report.metrics.sweeps_reused, 0);
+        for (job, passes) in lone.iter().zip(passes(&report)) {
+            assert_eq!(passes, job.strategy.pass_names());
+        }
     }
 }
 
@@ -177,13 +274,16 @@ fn differing_inputs_never_share_a_sweep() {
 
 #[test]
 fn failed_sweep_fails_each_job_as_it_fails_alone() {
-    // Nine qubits cannot be placed on a three-qubit line: every sweep point
-    // but the narrowest fails to route.
-    let line = Device::with_synthetic_calibration(caqr_arch::Topology::line(3), 4);
-    let wide = bv::bv_all_ones(9).circuit;
+    // Every pair of a CX triangle interacts, so no reuse narrows it below
+    // three qubits, and no version fits a two-qubit line.
+    let line = Device::with_synthetic_calibration(caqr_arch::Topology::line(2), 4);
+    let mut triangle = Circuit::new(3, 0);
+    for (a, b) in [(0, 1), (1, 2), (0, 2)] {
+        triangle.cx(Qubit::new(a), Qubit::new(b));
+    }
     let jobs = qs_family(&[CompileJob::new(
-        "too-wide",
-        wide,
+        "triangle",
+        triangle,
         line,
         Strategy::QsMaxReuse,
     )]);
