@@ -19,7 +19,7 @@ use crate::commuting::{CommutingSpec, NotCommutingError};
 use crate::error::CaqrError;
 use crate::pipeline::{CompileReport, Stage, Strategy};
 use crate::qs::SweepPoint;
-use crate::router::{CostModelSpec, RoutedCircuit, RouterConfig, RoutingBackendSpec};
+use crate::router::{CostModelSpec, RoutedProgram, RouterConfig, RoutingBackendSpec};
 use caqr_arch::Device;
 use caqr_circuit::depth::DurationModel;
 use caqr_circuit::{Circuit, CircuitDag};
@@ -47,7 +47,7 @@ pub struct LogicalSweep {
 /// [`SWEEP_PASSES`](crate::pipeline::SWEEP_PASSES). It is read-only once
 /// built, so one sweep behind an `Arc` can seed the selection of every QS
 /// strategy (see [`CompileCtx::with_routed_sweep`]).
-pub type RoutedSweep = Vec<(usize, RoutedCircuit)>;
+pub type RoutedSweep = Vec<(usize, RoutedProgram)>;
 
 /// Lazily-built, explicitly-invalidated analyses of one circuit.
 ///
@@ -157,7 +157,7 @@ pub struct CompileCtx<'d> {
     pub routed_sweep: Option<Arc<RoutedSweep>>,
     /// The selected hardware-compliant circuit, produced by a routing or
     /// selection pass.
-    pub routed: Option<RoutedCircuit>,
+    pub routed: Option<RoutedProgram>,
     /// The final metrics row, produced by `report`.
     pub report: Option<CompileReport>,
 }

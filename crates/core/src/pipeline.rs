@@ -158,7 +158,7 @@ impl CompileReport {
     /// via [`esp::circuit_stats`].
     pub(crate) fn from_routed(
         strategy: Strategy,
-        routed: crate::router::RoutedCircuit,
+        routed: crate::router::RoutedProgram,
         device: &Device,
     ) -> Self {
         let circuit = routed.circuit;

@@ -142,10 +142,6 @@ pub struct RoutedProgram {
     pub schedule: Option<MovementSchedule>,
 }
 
-/// The historical name for [`RoutedProgram`], kept so downstream code and
-/// docs that predate the backend split keep compiling.
-pub type RoutedCircuit = RoutedProgram;
-
 impl RoutedProgram {
     /// Checks fixed-coupling hardware compliance: every two-qubit gate on
     /// a coupling edge. Only meaningful for SWAP-backend output — DPQA
@@ -506,7 +502,7 @@ impl<'a> Router<'a> {
         Ok(())
     }
 
-    fn run(mut self, seed_layout: Option<&[Option<usize>]>) -> Result<RoutedCircuit, CaqrError> {
+    fn run(mut self, seed_layout: Option<&[Option<usize>]>) -> Result<RoutedProgram, CaqrError> {
         if self.opts.preplace {
             match seed_layout {
                 Some(layout) => self.preplace_seeded(layout)?,
@@ -649,7 +645,7 @@ pub fn route(
     circuit: &Circuit,
     device: &Device,
     opts: RouterOptions,
-) -> Result<RoutedCircuit, CaqrError> {
+) -> Result<RoutedProgram, CaqrError> {
     route_seeded(circuit, device, opts, None)
 }
 
@@ -666,7 +662,7 @@ pub fn route_seeded(
     device: &Device,
     opts: RouterOptions,
     layout: Option<&[Option<usize>]>,
-) -> Result<RoutedCircuit, CaqrError> {
+) -> Result<RoutedProgram, CaqrError> {
     let mut analyses = AnalysisCache::new();
     route_cached(circuit, device, opts, layout, &mut analyses)
 }
@@ -689,7 +685,7 @@ pub fn route_cached(
     opts: RouterOptions,
     layout: Option<&[Option<usize>]>,
     analyses: &mut AnalysisCache,
-) -> Result<RoutedCircuit, CaqrError> {
+) -> Result<RoutedProgram, CaqrError> {
     opts.backend
         .build()
         .route(circuit, device, opts, layout, analyses)

@@ -26,7 +26,7 @@ use crate::commuting::{CommutingSpec, Matcher};
 use crate::error::CaqrError;
 use crate::pass::AnalysisCache;
 use crate::qs::{self, SweepPoint};
-use crate::router::{self, RoutedCircuit, RouterConfig, RouterOptions};
+use crate::router::{self, RoutedProgram, RouterConfig, RouterOptions};
 use caqr_arch::Device;
 use caqr_circuit::parametric::{self, ParametricCircuit};
 use caqr_circuit::Circuit;
@@ -37,7 +37,7 @@ fn route_versions(
     circuit: &Circuit,
     device: &Device,
     policies: [RouterOptions; 2],
-    mut consider: impl FnMut(Result<RoutedCircuit, CaqrError>),
+    mut consider: impl FnMut(Result<RoutedProgram, CaqrError>),
 ) {
     let mut analyses = AnalysisCache::new();
     for opts in policies {
@@ -60,7 +60,7 @@ fn route_versions(
 /// # Errors
 ///
 /// Returns [`CaqrError::OutOfQubits`] when no version fits the device.
-pub fn compile(circuit: &Circuit, device: &Device) -> Result<RoutedCircuit, CaqrError> {
+pub fn compile(circuit: &Circuit, device: &Device) -> Result<RoutedProgram, CaqrError> {
     let points = qs::regular::sweep(circuit, &device.logical_duration_model());
     select_version(None, &points, device, RouterConfig::default())
 }
@@ -85,14 +85,14 @@ pub(crate) fn select_version(
     points: &[SweepPoint],
     device: &Device,
     router: RouterConfig,
-) -> Result<RoutedCircuit, CaqrError> {
+) -> Result<RoutedProgram, CaqrError> {
     let sr = RouterOptions::sr().with_router(router);
     let baseline = RouterOptions::baseline().with_router(router);
     let versions = input
         .map(|circuit| (circuit, [baseline, sr]))
         .into_iter()
         .chain(points.iter().map(|point| (&point.circuit, [sr, baseline])));
-    let mut best: Option<((usize, usize, usize), RoutedCircuit)> = None;
+    let mut best: Option<((usize, usize, usize), RoutedProgram)> = None;
     let mut last_err = None;
     for (circuit, policies) in versions {
         route_versions(circuit, device, policies, |candidate| match candidate {
@@ -115,9 +115,9 @@ pub(crate) fn select_version(
 /// Resolves the best candidate, or the last routing error when every
 /// version failed.
 fn finish(
-    best: Option<RoutedCircuit>,
+    best: Option<RoutedProgram>,
     last_err: Option<CaqrError>,
-) -> Result<RoutedCircuit, CaqrError> {
+) -> Result<RoutedProgram, CaqrError> {
     match best {
         Some(b) => Ok(b),
         None => {
@@ -133,7 +133,7 @@ fn finish(
 /// # Errors
 ///
 /// Returns [`CaqrError::OutOfQubits`] when the circuit cannot fit.
-pub fn route_only(circuit: &Circuit, device: &Device) -> Result<RoutedCircuit, CaqrError> {
+pub fn route_only(circuit: &Circuit, device: &Device) -> Result<RoutedProgram, CaqrError> {
     router::route(circuit, device, RouterOptions::sr())
 }
 
@@ -150,10 +150,10 @@ pub fn route_only(circuit: &Circuit, device: &Device) -> Result<RoutedCircuit, C
 pub fn compile_for_fidelity(
     circuit: &Circuit,
     device: &Device,
-) -> Result<RoutedCircuit, CaqrError> {
-    let mut best: Option<(f64, RoutedCircuit)> = None;
+) -> Result<RoutedProgram, CaqrError> {
+    let mut best: Option<(f64, RoutedProgram)> = None;
     let mut last_err = None;
-    let mut consider = |candidate: Result<RoutedCircuit, CaqrError>| match candidate {
+    let mut consider = |candidate: Result<RoutedProgram, CaqrError>| match candidate {
         Ok(routed) => {
             let esp = crate::esp::estimate(&routed.circuit, device);
             if best.as_ref().is_none_or(|(b, _)| esp > *b) {
@@ -196,7 +196,7 @@ pub fn compile_for_fidelity(
 pub fn compile_for_fidelity_template(
     template: &ParametricCircuit,
     device: &Device,
-) -> Result<RoutedCircuit, CaqrError> {
+) -> Result<RoutedProgram, CaqrError> {
     let routed = compile_for_fidelity(template.circuit(), device)?;
     debug_assert_eq!(
         parametric::slot_census(&routed.circuit),
@@ -225,7 +225,7 @@ pub fn compile_commuting(
     circuit: &Circuit,
     device: &Device,
     _slack: f64,
-) -> Result<RoutedCircuit, CaqrError> {
+) -> Result<RoutedProgram, CaqrError> {
     let Ok(spec) = CommutingSpec::from_circuit(circuit) else {
         return compile(circuit, device);
     };

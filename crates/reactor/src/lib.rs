@@ -21,11 +21,12 @@
 //!
 //! The FFI layer is Unix-only (`poll`, `pipe`, `fcntl`, `socket`,
 //! `setsockopt`, `getrlimit`). Non-Unix builds still compile — every
-//! entry point returns `io::ErrorKind::Unsupported` — so downstream
-//! crates can keep a portable fallback path (caqr-serve's threaded
-//! backend) without cfg gymnastics. `SO_REUSEPORT` sharding additionally
-//! requires a kernel that balances accepts across reuseport sockets
-//! (Linux ≥ 3.9; BSDs accept the option with different semantics).
+//! entry point returns `io::ErrorKind::Unsupported` — so the workspace
+//! builds everywhere without cfg gymnastics. caqr-serve has no other
+//! transport, so it serves only on Unix: elsewhere its `Server::bind`
+//! returns `Unsupported`. `SO_REUSEPORT` sharding additionally requires a
+//! kernel that balances accepts across reuseport sockets (Linux ≥ 3.9;
+//! BSDs accept the option with different semantics).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

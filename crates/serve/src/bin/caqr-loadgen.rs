@@ -16,12 +16,10 @@
 //! request); the chunked body keeps the incremental body-assembly path
 //! under concurrent load.
 //!
-//! Up to 64 connections the generator runs one blocking thread per
-//! connection (closed loop). Above that — or when `--rate`/`--ramp-ms`
-//! asks for arrival pacing — it switches to the event-driven engine
-//! ([`caqr_serve::loadgen`]): one thread, every connection on a readiness
-//! loop, supporting 512+ keep-alive connections, a connection ramp,
-//! open-loop arrivals, and per-connection error accounting.
+//! The event-driven engine ([`caqr_serve::loadgen`]) drives every run:
+//! one thread, every connection on a readiness loop, at any connection
+//! count (512+ keep-alive connections), with a connection ramp, closed- or
+//! open-loop (`--rate`) arrivals, and per-connection error accounting.
 //!
 //! Reports a table or JSON (`--json`); `--check` exits non-zero unless
 //! some requests succeeded, no 5xx/transport error was seen, and the
@@ -36,16 +34,10 @@ use caqr_wire::{
 };
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 struct Options {
-    addr: SocketAddr,
-    connections: usize,
-    duration: Duration,
-    ramp: Duration,
-    rate: Option<f64>,
+    load: LoadConfig,
     check: bool,
     json: bool,
 }
@@ -148,11 +140,13 @@ fn parse(args: &[String]) -> Result<Options, String> {
         }
     }
     Ok(Options {
-        addr,
-        connections: connections.clamp(1, 4096),
-        duration: Duration::from_millis(duration_ms.clamp(100, 600_000)),
-        ramp: Duration::from_millis(ramp_ms.min(60_000)),
-        rate,
+        load: LoadConfig {
+            addr,
+            connections: connections.clamp(1, 4096),
+            duration: Duration::from_millis(duration_ms.clamp(100, 600_000)),
+            ramp: Duration::from_millis(ramp_ms.min(60_000)),
+            rate,
+        },
         check,
         json,
     })
@@ -215,30 +209,20 @@ fn bind_run_shots() -> Vec<Shot> {
         .collect()
 }
 
-struct Tally {
-    requests: u64,
-    ok: u64,
-    e4xx: u64,
-    e5xx: u64,
-    transport: u64,
-    parked: u64,
-    latencies: Vec<u64>,
-    wall: Duration,
-    mode: &'static str,
-}
-
 fn run(args: &[String]) -> Result<bool, String> {
     let options = parse(args)?;
-    let shots = workload();
-
-    let event_mode = options.connections > 64 || options.rate.is_some() || !options.ramp.is_zero();
-    let tally = if event_mode {
-        run_event(&options, &shots)?
+    let config = &options.load;
+    let report =
+        loadgen::run(config, &workload()).map_err(|e| format!("load engine failed: {e}"))?;
+    let requests = report.responses + report.transport_errors;
+    let parked = report.per_conn.iter().filter(|c| c.parked).count() as u64;
+    let mode = if config.rate.is_some() {
+        "event-open-loop"
     } else {
-        run_threads(&options, &shots)
+        "event-closed-loop"
     };
 
-    let mut latencies = tally.latencies;
+    let mut latencies = report.latencies_us;
     latencies.sort_unstable();
     let pct = |p: f64| -> u64 {
         if latencies.is_empty() {
@@ -253,19 +237,19 @@ fn run(args: &[String]) -> Result<bool, String> {
     } else {
         latencies.iter().sum::<u64>() / latencies.len() as u64
     };
-    let throughput = tally.ok as f64 / tally.wall.as_secs_f64();
+    let throughput = report.ok as f64 / report.elapsed.as_secs_f64();
 
     if options.json {
         let mut fields = vec![
-            ("requests", Value::num(tally.requests)),
-            ("ok", Value::num(tally.ok)),
-            ("errors_4xx", Value::num(tally.e4xx)),
-            ("errors_5xx", Value::num(tally.e5xx)),
-            ("transport_errors", Value::num(tally.transport)),
-            ("parked_connections", Value::num(tally.parked)),
-            ("connections", Value::num(options.connections as u64)),
-            ("mode", Value::str(tally.mode)),
-            ("duration_ms", Value::num(tally.wall.as_millis() as u64)),
+            ("requests", Value::num(requests)),
+            ("ok", Value::num(report.ok)),
+            ("errors_4xx", Value::num(report.errors_4xx)),
+            ("errors_5xx", Value::num(report.errors_5xx)),
+            ("transport_errors", Value::num(report.transport_errors)),
+            ("parked_connections", Value::num(parked)),
+            ("connections", Value::num(config.connections as u64)),
+            ("mode", Value::str(mode)),
+            ("duration_ms", Value::num(report.elapsed.as_millis() as u64)),
             ("throughput_rps", Value::Num(throughput)),
             (
                 "latency_us",
@@ -277,23 +261,23 @@ fn run(args: &[String]) -> Result<bool, String> {
                 ]),
             ),
         ];
-        if let Some(rate) = options.rate {
+        if let Some(rate) = config.rate {
             fields.push(("offered_rate_rps", Value::Num(rate)));
         }
         println!("{}", Value::obj(fields).encode());
     } else {
-        println!("mode             {}", tally.mode);
-        println!("connections      {}", options.connections);
-        if let Some(rate) = options.rate {
+        println!("mode             {mode}");
+        println!("connections      {}", config.connections);
+        if let Some(rate) = config.rate {
             println!("offered rate     {rate:.1} req/s");
         }
-        println!("duration         {:.2} s", tally.wall.as_secs_f64());
-        println!("requests         {}", tally.requests);
-        println!("ok               {}", tally.ok);
-        println!("errors (4xx)     {}", tally.e4xx);
-        println!("errors (5xx)     {}", tally.e5xx);
-        println!("transport errors {}", tally.transport);
-        println!("parked conns     {}", tally.parked);
+        println!("duration         {:.2} s", report.elapsed.as_secs_f64());
+        println!("requests         {requests}");
+        println!("ok               {}", report.ok);
+        println!("errors (4xx)     {}", report.errors_4xx);
+        println!("errors (5xx)     {}", report.errors_5xx);
+        println!("transport errors {}", report.transport_errors);
+        println!("parked conns     {parked}");
         println!("throughput       {throughput:.1} req/s");
         println!("latency p50      {:.2} ms", p50 as f64 / 1e3);
         println!("latency p90      {:.2} ms", p90 as f64 / 1e3);
@@ -302,18 +286,18 @@ fn run(args: &[String]) -> Result<bool, String> {
     }
 
     if options.check {
-        if tally.ok == 0 {
+        if report.ok == 0 {
             eprintln!("caqr-loadgen: check FAILED: no successful responses");
             return Ok(false);
         }
-        if tally.e5xx > 0 || tally.transport > 0 {
+        if report.errors_5xx > 0 || report.transport_errors > 0 {
             eprintln!(
                 "caqr-loadgen: check FAILED: {} server errors, {} transport errors",
-                tally.e5xx, tally.transport
+                report.errors_5xx, report.transport_errors
             );
             return Ok(false);
         }
-        match template_cache_hits_after_probe(options.addr) {
+        match template_cache_hits_after_probe(config.addr) {
             Ok(hits) if hits > 0 => {}
             Ok(hits) => {
                 eprintln!(
@@ -330,109 +314,6 @@ fn run(args: &[String]) -> Result<bool, String> {
         eprintln!("caqr-loadgen: check passed");
     }
     Ok(true)
-}
-
-/// The event-driven engine: any connection count, optional open loop.
-fn run_event(options: &Options, shots: &[Shot]) -> Result<Tally, String> {
-    let config = LoadConfig {
-        addr: options.addr,
-        connections: options.connections,
-        duration: options.duration,
-        ramp: options.ramp,
-        rate: options.rate,
-    };
-    let report = loadgen::run(&config, shots).map_err(|e| format!("load engine failed: {e}"))?;
-    Ok(Tally {
-        requests: report.responses + report.transport_errors,
-        ok: report.ok,
-        e4xx: report.errors_4xx,
-        e5xx: report.errors_5xx,
-        transport: report.transport_errors,
-        parked: report.per_conn.iter().filter(|c| c.parked).count() as u64,
-        latencies: report.latencies_us,
-        wall: report.elapsed,
-        mode: if options.rate.is_some() {
-            "event-open-loop"
-        } else {
-            "event-closed-loop"
-        },
-    })
-}
-
-/// The original thread-per-connection closed loop, kept for small runs.
-fn run_threads(options: &Options, shots: &[Shot]) -> Tally {
-    struct Sample {
-        status: u16,
-        latency_us: u64,
-    }
-    let shots: Arc<Vec<Shot>> = Arc::new(shots.to_vec());
-    let next = Arc::new(AtomicUsize::new(0));
-    let started = Instant::now();
-    let deadline = started + options.duration;
-
-    let mut threads = Vec::new();
-    for _ in 0..options.connections {
-        let shots = Arc::clone(&shots);
-        let next = Arc::clone(&next);
-        let addr = options.addr;
-        threads.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).with_timeout(Duration::from_secs(30));
-            let mut samples = Vec::new();
-            while Instant::now() < deadline {
-                let index = next.fetch_add(1, Ordering::Relaxed) % shots.len();
-                let shot = &shots[index];
-                let sent = Instant::now();
-                let result = match shot.chunk_size {
-                    Some(size) => client.post_chunked(&shot.path, &shot.body, size),
-                    None => client.post(&shot.path, &shot.body),
-                };
-                match result {
-                    Ok(response) => samples.push(Sample {
-                        status: response.status,
-                        latency_us: sent.elapsed().as_micros() as u64,
-                    }),
-                    Err(_) => samples.push(Sample {
-                        status: 0,
-                        latency_us: sent.elapsed().as_micros() as u64,
-                    }),
-                }
-            }
-            samples
-        }));
-    }
-
-    let mut samples: Vec<Sample> = Vec::new();
-    for thread in threads {
-        if let Ok(mine) = thread.join() {
-            samples.extend(mine);
-        }
-    }
-    let wall = started.elapsed();
-
-    Tally {
-        requests: samples.len() as u64,
-        ok: samples
-            .iter()
-            .filter(|s| (200..300).contains(&s.status))
-            .count() as u64,
-        e4xx: samples
-            .iter()
-            .filter(|s| (400..500).contains(&s.status))
-            .count() as u64,
-        e5xx: samples
-            .iter()
-            .filter(|s| (500..600).contains(&s.status))
-            .count() as u64,
-        transport: samples.iter().filter(|s| s.status == 0).count() as u64,
-        parked: 0,
-        latencies: samples
-            .iter()
-            .filter(|s| (200..300).contains(&s.status))
-            .map(|s| s.latency_us)
-            .collect(),
-        wall,
-        mode: "threads-closed-loop",
-    }
 }
 
 /// Replays each bind-run shot once, then reads the engine's

@@ -1,9 +1,9 @@
 //! The `caqr-serve` binary: bind, print the address, serve until SIGTERM.
 //!
 //! ```text
-//! caqr-serve [--port N] [--addr HOST] [--backend reactor|threaded|auto]
-//!            [--shards N] [--workers N] [--queue N] [--max-connections N]
-//!            [--cache N] [--default-timeout-ms N]
+//! caqr-serve [--port N] [--addr HOST] [--shards N] [--workers N]
+//!            [--queue N] [--max-connections N] [--cache N]
+//!            [--default-timeout-ms N]
 //! ```
 //!
 //! `--port 0` (the default) binds an ephemeral port; the chosen address is
@@ -15,7 +15,7 @@
 //! graceful drain; it exits 0 once every in-flight request has been
 //! answered.
 
-use caqr_serve::{signal, Backend, Server, ServerConfig};
+use caqr_serve::{signal, Server, ServerConfig};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -26,13 +26,9 @@ fn main() -> ExitCode {
         Err(message) => {
             eprintln!("caqr-serve: {message}");
             eprintln!();
-            eprintln!(
-                "usage: caqr-serve [--port N] [--addr HOST] [--backend reactor|threaded|auto]"
-            );
-            eprintln!(
-                "                  [--shards N] [--workers N] [--queue N] [--max-connections N]"
-            );
-            eprintln!("                  [--cache N] [--default-timeout-ms N]");
+            eprintln!("usage: caqr-serve [--port N] [--addr HOST] [--shards N] [--workers N]");
+            eprintln!("                  [--queue N] [--max-connections N] [--cache N]");
+            eprintln!("                  [--default-timeout-ms N]");
             ExitCode::FAILURE
         }
     }
@@ -55,14 +51,6 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             "--addr" => {
                 host = it.next().ok_or("--addr needs a value")?.clone();
-            }
-            "--backend" => {
-                config.backend = match it.next().ok_or("--backend needs a value")?.as_str() {
-                    "reactor" => Backend::Reactor,
-                    "threaded" => Backend::Threaded,
-                    "auto" => Backend::Auto,
-                    other => return Err(format!("unknown backend '{other}'")),
-                };
             }
             "--shards" => {
                 config.shards = it

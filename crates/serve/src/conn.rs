@@ -1,4 +1,4 @@
-//! Per-connection state for the event-driven backend: an incremental
+//! Per-connection state for the reactor: an incremental
 //! request assembler and a buffered response writer over one non-blocking
 //! socket.
 //!
@@ -262,8 +262,7 @@ impl Conn {
     }
 
     /// Best-effort drain of unread request bytes before an error close,
-    /// so the 4xx response is not wiped out by a TCP reset (mirrors the
-    /// threaded backend's `discard_pending`).
+    /// so the 4xx response is not wiped out by a TCP reset.
     pub fn discard_pending(&mut self) {
         let mut scratch = [0u8; 8192];
         let mut discarded = self.inbuf.len();

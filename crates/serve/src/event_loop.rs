@@ -1,6 +1,6 @@
-//! The event-driven backend ("the reactor"): N shard threads, each
-//! running a readiness loop over one listener and the connections it
-//! accepted, with compute dispatched to a shared worker pool.
+//! The server ("the reactor"): N shard threads, each running a readiness
+//! loop over one listener and the connections it accepted, with compute
+//! dispatched to a shared worker pool.
 //!
 //! ```text
 //!   TCP ──▶ shard 0 ─┐                       ┌─▶ worker 0 ─┐
@@ -56,7 +56,7 @@ struct Completion {
 }
 
 /// State shared by every shard and worker.
-pub(crate) struct Control {
+struct Control {
     state: Arc<AppState>,
     config: ServerConfig,
     rmetrics: Arc<ReactorMetrics>,
@@ -85,7 +85,7 @@ impl Control {
 
     /// Starts the drain: flag it, wake every worker and shard. Idempotent
     /// (the grace window is anchored at the first call).
-    pub(crate) fn shutdown(&self) {
+    fn shutdown(&self) {
         {
             let mut started = self
                 .drain_started
@@ -111,16 +111,53 @@ impl Control {
     }
 }
 
-/// A running reactor server: shard threads plus the worker pool.
-pub(crate) struct ReactorServer {
+/// Triggers the drain sequence from another thread (or a signal watcher).
+#[derive(Clone)]
+pub struct ShutdownHandle {
+    control: Arc<Control>,
+}
+
+impl ShutdownHandle {
+    /// Starts the shutdown: stop admitting, drain, exit. Idempotent.
+    pub fn shutdown(&self) {
+        self.control.shutdown();
+    }
+}
+
+impl std::fmt::Debug for ShutdownHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShutdownHandle").finish_non_exhaustive()
+    }
+}
+
+/// A running server: shard threads plus the worker pool.
+pub struct Server {
     local_addr: SocketAddr,
     control: Arc<Control>,
     shards: Vec<JoinHandle<()>>,
 }
 
-impl ReactorServer {
-    /// Binds the listener(s) and starts shards and workers.
-    pub(crate) fn bind(config: ServerConfig, state: Arc<AppState>) -> io::Result<ReactorServer> {
+impl std::fmt::Debug for Server {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Server")
+            .field("local_addr", &self.local_addr)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Server {
+    /// Binds `config.addr` and starts the shards and workers.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket bind/configuration failures, and `Unsupported`
+    /// off Unix, where there is no readiness I/O.
+    pub fn bind(config: ServerConfig) -> io::Result<Server> {
+        let state = Arc::new(AppState::with_capacities(
+            config.cache_capacity,
+            config.response_cache_capacity,
+            config.request_limits.clone(),
+        ));
         let shard_count = config.shards.max(1);
         let mut listeners = Vec::with_capacity(shard_count);
         if shard_count == 1 {
@@ -145,8 +182,8 @@ impl ReactorServer {
         let local_addr = listeners[0].local_addr()?;
 
         // Pollers before anything that could observe the server: their
-        // wakers must exist before the first worker or shard runs (and a
-        // failure here is what makes `Backend::Auto` fall back).
+        // wakers must exist before the first worker or shard runs. Off
+        // Unix this is where `bind` fails with `Unsupported`.
         let mut pollers = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
             pollers.push(Poller::new()?);
@@ -181,23 +218,30 @@ impl ReactorServer {
             );
         }
 
-        Ok(ReactorServer {
+        Ok(Server {
             local_addr,
             control,
             shards,
         })
     }
 
-    pub(crate) fn local_addr(&self) -> SocketAddr {
+    /// The bound address (resolves port `0`).
+    pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
-    pub(crate) fn control(&self) -> Arc<Control> {
-        Arc::clone(&self.control)
+    /// A handle that triggers graceful shutdown.
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        ShutdownHandle {
+            control: Arc::clone(&self.control),
+        }
     }
 
-    /// Joins every shard, then every worker (including respawns).
-    pub(crate) fn join(mut self) {
+    /// Blocks until the drain sequence completes and every shard and
+    /// worker (including respawns) has exited. Call
+    /// [`ShutdownHandle::shutdown`] first (or from another thread) or this
+    /// blocks forever.
+    pub fn join(mut self) {
         for handle in self.shards.drain(..) {
             let _ = handle.join();
         }
@@ -649,8 +693,8 @@ impl Shard {
                         .metrics
                         .rejected_429
                         .fetch_add(1, Ordering::Relaxed);
-                    // Admission rejections skip `record_status`, matching
-                    // the threaded acceptor (they never reach a worker).
+                    // Admission rejections skip `record_status`: they
+                    // never reach a worker, and `rejected_429` counts them.
                     let response = Response::error(429, "server is at capacity")
                         .with_header("Retry-After", "1");
                     self.send_response(slot, &response, !close_requested);

@@ -64,8 +64,8 @@ pub struct AppState {
     pub engine_metrics: Mutex<EngineMetrics>,
     /// Serving counters.
     pub metrics: ServerMetrics,
-    /// Reactor counters, installed once by the event-driven backend when
-    /// it starts; `/metrics` includes them when present.
+    /// Reactor counters, installed once by [`crate::Server::bind`];
+    /// `/metrics` includes them when present (not in-process).
     pub reactor: OnceLock<Arc<ReactorMetrics>>,
     /// Per-request caps.
     pub limits: RequestLimits,
@@ -177,8 +177,7 @@ pub enum Routed {
 }
 
 /// Routes one request: cheap endpoints and response-cache hits are
-/// answered immediately, compute goes to a worker. Both backends route
-/// through here so caching behaves identically everywhere.
+/// answered immediately, compute goes to a worker.
 pub fn route(state: &AppState, request: &Request) -> Routed {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Routed::Done(Response::json(
@@ -235,8 +234,10 @@ pub fn execute(state: &AppState, endpoint: Endpoint, body: &[u8]) -> Response {
     response
 }
 
-/// Routes and, if needed, executes one request in place — the threaded
-/// backend's (and the unit tests') single entry point.
+/// Routes and, if needed, executes one request in place, with no socket
+/// or worker pool. The server never calls this; it is the in-process
+/// reference the handler unit tests and perfbench's `checks.rs` tests
+/// take responses from.
 pub fn handle(state: &AppState, request: &Request) -> Response {
     match route(state, request) {
         Routed::Done(response) => response,
@@ -247,7 +248,7 @@ pub fn handle(state: &AppState, request: &Request) -> Response {
 /// `GET /metrics`: the engine object is [`EngineMetrics::to_json`]
 /// verbatim — the same bytes `caqr compile-batch --metrics --json` prints
 /// — wrapped next to the serving counters (and the reactor counters when
-/// the event-driven backend is running).
+/// a server is running).
 fn metrics(state: &AppState) -> Response {
     let engine = state
         .engine_metrics

@@ -8,14 +8,9 @@
 //! lets the streaming-compile endpoint consume a request as it arrives.
 //! Other transfer encodings are deliberately rejected.
 //!
-//! Two parsing front-ends share these rules: [`read_request`] reads from a
-//! blocking socket (the threaded backend), while [`find_head_end`] +
-//! [`parse_head`] support the reactor backend's incremental per-connection
-//! assembler, which receives bytes as readiness events deliver them.
-
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+//! [`find_head_end`] + [`parse_head`] serve the reactor's incremental
+//! per-connection assembler ([`crate::conn::Conn`]), which receives bytes
+//! as readiness events deliver them.
 
 /// Caps applied while reading one request.
 #[derive(Debug, Clone)]
@@ -65,16 +60,6 @@ impl Request {
     }
 }
 
-/// Why [`read_request`] returned no request.
-#[derive(Debug, PartialEq, Eq)]
-pub enum NoRequest {
-    /// The peer closed the connection cleanly between requests.
-    Closed,
-    /// The wait callback asked us to stop (idle keep-alive timeout or
-    /// shutdown drain) before any request bytes arrived.
-    StopWaiting,
-}
-
 /// A malformed or oversized request. The server answers 400 (or 431) and
 /// closes.
 #[derive(Debug)]
@@ -85,9 +70,6 @@ impl std::fmt::Display for BadRequest {
         write!(f, "bad request: {}", self.0)
     }
 }
-
-/// The result of one read attempt on a connection.
-pub type ReadResult = Result<Result<Request, NoRequest>, BadRequest>;
 
 /// How a request's body is delimited on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,167 +117,8 @@ fn body_framing(request: &Request, limits: &HttpLimits) -> Result<BodyFraming, B
     }
 }
 
-/// Reads one request.
-///
-/// The stream must already carry a read timeout; while *no* byte of a new
-/// request has arrived, each timeout tick calls `keep_waiting` — return
-/// `false` to give up (idle keep-alive expiry, shutdown drain). Once the
-/// first byte is in, a timeout is a slow/stalled client and fails the
-/// read.
-///
-/// # Errors
-///
-/// [`BadRequest`] on malformed syntax, unsupported framing, or exceeded
-/// [`HttpLimits`]; I/O problems and stalls map to [`NoRequest::Closed`].
-pub fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    limits: &HttpLimits,
-    keep_waiting: &mut dyn FnMut() -> bool,
-) -> ReadResult {
-    let mut head_bytes = 0usize;
-
-    // Request line — the only read allowed to wait around. `partial`
-    // persists across timeout ticks so a slowly-arriving line is never
-    // dropped.
-    let mut partial = Vec::new();
-    let line = loop {
-        match read_line(reader, &mut partial, limits.max_head_bytes) {
-            Ok(Some(line)) if line.is_empty() => continue, // stray CRLF between requests
-            Ok(Some(line)) => break line,
-            Ok(None) => return Ok(Err(NoRequest::Closed)),
-            Err(e) if is_timeout(&e) => {
-                if !partial.is_empty() {
-                    return Ok(Err(NoRequest::Closed)); // stalled mid-request
-                }
-                if !keep_waiting() {
-                    return Ok(Err(NoRequest::StopWaiting));
-                }
-            }
-            Err(_) => return Ok(Err(NoRequest::Closed)),
-        }
-    };
-    head_bytes += line.len();
-
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("").to_string();
-    let version = parts.next().unwrap_or("");
-    if method.is_empty() || path.is_empty() || !version.starts_with("HTTP/1.") {
-        return Err(BadRequest(format!("malformed request line '{line}'")));
-    }
-
-    let mut headers = Vec::new();
-    loop {
-        let mut partial = Vec::new();
-        let cap = limits.max_head_bytes.saturating_sub(head_bytes).max(2);
-        let line = match read_line(reader, &mut partial, cap) {
-            Ok(Some(line)) => line,
-            Ok(None) => return Ok(Err(NoRequest::Closed)),
-            Err(e) if is_timeout(&e) => return Ok(Err(NoRequest::Closed)),
-            Err(_) => return Ok(Err(NoRequest::Closed)),
-        };
-        head_bytes += line.len() + 2;
-        if head_bytes > limits.max_head_bytes {
-            return Err(BadRequest("headers too large".into()));
-        }
-        if line.is_empty() {
-            break;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(BadRequest(format!("malformed header '{line}'")));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        if headers.len() > 64 {
-            return Err(BadRequest("too many headers".into()));
-        }
-    }
-
-    let mut request = Request {
-        method,
-        path,
-        headers,
-        body: Vec::new(),
-    };
-    match body_framing(&request, limits)? {
-        BodyFraming::Length(0) => {}
-        BodyFraming::Length(len) => {
-            let mut body = vec![0u8; len];
-            if reader.read_exact(&mut body).is_err() {
-                return Ok(Err(NoRequest::Closed)); // truncated or stalled body
-            }
-            request.body = body;
-        }
-        BodyFraming::Chunked => {
-            let mut decoder = caqr_wire::ChunkedDecoder::new(limits.max_body_bytes);
-            let mut body = Vec::new();
-            while !decoder.is_done() {
-                let available = match reader.fill_buf() {
-                    Ok(a) => a,
-                    // Mid-body timeouts are stalls, same as a truncated
-                    // Content-Length body.
-                    Err(_) => return Ok(Err(NoRequest::Closed)),
-                };
-                if available.is_empty() {
-                    return Ok(Err(NoRequest::Closed)); // EOF mid-body
-                }
-                let consumed = decoder
-                    .push(available, &mut body)
-                    .map_err(|e| BadRequest(format!("bad chunked body: {e}")))?;
-                reader.consume(consumed);
-            }
-            request.body = body;
-        }
-    }
-    Ok(Ok(request))
-}
-
-/// Reads one CRLF (or LF) terminated line into `buf`, returning it
-/// without the terminator. `Ok(None)` on clean EOF before any byte. On a
-/// timeout the bytes read so far stay in `buf`, so the caller can retry
-/// without losing them.
-fn read_line(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut Vec<u8>,
-    cap: usize,
-) -> io::Result<Option<String>> {
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return if buf.is_empty() {
-                Ok(None)
-            } else {
-                Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof in line"))
-            };
-        }
-        if let Some(pos) = available.iter().position(|&b| b == b'\n') {
-            buf.extend_from_slice(&available[..pos]);
-            reader.consume(pos + 1);
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-            let line = String::from_utf8(std::mem::take(buf))
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 line"))?;
-            return Ok(Some(line));
-        }
-        let take = available.len();
-        buf.extend_from_slice(available);
-        reader.consume(take);
-        if buf.len() > cap {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "line too long"));
-        }
-    }
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
 /// Finds the end of a request head in `buf`: the index one past the blank
-/// line. Accepts `\r\n\r\n` and the bare-LF forms the blocking parser
-/// tolerates (`\n\n`, `\n\r\n`).
+/// line. Accepts `\r\n\r\n` and the bare-LF forms `\n\n` and `\n\r\n`.
 pub fn find_head_end(buf: &[u8]) -> Option<usize> {
     let mut i = 0;
     while i < buf.len() {
@@ -312,17 +135,16 @@ pub fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Parses a complete request head (everything up to and including the
-/// blank line) under the same rules as [`read_request`]: stray leading
-/// CRLFs are skipped, header names are lower-cased, at most 64 headers,
-/// identity or chunked transfer encoding, and `Content-Length` capped by
-/// `limits`. Returns the request (body still empty) and its
-/// [`BodyFraming`]; chunked bodies are assembled incrementally by the
-/// caller ([`crate::conn::Conn`]).
+/// blank line): stray leading CRLFs are skipped, header names are
+/// lower-cased, at most 64 headers, identity or chunked transfer encoding,
+/// and `Content-Length` capped by `limits`. Returns the request (body
+/// still empty) and its [`BodyFraming`]; chunked bodies are assembled
+/// incrementally by the caller ([`crate::conn::Conn`]).
 ///
 /// # Errors
 ///
-/// [`BadRequest`] with the same messages the blocking path produces, so
-/// the 400-vs-431 status mapping stays identical across backends.
+/// [`BadRequest`] on malformed syntax, unsupported framing, or a declared
+/// body over [`HttpLimits::max_body_bytes`].
 pub fn parse_head(head: &[u8], limits: &HttpLimits) -> Result<(Request, BodyFraming), BadRequest> {
     let text =
         std::str::from_utf8(head).map_err(|_| BadRequest("head is not valid UTF-8".into()))?;
@@ -403,8 +225,7 @@ impl Response {
 
     /// The full wire form — status line, headers, body — as one buffer,
     /// declaring `Connection: keep-alive` or `close`. The reactor queues
-    /// these bytes on a connection's outbound buffer; [`write_response`]
-    /// sends them on a blocking socket.
+    /// these bytes on a connection's outbound buffer.
     pub fn serialize(&self, keep_alive: bool) -> Vec<u8> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -426,20 +247,6 @@ impl Response {
     }
 }
 
-/// Writes `response`, declaring `Connection: keep-alive` or `close`.
-///
-/// # Errors
-///
-/// Propagates socket write failures (the caller drops the connection).
-pub fn write_response(
-    stream: &mut TcpStream,
-    response: &Response,
-    keep_alive: bool,
-) -> io::Result<()> {
-    stream.write_all(&response.serialize(keep_alive))?;
-    stream.flush()
-}
-
 /// The reason phrase for every status the service emits.
 pub fn status_text(status: u16) -> &'static str {
     match status {
@@ -456,14 +263,3 @@ pub fn status_text(status: u16) -> &'static str {
         _ => "Unknown",
     }
 }
-
-/// Polls `deadline` for [`read_request`]'s wait callback: `true` while
-/// `now < deadline` and `stop` has not fired.
-pub fn wait_until(deadline: Instant, stop: &dyn Fn() -> bool) -> impl Fn() -> bool + '_ {
-    move || Instant::now() < deadline && !stop()
-}
-
-/// A conservative per-tick socket timeout for polling reads: long enough
-/// to avoid busy-waiting, short enough that shutdown and idle expiry are
-/// observed promptly.
-pub const POLL_TICK: Duration = Duration::from_millis(100);

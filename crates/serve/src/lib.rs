@@ -12,27 +12,26 @@
 //! | `/healthz` | GET | — |
 //! | `/metrics` | GET | — |
 //!
-//! Two transports serve the same handlers ([`server::Backend`]): the
-//! default **reactor** — N shard threads running a `poll(2)` readiness
-//! loop (caqr-reactor) over non-blocking per-connection state machines
-//! ([`conn`] + the private `event_loop` module), with `SO_REUSEPORT`
-//! listener sharding at `shards > 1` — and the portable **threaded**
-//! fallback (the private `threaded` module), thread-per-connection with
-//! blocking I/O.
+//! One transport serves them, the **reactor** ([`server::Server`]): N
+//! shard threads running a `poll(2)` readiness loop (caqr-reactor) over
+//! non-blocking per-connection state machines ([`conn`] + the private
+//! `event_loop` module), with `SO_REUSEPORT` listener sharding at
+//! `shards > 1`. The serve tier is Unix-only; off Unix the crate compiles
+//! but [`server::Server::bind`] returns `Unsupported`.
 //!
 //! The serving qualities, each with a dedicated mechanism:
 //!
 //! * **Admission control** — compute requests enter a bounded worker
-//!   queue; when it is full the transport answers `429` with
-//!   `Retry-After` instead of letting latency collapse. The reactor also
-//!   caps open connections ([`server::ServerConfig::max_connections`]).
+//!   queue; when it is full the shard answers `429` with `Retry-After`
+//!   instead of letting latency collapse. The reactor also caps open
+//!   connections ([`server::ServerConfig::max_connections`]).
 //! * **Deadlines** — every request gets a [`caqr::CancelToken`] deadline;
 //!   compilation checks it between passes, simulation between shot chunks,
 //!   and an overrun answers `504` while the worker survives to take the
 //!   next request ([`handlers`]).
 //! * **Panic isolation** — each request runs under `catch_unwind`; a panic
 //!   answers `500`, and a worker thread that dies anyway respawns itself
-//!   via a drop guard (both transports).
+//!   via a drop guard.
 //! * **Slow-client eviction** — the reactor's timer wheel evicts
 //!   connections that idle past the keep-alive window or dribble a
 //!   request in slower than [`server::ServerConfig::request_stall`]
@@ -63,6 +62,5 @@ pub mod metrics;
 pub mod respcache;
 pub mod server;
 pub mod signal;
-mod threaded;
 
 pub use server::{Backend, Server, ServerConfig, ShutdownHandle};

@@ -26,16 +26,13 @@ use std::time::{Duration, Instant};
 /// One prepared request, reused for the whole run.
 #[derive(Debug, Clone)]
 pub struct Shot {
-    /// Request path (the event engine replays `bytes` verbatim; the
-    /// blocking fallback re-sends `path` + `body`).
+    /// Request path. The engine replays `bytes` verbatim; `path` and
+    /// `body` let a [`crate::client::Client`] send the same request.
     pub path: String,
     /// The full serialized request, framing included.
     pub bytes: Vec<u8>,
     /// The unframed request body — what the server's handler receives.
     pub body: Vec<u8>,
-    /// `Some(n)`: the body is framed as `Transfer-Encoding: chunked`
-    /// with one frame per `n` bytes; `None`: plain `Content-Length`.
-    pub chunk_size: Option<usize>,
 }
 
 impl Shot {
@@ -52,7 +49,6 @@ impl Shot {
             path: path.to_string(),
             bytes,
             body: body.to_vec(),
-            chunk_size: None,
         }
     }
 
@@ -73,7 +69,6 @@ impl Shot {
             path: path.to_string(),
             bytes,
             body: body.to_vec(),
-            chunk_size: Some(chunk_size),
         }
     }
 }

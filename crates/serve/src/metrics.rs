@@ -17,7 +17,8 @@ pub struct ServerMetrics {
     pub responses_4xx: AtomicU64,
     /// Responses with a 5xx status.
     pub responses_5xx: AtomicU64,
-    /// Connections refused at the door because the accept queue was full.
+    /// Requests refused with 429: a full worker queue, or a connection
+    /// past `max_connections`.
     pub rejected_429: AtomicU64,
     /// Requests that hit their deadline and answered 504.
     pub deadline_504: AtomicU64,
@@ -25,9 +26,9 @@ pub struct ServerMetrics {
     pub handler_panics: AtomicU64,
     /// Requests answered 503 because they arrived during shutdown drain.
     pub draining_503: AtomicU64,
-    /// Worker threads replaced by the supervisor after dying.
+    /// Worker threads replaced by their respawn guard after dying.
     pub workers_replaced: AtomicU64,
-    /// Connections accepted into the queue.
+    /// Connections accepted.
     pub connections_accepted: AtomicU64,
     /// Requests answered straight from the body-addressed response cache.
     pub response_cache_hits: AtomicU64,
@@ -140,9 +141,9 @@ impl ServerMetrics {
     }
 }
 
-/// Counters specific to the event-driven backend, exported under
-/// `"reactor"` on `GET /metrics` when that backend is running. Created by
-/// the reactor with its shard count and installed into
+/// Counters specific to the reactor, exported under `"reactor"` on
+/// `GET /metrics` when a server is running. Created by the reactor with
+/// its shard count and installed into
 /// [`crate::handlers::AppState`] via a `OnceLock`.
 #[derive(Debug)]
 pub struct ReactorMetrics {

@@ -1,38 +1,33 @@
-//! The server facade: configuration plus backend selection.
+//! Server configuration, and the server itself.
 //!
-//! Two transports serve the same handlers and share one [`AppState`]
-//! (compile cache, response cache, metrics):
+//! [`Server`] is the `poll(2)` reactor (the private `event_loop` module):
+//! N shard threads run a readiness loop (caqr-reactor) over non-blocking
+//! sockets, and compute requests dispatch to a panic-isolated worker pool.
+//! Every shard and worker shares one [`AppState`] (compile cache,
+//! response cache, metrics). After [`ShutdownHandle::shutdown`], new
+//! requests get `503` for a grace window while in-flight work finishes,
+//! then every thread exits and [`Server::join`] returns.
 //!
-//! - `event_loop` (private) — the default on Unix. N reactor shards run
-//!   a readiness loop (`poll(2)` via caqr-reactor) over non-blocking
-//!   sockets; compute requests dispatch to a panic-isolated worker pool.
-//! - `threaded` (private) — thread-per-connection with blocking I/O; the
-//!   portable fallback and the semantic reference implementation.
+//! The serve tier is Unix-only: off Unix, caqr-reactor's stubs keep the
+//! crate compiling and [`Server::bind`] returns `Unsupported`.
 //!
-//! [`Backend::Auto`] picks the reactor and falls back to threads when the
-//! platform cannot poll (non-Unix builds). Both honor the same drain
-//! sequence: after [`ShutdownHandle::shutdown`], new requests get `503`
-//! for a grace window while in-flight work finishes, then every thread
-//! exits and [`Server::join`] returns.
+//! [`AppState`]: crate::handlers::AppState
 
-use crate::handlers::{AppState, RequestLimits};
+use crate::handlers::RequestLimits;
 use crate::http::HttpLimits;
-use crate::{event_loop, threaded};
-use std::io;
-use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Which transport serves the sockets.
+pub use crate::event_loop::{Server, ShutdownHandle};
+
+/// The transport that serves the sockets. There is one, the reactor; the
+/// type and [`ServerConfig::backend`] stay so configurations that name it
+/// (perfbench's `serve_mix` writes `backend: Backend::Reactor`) keep
+/// compiling. No code branches on the value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// The reactor where supported, threads elsewhere.
+    /// The event-driven reactor.
     #[default]
-    Auto,
-    /// The event-driven reactor (errors where unsupported).
     Reactor,
-    /// Thread-per-connection blocking I/O.
-    Threaded,
 }
 
 /// Everything tunable about one server instance.
@@ -40,16 +35,15 @@ pub enum Backend {
 pub struct ServerConfig {
     /// Bind address; port `0` picks an ephemeral port.
     pub addr: String,
-    /// Transport selection (see [`Backend`]).
+    /// The transport (see [`Backend`]).
     pub backend: Backend,
     /// Reactor shards, each with its own `SO_REUSEPORT` listener and
-    /// readiness loop. `1` (the default) binds one plain listener; the
-    /// threaded backend ignores this.
+    /// readiness loop. `1` (the default) binds one plain listener.
     pub shards: usize,
     /// Worker threads; `0` = one per core (capped at 8).
     pub workers: usize,
-    /// Requests (reactor) or connections (threaded) waiting for a worker
-    /// before admission control answers `429`.
+    /// Compute requests waiting for a worker before admission control
+    /// answers `429`.
     pub queue_capacity: usize,
     /// Open connections the reactor holds before refusing new ones.
     pub max_connections: usize,
@@ -75,7 +69,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            backend: Backend::Auto,
+            backend: Backend::Reactor,
             shards: 1,
             workers: 0,
             queue_capacity: 64,
@@ -87,124 +81,6 @@ impl Default for ServerConfig {
             keep_alive_idle: Duration::from_secs(10),
             request_stall: Duration::from_secs(10),
             drain_grace: Duration::from_millis(400),
-        }
-    }
-}
-
-/// Triggers the drain sequence from another thread (or a signal watcher).
-#[derive(Clone)]
-pub struct ShutdownHandle {
-    inner: HandleInner,
-}
-
-#[derive(Clone)]
-enum HandleInner {
-    Threaded(Arc<threaded::Shared>),
-    Reactor(Arc<event_loop::Control>),
-}
-
-impl ShutdownHandle {
-    /// Starts the shutdown: stop admitting, drain, exit. Idempotent.
-    pub fn shutdown(&self) {
-        match &self.inner {
-            HandleInner::Threaded(shared) => shared.shutdown(),
-            HandleInner::Reactor(control) => control.shutdown(),
-        }
-    }
-}
-
-impl std::fmt::Debug for ShutdownHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShutdownHandle").finish_non_exhaustive()
-    }
-}
-
-/// A running server on one of the two backends.
-pub struct Server {
-    inner: ServerInner,
-}
-
-enum ServerInner {
-    Threaded(threaded::ThreadedServer),
-    Reactor(event_loop::ReactorServer),
-}
-
-impl std::fmt::Debug for Server {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Server")
-            .field("local_addr", &self.local_addr())
-            .field("backend", &self.backend())
-            .finish()
-    }
-}
-
-impl Server {
-    /// Binds `config.addr` and starts the configured backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind/configuration failures; [`Backend::Reactor`]
-    /// additionally errors with `Unsupported` on platforms without
-    /// readiness I/O (where [`Backend::Auto`] silently falls back).
-    pub fn bind(config: ServerConfig) -> io::Result<Server> {
-        let state = Arc::new(AppState::with_capacities(
-            config.cache_capacity,
-            config.response_cache_capacity,
-            config.request_limits.clone(),
-        ));
-        let inner = match config.backend {
-            Backend::Threaded => {
-                ServerInner::Threaded(threaded::ThreadedServer::bind(config, state)?)
-            }
-            Backend::Reactor => {
-                ServerInner::Reactor(event_loop::ReactorServer::bind(config, state)?)
-            }
-            Backend::Auto => {
-                match event_loop::ReactorServer::bind(config.clone(), Arc::clone(&state)) {
-                    Ok(server) => ServerInner::Reactor(server),
-                    Err(e) if e.kind() == io::ErrorKind::Unsupported => {
-                        ServerInner::Threaded(threaded::ThreadedServer::bind(config, state)?)
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        };
-        Ok(Server { inner })
-    }
-
-    /// The transport actually serving (resolves [`Backend::Auto`]).
-    pub fn backend(&self) -> Backend {
-        match &self.inner {
-            ServerInner::Threaded(_) => Backend::Threaded,
-            ServerInner::Reactor(_) => Backend::Reactor,
-        }
-    }
-
-    /// The bound address (resolves port `0`).
-    pub fn local_addr(&self) -> SocketAddr {
-        match &self.inner {
-            ServerInner::Threaded(server) => server.local_addr(),
-            ServerInner::Reactor(server) => server.local_addr(),
-        }
-    }
-
-    /// A handle that triggers graceful shutdown.
-    pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            inner: match &self.inner {
-                ServerInner::Threaded(server) => HandleInner::Threaded(server.shared()),
-                ServerInner::Reactor(server) => HandleInner::Reactor(server.control()),
-            },
-        }
-    }
-
-    /// Blocks until the drain sequence completes and every thread has
-    /// exited. Call [`ShutdownHandle::shutdown`] first (or from another
-    /// thread) or this blocks forever.
-    pub fn join(self) {
-        match self.inner {
-            ServerInner::Threaded(server) => server.join(),
-            ServerInner::Reactor(server) => server.join(),
         }
     }
 }

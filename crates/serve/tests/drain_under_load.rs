@@ -3,7 +3,7 @@
 //! SIGTERM'd subprocess.
 
 use caqr_serve::client::Client;
-use caqr_serve::{Backend, Server, ServerConfig};
+use caqr_serve::{Server, ServerConfig};
 use caqr_wire::circuit::circuit_to_value;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -39,7 +39,6 @@ fn drain_with_full_fleet_finishes_in_flight_and_refuses_new() {
     let _ = caqr_reactor::raise_nofile_limit();
 
     let server = Server::bind(ServerConfig {
-        backend: Backend::Reactor,
         workers: 1,
         keep_alive_idle: Duration::from_secs(60),
         drain_grace: Duration::from_millis(800),
@@ -124,7 +123,7 @@ fn sigterm_with_open_fleet_exits_zero() {
     use std::process::{Command, Stdio};
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_caqr-serve"))
-        .args(["--port", "0", "--backend", "reactor", "--shards", "2"])
+        .args(["--port", "0", "--shards", "2"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()

@@ -202,50 +202,6 @@ fn zero_capacity_queue_answers_429_with_retry_after() {
     server.join();
 }
 
-/// The threaded backend keeps its original at-the-door admission: with no
-/// queue slots, every request — even /healthz — is turned away.
-#[test]
-fn threaded_zero_capacity_queue_refuses_at_the_door() {
-    let config = ServerConfig {
-        backend: caqr_serve::Backend::Threaded,
-        queue_capacity: 0,
-        ..quick_config()
-    };
-    let (server, mut client) = start(config);
-    let response = client.get("/healthz").unwrap();
-    assert_eq!(response.status, 429);
-    assert_eq!(response.header("retry-after"), Some("1"));
-
-    server.shutdown_handle().shutdown();
-    server.join();
-}
-
-/// The full routing surface also works on the threaded backend — the
-/// facade keeps both transports answering identically.
-#[test]
-fn threaded_backend_still_serves() {
-    let config = ServerConfig {
-        backend: caqr_serve::Backend::Threaded,
-        ..quick_config()
-    };
-    let (server, mut client) = start(config);
-
-    let health = client.get("/healthz").unwrap();
-    assert_eq!(health.status, 200);
-
-    let circuit = circuit_to_value(&bell()).encode();
-    let compile = format!(r#"{{"circuit":{circuit},"strategy":"sr"}}"#);
-    let response = client.post("/v1/compile", compile.as_bytes()).unwrap();
-    assert_eq!(response.status, 200, "{}", response.text());
-    assert_eq!(
-        body_json(&response.body).get("ok").and_then(Value::as_bool),
-        Some(true)
-    );
-
-    server.shutdown_handle().shutdown();
-    server.join();
-}
-
 #[test]
 fn oversized_body_is_rejected() {
     let config = ServerConfig {
@@ -409,11 +365,11 @@ fn golden_corpus_wire_compile_is_byte_identical() {
 }
 
 /// The streaming-compile endpoint, driven through real chunked request
-/// bodies on both backends: the body arrives in small `Transfer-Encoding:
-/// chunked` frames, is assembled incrementally off the socket, and the
-/// reuse metrics and digest match an in-process streamed run.
+/// bodies: the body arrives in small `Transfer-Encoding: chunked` frames,
+/// is assembled incrementally off the socket, and the reuse metrics and
+/// digest match an in-process streamed run.
 #[test]
-fn chunked_bodies_reach_the_streaming_compiler_on_both_backends() {
+fn chunked_bodies_reach_the_streaming_compiler() {
     use caqr::CancelToken;
     use caqr_stream::StreamOptions;
 
@@ -432,54 +388,48 @@ fn chunked_bodies_reach_the_streaming_compiler_on_both_backends() {
     )
     .expect("in-process stream");
 
-    for backend in [caqr_serve::Backend::Reactor, caqr_serve::Backend::Threaded] {
-        let config = ServerConfig {
-            backend,
-            ..quick_config()
-        };
-        let (server, mut client) = start(config);
+    let (server, mut client) = start(quick_config());
 
-        // Tiny chunks: many frames, every decoder state visited.
-        let response = client
-            .post_chunked("/v1/compile-stream", qasm.as_bytes(), 7)
-            .unwrap();
-        assert_eq!(response.status, 200, "{backend:?}: {}", response.text());
-        let parsed = body_json(&response.body);
-        assert_eq!(parsed.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(
-            parsed.get("declared_qubits").and_then(Value::as_u64),
-            Some(8)
-        );
-        assert_eq!(parsed.get("wires").and_then(Value::as_u64), Some(1));
-        assert_eq!(
-            parsed.get("resets_inserted").and_then(Value::as_u64),
-            Some(7)
-        );
-        assert_eq!(
-            parsed.get("digest").and_then(Value::as_str),
-            Some(reference.report.digest.to_string().as_str()),
-            "{backend:?}: wire digest matches the in-process streamed run"
-        );
+    // Tiny chunks: many frames, every decoder state visited.
+    let response = client
+        .post_chunked("/v1/compile-stream", qasm.as_bytes(), 7)
+        .unwrap();
+    assert_eq!(response.status, 200, "{}", response.text());
+    let parsed = body_json(&response.body);
+    assert_eq!(parsed.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(
+        parsed.get("declared_qubits").and_then(Value::as_u64),
+        Some(8)
+    );
+    assert_eq!(parsed.get("wires").and_then(Value::as_u64), Some(1));
+    assert_eq!(
+        parsed.get("resets_inserted").and_then(Value::as_u64),
+        Some(7)
+    );
+    assert_eq!(
+        parsed.get("digest").and_then(Value::as_str),
+        Some(reference.report.digest.to_string().as_str()),
+        "wire digest matches the in-process streamed run"
+    );
 
-        // Chunked framing works for the JSON endpoints too — framing and
-        // routing are orthogonal.
-        let compile = format!(r#"{{"circuit":{}}}"#, circuit_to_value(&bell()).encode());
-        let response = client
-            .post_chunked("/v1/compile", compile.as_bytes(), 11)
-            .unwrap();
-        assert_eq!(response.status, 200, "{backend:?}: {}", response.text());
+    // Chunked framing works for the JSON endpoints too — framing and
+    // routing are orthogonal.
+    let compile = format!(r#"{{"circuit":{}}}"#, circuit_to_value(&bell()).encode());
+    let response = client
+        .post_chunked("/v1/compile", compile.as_bytes(), 11)
+        .unwrap();
+    assert_eq!(response.status, 200, "{}", response.text());
 
-        // A parse error in a chunked body carries its source line.
-        let response = client
-            .post_chunked("/v1/compile-stream", b"qreg q[1];\nwat q[0];\n", 3)
-            .unwrap();
-        assert_eq!(response.status, 422);
-        let parsed = body_json(&response.body);
-        assert_eq!(parsed.get("line").and_then(Value::as_u64), Some(2));
+    // A parse error in a chunked body carries its source line.
+    let response = client
+        .post_chunked("/v1/compile-stream", b"qreg q[1];\nwat q[0];\n", 3)
+        .unwrap();
+    assert_eq!(response.status, 422);
+    let parsed = body_json(&response.body);
+    assert_eq!(parsed.get("line").and_then(Value::as_u64), Some(2));
 
-        server.shutdown_handle().shutdown();
-        server.join();
-    }
+    server.shutdown_handle().shutdown();
+    server.join();
 }
 
 /// A handler panic answers 500, the worker pool survives, and the

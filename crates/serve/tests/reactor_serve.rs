@@ -1,8 +1,8 @@
-//! Adversarial socket tests for the reactor backend: misbehaving clients
-//! driven over raw `TcpStream`s against a real server.
+//! Adversarial socket tests for the reactor: misbehaving clients driven
+//! over raw `TcpStream`s against a real server.
 
 use caqr_serve::client::Client;
-use caqr_serve::{Backend, Server, ServerConfig};
+use caqr_serve::{Server, ServerConfig};
 use caqr_wire::{parse, Value};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -10,7 +10,6 @@ use std::time::{Duration, Instant};
 
 fn reactor_config() -> ServerConfig {
     ServerConfig {
-        backend: Backend::Reactor,
         workers: 2,
         keep_alive_idle: Duration::from_millis(400),
         request_stall: Duration::from_millis(400),
@@ -263,6 +262,53 @@ fn connection_capacity_turns_away_the_overflow_socket() {
     let mut client = Client::connect(server.local_addr()).with_timeout(Duration::from_secs(10));
     assert_eq!(client.get("/healthz").unwrap().status, 200);
 
+    server.shutdown_handle().shutdown();
+    server.join();
+}
+
+/// Idle keep-alive clients cannot hold the worker pool. Two clients each
+/// finish a compile and keep their connections open, one per worker; a
+/// third client's compile (a different body, so it misses the response
+/// cache and needs a worker) is still answered at once, not after the
+/// idle clients' keep-alive window runs out.
+#[test]
+fn idle_keep_alive_clients_do_not_wedge_the_workers() {
+    let server = start(ServerConfig {
+        workers: 2,
+        keep_alive_idle: Duration::from_secs(30),
+        ..reactor_config()
+    });
+    let addr = server.local_addr();
+    let mut bell = caqr_circuit::Circuit::new(2, 2);
+    bell.h(caqr_circuit::Qubit::new(0));
+    bell.cx(caqr_circuit::Qubit::new(0), caqr_circuit::Qubit::new(1));
+    bell.measure_all();
+    let circuit = caqr_wire::circuit::circuit_to_value(&bell).encode();
+    let compile = |strategy: &str| format!(r#"{{"circuit":{circuit},"strategy":"{strategy}"}}"#);
+
+    let idle: Vec<Client> = ["baseline", "qs-max"]
+        .into_iter()
+        .map(|strategy| {
+            let mut client = Client::connect(addr).with_timeout(Duration::from_secs(10));
+            let response = client.post("/v1/compile", compile(strategy).as_bytes());
+            assert_eq!(response.expect("idle client's compile").status, 200);
+            client
+        })
+        .collect();
+
+    // A timeout past the keep-alive window, so a wedged server shows up
+    // as a slow answer rather than as a client error.
+    let mut third = Client::connect(addr).with_timeout(Duration::from_secs(60));
+    let started = Instant::now();
+    let response = third.post("/v1/compile", compile("sr").as_bytes()).unwrap();
+    let waited = started.elapsed();
+    assert_eq!(response.status, 200, "{}", response.text());
+    assert!(
+        waited < Duration::from_secs(1),
+        "the third client waited {waited:?} behind two idle keep-alive connections"
+    );
+
+    drop(idle);
     server.shutdown_handle().shutdown();
     server.join();
 }
