@@ -229,11 +229,11 @@ mod tests {
     fn duration_model_scores_physical_ops() {
         let d = Device::mumbai(3);
         let m = d.duration_model();
-        let cx = Instruction::gate(Gate::Cx, vec![Qubit::new(0), Qubit::new(1)]);
+        let cx = Instruction::gate(Gate::Cx, &[Qubit::new(0), Qubit::new(1)]);
         assert_eq!(m.duration(&cx), d.calibration().cx_duration(0, 1));
-        let swap = Instruction::gate(Gate::Swap, vec![Qubit::new(0), Qubit::new(1)]);
+        let swap = Instruction::gate(Gate::Swap, &[Qubit::new(0), Qubit::new(1)]);
         assert_eq!(m.duration(&swap), 3 * d.calibration().cx_duration(0, 1));
-        let h = Instruction::gate(Gate::H, vec![Qubit::new(0)]);
+        let h = Instruction::gate(Gate::H, &[Qubit::new(0)]);
         assert_eq!(m.duration(&h), d.calibration().sq_duration());
     }
 
@@ -268,7 +268,7 @@ mod tests {
     fn logical_model_uses_medians() {
         let d = Device::mumbai(3);
         let m = d.logical_duration_model();
-        let cx = Instruction::gate(Gate::Cx, vec![Qubit::new(5), Qubit::new(20)]);
+        let cx = Instruction::gate(Gate::Cx, &[Qubit::new(5), Qubit::new(20)]);
         assert_eq!(m.duration(&cx), d.calibration().median_cx_duration());
     }
 

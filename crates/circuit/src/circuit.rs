@@ -60,6 +60,133 @@ impl From<usize> for Clbit {
     }
 }
 
+/// The qubit operands of one instruction, stored inline.
+///
+/// No gate takes more than [`Operands::MAX`] qubits, so an instruction
+/// needs no heap allocation for its operands. `Operands` derefs to
+/// `[Qubit]`; equality and `Debug` go through that slice.
+///
+/// # Examples
+///
+/// ```
+/// use caqr_circuit::{Operands, Qubit};
+///
+/// let mut ops = Operands::new();
+/// ops.push(Qubit::new(3));
+/// ops.push(Qubit::new(1));
+/// assert_eq!(ops, Operands::from_slice(&[Qubit::new(3), Qubit::new(1)]));
+/// assert_eq!(ops.len(), 2);
+/// assert_eq!(format!("{ops:?}"), "[Qubit(3), Qubit(1)]");
+/// ```
+#[derive(Clone, Copy)]
+pub struct Operands {
+    qubits: [Qubit; Operands::MAX],
+    len: u8,
+}
+
+impl Operands {
+    /// The most operands any gate takes.
+    pub const MAX: usize = 2;
+
+    /// No operands.
+    #[inline]
+    pub const fn new() -> Self {
+        Operands {
+            qubits: [Qubit(0); Operands::MAX],
+            len: 0,
+        }
+    }
+
+    /// The given operands, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qubits` holds more than [`Operands::MAX`] qubits.
+    #[inline]
+    pub fn from_slice(qubits: &[Qubit]) -> Self {
+        let mut ops = Operands::new();
+        for &q in qubits {
+            ops.push(q);
+        }
+        ops
+    }
+
+    /// Appends an operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Operands::MAX`] operands are already held.
+    #[inline]
+    pub fn push(&mut self, q: Qubit) {
+        let len = usize::from(self.len);
+        assert!(
+            len < Operands::MAX,
+            "an instruction takes at most {} qubits",
+            Operands::MAX
+        );
+        self.qubits[len] = q;
+        self.len += 1;
+    }
+}
+
+impl Default for Operands {
+    fn default() -> Self {
+        Operands::new()
+    }
+}
+
+// The slice views are `#[inline]` and branch-free (`len` never exceeds
+// `MAX`, and `min` lets the compiler see it): simulator shot loops and the
+// stream window read operands through them in other crates.
+impl std::ops::Deref for Operands {
+    type Target = [Qubit];
+
+    #[inline]
+    fn deref(&self) -> &[Qubit] {
+        &self.qubits[..usize::from(self.len).min(Operands::MAX)]
+    }
+}
+
+impl std::ops::DerefMut for Operands {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [Qubit] {
+        &mut self.qubits[..usize::from(self.len).min(Operands::MAX)]
+    }
+}
+
+impl PartialEq for Operands {
+    #[inline]
+    fn eq(&self, other: &Operands) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Operands {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl<'a> IntoIterator for &'a Operands {
+    type Item = &'a Qubit;
+    type IntoIter = std::slice::Iter<'a, Qubit>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Operands {
+    type Item = &'a mut Qubit;
+    type IntoIter = std::slice::IterMut<'a, Qubit>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
 /// One operation in a circuit: a gate, its qubit operands, an optional
 /// classical destination (for `Measure`), and an optional classical
 /// condition (`if (c == 1)`), which is how the paper's fast conditional
@@ -69,7 +196,7 @@ pub struct Instruction {
     /// The operation.
     pub gate: Gate,
     /// Operand qubits; length must equal `gate.num_qubits()`.
-    pub qubits: Vec<Qubit>,
+    pub qubits: Operands,
     /// Classical bit written by `Measure`.
     pub clbit: Option<Clbit>,
     /// Classical bit conditioning the gate: it only executes when the bit
@@ -84,10 +211,10 @@ impl Instruction {
     ///
     /// Panics if the qubit count does not match the gate arity or operands
     /// repeat.
-    pub fn gate(gate: Gate, qubits: Vec<Qubit>) -> Self {
+    pub fn gate(gate: Gate, qubits: &[Qubit]) -> Self {
         let instr = Instruction {
             gate,
-            qubits,
+            qubits: Operands::from_slice(qubits),
             clbit: None,
             condition: None,
         };
@@ -232,7 +359,7 @@ impl Circuit {
 
     /// Appends a plain gate on the given qubits.
     pub fn push_gate(&mut self, gate: Gate, qubits: &[Qubit]) {
-        self.push(Instruction::gate(gate, qubits.to_vec()));
+        self.push(Instruction::gate(gate, qubits));
     }
 
     /// Appends a Hadamard.
@@ -304,7 +431,7 @@ impl Circuit {
     pub fn measure(&mut self, q: Qubit, c: Clbit) {
         self.push(Instruction {
             gate: Gate::Measure,
-            qubits: vec![q],
+            qubits: Operands::from_slice(&[q]),
             clbit: Some(c),
             condition: None,
         });
@@ -329,7 +456,7 @@ impl Circuit {
     pub fn reset(&mut self, q: Qubit) {
         self.push(Instruction {
             gate: Gate::Reset,
-            qubits: vec![q],
+            qubits: Operands::from_slice(&[q]),
             clbit: None,
             condition: None,
         });
@@ -342,7 +469,7 @@ impl Circuit {
     pub fn cond_x(&mut self, q: Qubit, c: Clbit) {
         self.push(Instruction {
             gate: Gate::X,
-            qubits: vec![q],
+            qubits: Operands::from_slice(&[q]),
             clbit: None,
             condition: Some(c),
         });
@@ -445,11 +572,9 @@ impl Circuit {
         let mut out = Circuit::new(new_num_qubits, self.num_clbits);
         for instr in &self.instrs {
             let mut ni = instr.clone();
-            ni.qubits = instr
-                .qubits
-                .iter()
-                .map(|q| Qubit::new(map[q.index()]))
-                .collect();
+            for q in &mut ni.qubits {
+                *q = Qubit::new(map[q.index()]);
+            }
             out.push(ni);
         }
         out
@@ -535,7 +660,7 @@ impl Circuit {
             let gate = instr.gate.inverse()?;
             out.push(Instruction {
                 gate,
-                qubits: instr.qubits.clone(),
+                qubits: instr.qubits,
                 clbit: None,
                 condition: None,
             });
@@ -580,11 +705,9 @@ impl Circuit {
         let mut out = Circuit::new(next, self.num_clbits);
         for instr in &self.instrs {
             let mut ni = instr.clone();
-            ni.qubits = instr
-                .qubits
-                .iter()
-                .map(|q| Qubit::new(mapping[q.index()].expect("wire is used")))
-                .collect();
+            for q in &mut ni.qubits {
+                *q = Qubit::new(mapping[q.index()].expect("wire is used"));
+            }
             out.push(ni);
         }
         (out, mapping)
@@ -701,7 +824,7 @@ mod tests {
         let mut circ = Circuit::new(3, 0);
         circ.cx(q(0), q(2));
         let mapped = circ.remap_qubits(&[1, 2, 0], 3);
-        assert_eq!(mapped.instructions()[0].qubits, vec![q(1), q(0)]);
+        assert_eq!(*mapped.instructions()[0].qubits, [q(1), q(0)]);
     }
 
     #[test]
@@ -731,7 +854,7 @@ mod tests {
     fn measure_requires_clbit() {
         Instruction {
             gate: Gate::Measure,
-            qubits: vec![q(0)],
+            qubits: Operands::from_slice(&[q(0)]),
             clbit: None,
             condition: None,
         }
@@ -811,7 +934,7 @@ mod tests {
         assert_eq!(mapping[3], Some(0));
         assert_eq!(mapping[20], Some(1));
         assert_eq!(mapping[0], None);
-        assert_eq!(compacted.instructions()[1].qubits, vec![q(0), q(1)]);
+        assert_eq!(*compacted.instructions()[1].qubits, [q(0), q(1)]);
         assert_eq!(compacted.num_clbits(), 2);
     }
 
@@ -876,6 +999,26 @@ mod tests {
         let mut conditioned = Circuit::new(1, 1);
         conditioned.cond_x(q(0), c(0));
         assert_ne!(plain.fingerprint(), conditioned.fingerprint());
+    }
+
+    #[test]
+    fn operands_compare_through_their_slice() {
+        let a = Operands::from_slice(&[q(4), q(2)]);
+        let mut b = Operands::new();
+        b.push(q(4));
+        b.push(q(2));
+        assert_eq!(a, b);
+        assert_eq!(*a, [q(4), q(2)]);
+        assert_ne!(a, Operands::from_slice(&[q(2), q(4)]));
+        assert_ne!(a, Operands::from_slice(&[q(4)]));
+        assert_eq!(Operands::new(), Operands::from_slice(&[]));
+        assert_eq!(format!("{a:?}"), format!("{:?}", [q(4), q(2)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2 qubits")]
+    fn operands_hold_at_most_two() {
+        Operands::from_slice(&[q(0), q(1), q(2)]);
     }
 
     #[test]

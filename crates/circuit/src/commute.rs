@@ -24,8 +24,8 @@ use crate::gate::Gate;
 /// ```
 /// use caqr_circuit::{commute, Gate, Instruction, Qubit};
 ///
-/// let a = Instruction::gate(Gate::Cp(0.3), vec![Qubit::new(0), Qubit::new(1)]);
-/// let b = Instruction::gate(Gate::Cp(0.7), vec![Qubit::new(1), Qubit::new(2)]);
+/// let a = Instruction::gate(Gate::Cp(0.3), &[Qubit::new(0), Qubit::new(1)]);
+/// let b = Instruction::gate(Gate::Cp(0.7), &[Qubit::new(1), Qubit::new(2)]);
 /// assert!(commute::commutes(&a, &b)); // both diagonal
 /// ```
 pub fn commutes(a: &Instruction, b: &Instruction) -> bool {
@@ -79,14 +79,15 @@ pub fn has_commuting_two_qubit_layer(circuit: &crate::Circuit) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::{Circuit, Clbit, Qubit};
+    use crate::circuit::{Circuit, Clbit, Operands, Qubit};
 
     fn q(i: usize) -> Qubit {
         Qubit::new(i)
     }
 
     fn gi(g: Gate, qs: &[usize]) -> Instruction {
-        Instruction::gate(g, qs.iter().map(|&i| q(i)).collect())
+        let qs: Vec<Qubit> = qs.iter().map(|&i| q(i)).collect();
+        Instruction::gate(g, &qs)
     }
 
     #[test]
@@ -131,7 +132,7 @@ mod tests {
     fn measure_instr(qubit: usize, clbit: usize) -> Instruction {
         Instruction {
             gate: Gate::Measure,
-            qubits: vec![q(qubit)],
+            qubits: Operands::from_slice(&[q(qubit)]),
             clbit: Some(Clbit::new(clbit)),
             condition: None,
         }

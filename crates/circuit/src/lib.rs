@@ -59,7 +59,7 @@ pub mod qasm;
 mod circuit;
 mod gate;
 
-pub use circuit::{Circuit, Clbit, Instruction, Qubit};
+pub use circuit::{Circuit, Clbit, Instruction, Operands, Qubit};
 pub use dag::CircuitDag;
 pub use fingerprint::Fingerprint;
 pub use gate::Gate;

@@ -29,18 +29,16 @@ use crate::gate::Gate;
 /// assert_eq!(opt.len(), 1);
 /// ```
 pub fn peephole(circuit: &Circuit) -> Circuit {
-    let mut current = circuit.clone();
-    loop {
-        let (next, changed) = pass(&current);
-        current = next;
-        if !changed {
-            return current;
-        }
+    let (mut current, mut changed) = pass(circuit);
+    while changed {
+        (current, changed) = pass(&current);
     }
+    current
 }
 
 /// One left-to-right pass. Returns the rewritten circuit and whether
-/// anything changed.
+/// anything changed. Allocates only the pass's own tables, nothing per
+/// instruction.
 fn pass(circuit: &Circuit) -> (Circuit, bool) {
     let n = circuit.num_qubits();
     // Slot per emitted instruction; None = cancelled.
@@ -50,24 +48,24 @@ fn pass(circuit: &Circuit) -> (Circuit, bool) {
     let mut changed = false;
 
     for instr in circuit {
-        let wires: Vec<usize> = instr.qubits.iter().map(|q| q.index()).collect();
         let barrier = instr.gate.is_non_unitary() || instr.condition.is_some();
         if !barrier {
             // All wires must point at the same previous slot, and that slot
             // must cover exactly these wires in the same operand order for
             // direction-sensitive gates.
-            let prev = wires
+            let prev = instr
+                .qubits
                 .iter()
-                .map(|&w| last[w])
+                .map(|q| last[q.index()])
                 .reduce(|a, b| if a == b { a } else { None })
                 .flatten();
             if let Some(pi) = prev {
-                if let Some(prev_instr) = slots[pi].clone() {
+                if let Some(prev_instr) = slots[pi].as_mut() {
                     let same_operands = prev_instr.qubits == instr.qubits;
                     let symmetric_match =
                         instr.gate.is_symmetric() && prev_instr.gate.is_symmetric() && {
-                            let mut a = prev_instr.qubits.clone();
-                            let mut b = instr.qubits.clone();
+                            let mut a = prev_instr.qubits;
+                            let mut b = instr.qubits;
                             a.sort();
                             b.sort();
                             a == b
@@ -81,13 +79,11 @@ fn pass(circuit: &Circuit) -> (Circuit, bool) {
                                 None => {
                                     // Full cancellation.
                                     slots[pi] = None;
-                                    for &w in &wires {
-                                        last[w] = None;
+                                    for q in &instr.qubits {
+                                        last[q.index()] = None;
                                     }
                                 }
-                                Some(gate) => {
-                                    slots[pi] = Some(Instruction { gate, ..prev_instr });
-                                }
+                                Some(gate) => prev_instr.gate = gate,
                             }
                             continue;
                         }
@@ -97,12 +93,9 @@ fn pass(circuit: &Circuit) -> (Circuit, bool) {
         }
         let idx = slots.len();
         slots.push(Some(instr.clone()));
-        for &w in &wires {
-            last[w] = if barrier { None } else { Some(idx) };
+        for q in &instr.qubits {
+            last[q.index()] = if barrier { None } else { Some(idx) };
         }
-        // Classical wires are barriers for everything they touch... qubit
-        // wires of a measure were reset above via `barrier`.
-        let _ = barrier;
     }
 
     let mut out = Circuit::new(circuit.num_qubits(), circuit.num_clbits());

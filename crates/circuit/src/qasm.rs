@@ -5,7 +5,7 @@
 //! `if(c[i]==1) x q[j];`. The importer reads back the same dialect, which
 //! gives us lossless round-trips for persisting compiled circuits.
 
-use crate::circuit::{Circuit, Clbit, Instruction, Qubit};
+use crate::circuit::{Circuit, Clbit, Instruction, Operands, Qubit};
 use crate::gate::Gate;
 use std::fmt::Write as _;
 
@@ -139,6 +139,10 @@ impl LineParser {
     /// Parses one source line (1-based `lineno` for error reporting).
     /// Returns `None` for lines that carry no circuit content.
     ///
+    /// A statement costs no heap allocation: delimiters are found by byte
+    /// scans, angles land in a fixed array and operands straight in
+    /// [`Operands`]. Only an error allocates (its message).
+    ///
     /// # Errors
     ///
     /// [`ParseQasmError`] on malformed statements or unknown gates, with
@@ -148,7 +152,11 @@ impl LineParser {
         raw: &str,
         lineno: usize,
     ) -> Result<Option<QasmStmt>, ParseQasmError> {
-        let line = raw.split("//").next().unwrap_or("").trim();
+        let line = match find_pair(raw, *b"//") {
+            Some(comment) => &raw[..comment],
+            None => raw,
+        }
+        .trim();
         if self.in_gate_body {
             if line.contains('}') {
                 self.in_gate_body = false;
@@ -179,20 +187,15 @@ impl LineParser {
 
         let (condition, body) = match stmt.strip_prefix("if(") {
             Some(rest) => {
-                let close = rest
-                    .find(')')
+                let close = find_byte(rest, b')')
                     .ok_or_else(|| ParseQasmError::new(lineno, "unterminated if("))?;
-                let cond_expr = &rest[..close];
-                let bit = cond_expr
+                let bit = rest[..close]
                     .strip_prefix("c[")
                     .and_then(|s| s.strip_suffix("]==1"))
                     .ok_or_else(|| {
                         ParseQasmError::new(lineno, "only if(c[i]==1) conditions supported")
                     })?;
-                let idx: usize = bit
-                    .parse()
-                    .ok()
-                    .filter(|&n| u32::try_from(n).is_ok())
+                let idx = parse_u32_index(bit.as_bytes())
                     .ok_or_else(|| ParseQasmError::new(lineno, "bad condition bit"))?;
                 (Some(Clbit::new(idx)), rest[close + 1..].trim())
             }
@@ -200,14 +203,13 @@ impl LineParser {
         };
 
         if let Some(rest) = body.strip_prefix("measure") {
-            let (qs, cs) = rest
-                .split_once("->")
+            let arrow = find_pair(rest, *b"->")
                 .ok_or_else(|| ParseQasmError::new(lineno, "measure missing '->'"))?;
-            let qi = parse_index(qs.trim(), 'q', lineno)?;
-            let ci = parse_index(cs.trim(), 'c', lineno)?;
+            let qi = parse_index(rest[..arrow].trim(), b'q', lineno)?;
+            let ci = parse_index(rest[arrow + 2..].trim(), b'c', lineno)?;
             return Ok(Some(QasmStmt::Instr(Instruction {
                 gate: Gate::Measure,
-                qubits: vec![Qubit::new(qi)],
+                qubits: Operands::from_slice(&[Qubit::new(qi)]),
                 clbit: Some(Clbit::new(ci)),
                 condition,
             })));
@@ -218,34 +220,49 @@ impl LineParser {
         // expressions may contain spaces), so the operand list starts
         // after ')' when one is present and after the first space
         // otherwise.
-        let (name, angles, operands) = match body.split_once('(') {
-            Some((n, rest)) => {
-                let close = rest
-                    .find(')')
+        let mut angles = [0.0; 3];
+        let (name, num_angles, operands) = match find_byte(body, b'(') {
+            Some(open) => {
+                let rest = &body[open + 1..];
+                let close = find_byte(rest, b')')
                     .ok_or_else(|| ParseQasmError::new(lineno, "unterminated angle"))?;
-                let angles: Option<Vec<f64>> =
-                    rest[..close].split(',').map(parse_angle_expr).collect();
-                let angles = angles.ok_or_else(|| ParseQasmError::new(lineno, "bad angle"))?;
-                (n.trim(), angles, rest[close + 1..].trim())
+                let mut count = 0;
+                for expr in split_byte(&rest[..close], b',') {
+                    let angle = parse_angle_expr(expr)
+                        .ok_or_else(|| ParseQasmError::new(lineno, "bad angle"))?;
+                    if let Some(slot) = angles.get_mut(count) {
+                        *slot = angle;
+                    }
+                    count += 1;
+                }
+                (body[..open].trim(), count, rest[close + 1..].trim())
             }
             None => {
-                let (head, operands) = body
-                    .split_once(' ')
+                let space = find_byte(body, b' ')
                     .ok_or_else(|| ParseQasmError::new(lineno, "gate missing operands"))?;
-                (head, Vec::new(), operands)
+                (&body[..space], 0, &body[space + 1..])
             }
         };
-        let gate = gate_from_name(name, &angles)
+        // More than three angles names no gate.
+        let gate = angles
+            .get(..num_angles)
+            .and_then(|angles| gate_from_name(name, angles))
             .ok_or_else(|| ParseQasmError::new(lineno, format!("unknown gate '{name}'")))?;
-        let qubits: Result<Vec<Qubit>, ParseQasmError> = operands
-            .split(',')
-            .map(|op| parse_index(op.trim(), 'q', lineno).map(Qubit::new))
-            .collect();
-        let qubits = qubits?;
-        if qubits.len() != gate.num_qubits() {
+        // Every operand is parsed (a malformed one is reported first),
+        // but only a gate's worth are kept.
+        let mut qubits = Operands::new();
+        let mut count = 0;
+        for op in split_byte(operands, b',') {
+            let qi = parse_index(op.trim(), b'q', lineno)?;
+            if count < Operands::MAX {
+                qubits.push(Qubit::new(qi));
+            }
+            count += 1;
+        }
+        if count != gate.num_qubits() {
             return Err(ParseQasmError::new(lineno, "operand count mismatch"));
         }
-        if qubits.len() == 2 && qubits[0] == qubits[1] {
+        if count == 2 && qubits[0] == qubits[1] {
             return Err(ParseQasmError::new(
                 lineno,
                 "two-qubit gate operands must differ",
@@ -258,6 +275,37 @@ impl LineParser {
             condition,
         })))
     }
+}
+
+/// Byte offset of the first `sep` in `s`.
+fn find_byte(s: &str, sep: u8) -> Option<usize> {
+    s.bytes().position(|b| b == sep)
+}
+
+/// Byte offset of the first occurrence of the two-byte ASCII `pair`.
+fn find_pair(s: &str, pair: [u8; 2]) -> Option<usize> {
+    s.as_bytes()
+        .windows(2)
+        .position(|w| w[0] == pair[0] && w[1] == pair[1])
+}
+
+/// The pieces of `s` between `sep` bytes, as `str::split` with an ASCII
+/// separator yields them.
+fn split_byte(s: &str, sep: u8) -> impl Iterator<Item = &str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let r = rest?;
+        Some(match find_byte(r, sep) {
+            Some(at) => {
+                rest = Some(&r[at + 1..]);
+                &r[..at]
+            }
+            None => {
+                rest = None;
+                r
+            }
+        })
+    })
 }
 
 /// The end-of-program range check both importers apply: the dialect
@@ -394,17 +442,39 @@ fn parse_reg_decl(rest: &str, lineno: usize) -> Result<usize, ParseQasmError> {
         .ok_or_else(|| ParseQasmError::new(lineno, "bad register declaration"))
 }
 
-fn parse_index(token: &str, reg: char, lineno: usize) -> Result<usize, ParseQasmError> {
-    let expect = format!("{reg}[");
-    // The u32 bound mirrors the Qubit/Clbit newtypes: checking here turns
-    // an adversarial `h q[99999999999999];` into a parse error instead of
-    // a panic inside `Qubit::new`.
-    token
-        .strip_prefix(&expect)
-        .and_then(|r| r.strip_suffix(']'))
-        .and_then(|n| n.parse().ok())
-        .filter(|&n: &usize| u32::try_from(n).is_ok())
-        .ok_or_else(|| ParseQasmError::new(lineno, format!("expected {reg}[i], got '{token}'")))
+/// Parses `q[i]` (or `c[i]`, per `reg`) into `i`.
+fn parse_index(token: &str, reg: u8, lineno: usize) -> Result<usize, ParseQasmError> {
+    match token.as_bytes() {
+        [r, b'[', digits @ .., b']'] if *r == reg => parse_u32_index(digits),
+        _ => None,
+    }
+    .ok_or_else(|| {
+        let reg = char::from(reg);
+        ParseQasmError::new(lineno, format!("expected {reg}[i], got '{token}'"))
+    })
+}
+
+/// Parses a decimal index as `usize::from_str` does (one optional leading
+/// `+`, leading zeros allowed), rejecting values past `u32::MAX`. The u32
+/// bound mirrors the Qubit/Clbit newtypes: checking here turns an
+/// adversarial `h q[99999999999999];` into a parse error instead of a
+/// panic inside `Qubit::new`.
+fn parse_u32_index(digits: &[u8]) -> Option<usize> {
+    let digits = digits.strip_prefix(b"+").unwrap_or(digits);
+    if digits.is_empty() {
+        return None;
+    }
+    let mut n = 0u64;
+    for &d in digits {
+        if !d.is_ascii_digit() {
+            return None;
+        }
+        n = n * 10 + u64::from(d - b'0');
+        if n > u64::from(u32::MAX) {
+            return None;
+        }
+    }
+    usize::try_from(n).ok()
 }
 
 fn gate_from_name(name: &str, angles: &[f64]) -> Option<Gate> {
@@ -507,6 +577,24 @@ mod tests {
     }
 
     #[test]
+    fn a_third_operand_is_a_count_mismatch() {
+        for line in ["cx q[0], q[1], q[2];", "h q[0], q[1], q[2];"] {
+            let err = from_qasm(&format!("qreg q[3];\n{line}")).unwrap_err();
+            assert_eq!(err.line(), 2, "{line}");
+            assert_eq!(
+                err.to_string(),
+                "qasm parse error at line 2: operand count mismatch"
+            );
+        }
+        // A malformed extra operand is still reported as itself.
+        let err = from_qasm("qreg q[3];\ncx q[0], q[1], q2;").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "qasm parse error at line 2: expected q[i], got 'q2'"
+        );
+    }
+
+    #[test]
     fn comments_and_blank_lines_skipped() {
         let text = "OPENQASM 2.0;\n\n// a comment\nqreg q[1];\nh q[0]; // trailing\n";
         let c = from_qasm(text).unwrap();
@@ -605,5 +693,149 @@ mod tests {
         let text = format!("{err}");
         assert!(text.contains("line 2"));
         assert_eq!(err.line(), 2);
+    }
+    /// `from_qasm`'s exact outcome for one line after `qreg q[8];` and
+    /// `creg c[4];`: the registers and each parsed instruction, or the
+    /// error's `Display` text (which carries the line).
+    fn outcome(line: &str) -> String {
+        match from_qasm(&format!("qreg q[8];\ncreg c[4];\n{line}")) {
+            Ok(c) => {
+                let mut s = format!("{}q {}c:", c.num_qubits(), c.num_clbits());
+                for i in c.iter() {
+                    let _ = write!(
+                        s,
+                        " {:?} {:?} {:?} {:?};",
+                        i.gate,
+                        &i.qubits[..],
+                        i.clbit,
+                        i.condition
+                    );
+                }
+                s
+            }
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// Pins the statement grammar's accept/reject decisions, error texts
+    /// and line numbers on lines off the exporter's beaten path.
+    #[test]
+    fn odd_lines_keep_their_outcomes() {
+        const H0: &str = "8q 4c: H [Qubit(0)] None None;";
+        const H2: &str = "8q 4c: H [Qubit(2)] None None;";
+        const CX01: &str = "8q 4c: Cx [Qubit(0), Qubit(1)] None None;";
+        const NONE: &str = "8q 4c:";
+        let at3 = |msg: &str| format!("qasm parse error at line 3: {msg}");
+        let table: &[(&str, String)] = &[
+            // Whitespace, comments and line endings.
+            ("\th q[0];\t", H0.into()),
+            ("h\tq[0];", at3("gate missing operands")),
+            ("h  q[0] ;", H0.into()),
+            ("h q[0]; // trailing comment", H0.into()),
+            ("// only a comment", NONE.into()),
+            ("x q[0] // no semicolon", at3("missing ';'")),
+            ("h q[3] // comment ;", at3("missing ';'")),
+            ("h q[0]; /* c */", at3("missing ';'")),
+            (
+                "h q[1];\r\nx q[2];\r",
+                "8q 4c: H [Qubit(1)] None None; X [Qubit(2)] None None;".into(),
+            ),
+            (
+                "h q[1];\r\nbogus q[2];\r",
+                "qasm parse error at line 4: unknown gate 'bogus'".into(),
+            ),
+            // Unicode whitespace trims where `str::trim` does, and only there.
+            ("\u{3000}h q[2];\u{3000}", H2.into()),
+            ("\u{a0}h q[2];\u{a0}", H2.into()),
+            ("h q[0]\u{3000};", H0.into()),
+            ("h\u{3000}q[0];", at3("gate missing operands")),
+            ("cx q[0],\u{a0}q[1];", CX01.into()),
+            ("\u{3000}", NONE.into()),
+            ("sw\u{e9}p q[0], q[1];", at3("unknown gate 'sw\u{e9}p'")),
+            // Operand indices.
+            ("h q[+3];", "8q 4c: H [Qubit(3)] None None;".into()),
+            ("h q[007];", "8q 4c: H [Qubit(7)] None None;".into()),
+            ("cx q[0],q[1];", CX01.into()),
+            (
+                "h q[4294967296];",
+                at3("expected q[i], got 'q[4294967296]'"),
+            ),
+            (
+                "h q[4294967295];",
+                "qasm parse error at line 0: operand out of declared range".into(),
+            ),
+            ("h q[-1];", at3("expected q[i], got 'q[-1]'")),
+            ("h q[];", at3("expected q[i], got 'q[]'")),
+            ("h q[0];;", at3("expected q[i], got 'q[0];'")),
+            ("h q[0],;", at3("expected q[i], got ''")),
+            ("cx q[0], q[1], q[2];", at3("operand count mismatch")),
+            ("cx q[0], q[0];", at3("two-qubit gate operands must differ")),
+            (
+                "cp(pi/8) q[1], q[0];",
+                "8q 4c: Cp(0.39269908169872414) [Qubit(1), Qubit(0)] None None;".into(),
+            ),
+            // Gate names and angle lists.
+            ("H q[0];", at3("unknown gate 'H'")),
+            ("rz(pi q[0];", at3("unterminated angle")),
+            ("u3(1,2,3,4) q[0];", at3("unknown gate 'u3'")),
+            ("u3(1,,3) q[0];", at3("bad angle")),
+            (
+                "u2(0.1,0.2) q[0];",
+                "8q 4c: U(1.5707963267948966, 0.1, 0.2) [Qubit(0)] None None;".into(),
+            ),
+            (
+                "rz( pi / 2 ) q[0];",
+                "8q 4c: Rz(1.5707963267948966) [Qubit(0)] None None;".into(),
+            ),
+            (
+                "rz(pi)q[0];",
+                "8q 4c: Rz(3.141592653589793) [Qubit(0)] None None;".into(),
+            ),
+            (
+                "rz(1e400) q[0];",
+                "8q 4c: Rz(inf) [Qubit(0)] None None;".into(),
+            ),
+            ("reset q[0];", "8q 4c: Reset [Qubit(0)] None None;".into()),
+            // Conditions.
+            (
+                "if(c[0]==2) x q[0];",
+                at3("only if(c[i]==1) conditions supported"),
+            ),
+            ("if (c[0]==1) x q[0];", at3("bad angle")),
+            ("if(c[0]==1 x q[0];", at3("unterminated if(")),
+            (
+                "if(c[+0]==1)x q[0];",
+                "8q 4c: X [Qubit(0)] None Some(Clbit(0));".into(),
+            ),
+            (
+                "if(c[1]==1) measure q[0] -> c[0];",
+                "8q 4c: Measure [Qubit(0)] Some(Clbit(0)) Some(Clbit(1));".into(),
+            ),
+            // Measurements.
+            ("measure q[0] c[0];", at3("measure missing '->'")),
+            (
+                "measure q[0]->c[1];",
+                "8q 4c: Measure [Qubit(0)] Some(Clbit(1)) None;".into(),
+            ),
+            (
+                "measure q[0] -> c[0] -> c[1];",
+                at3("expected c[i], got 'c[0] -> c[1]'"),
+            ),
+            (
+                "measure q[0] -> c[4294967296];",
+                at3("expected c[i], got 'c[4294967296]'"),
+            ),
+            ("measurex q[0] -> c[0];", at3("expected q[i], got 'x q[0]'")),
+            // Directives and declarations.
+            ("barrier q[0], q[1];", NONE.into()),
+            ("gate foo a { h a; }", NONE.into()),
+            ("OPENQASM 3.0;", NONE.into()),
+            ("qreg q[+2];", "2q 4c:".into()),
+            ("qregs[3];", "3q 4c:".into()),
+            ("creg c[x];", at3("bad register declaration")),
+        ];
+        for (line, want) in table {
+            assert_eq!(&outcome(line), want, "line {line:?}");
+        }
     }
 }

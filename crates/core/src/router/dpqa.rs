@@ -51,7 +51,7 @@ use crate::router::{RoutedProgram, RouterOptions};
 use caqr_arch::{
     manhattan, AtomMove, Device, GridGeometry, Layout, MoveStage, MovementSchedule, WireState,
 };
-use caqr_circuit::{Circuit, CircuitDag, Clbit, Gate, Instruction, Qubit};
+use caqr_circuit::{Circuit, CircuitDag, Clbit, Gate, Instruction, Operands, Qubit};
 use caqr_graph::Graph;
 use std::rc::Rc;
 
@@ -209,7 +209,7 @@ impl<'a> MovementRouter<'a> {
                     self.next_clbit += 1;
                     self.out.push(Instruction {
                         gate: Gate::Measure,
-                        qubits: vec![Qubit::new(atom)],
+                        qubits: Operands::from_slice(&[Qubit::new(atom)]),
                         clbit: Some(c),
                         condition: None,
                     });
@@ -218,7 +218,7 @@ impl<'a> MovementRouter<'a> {
             };
             self.out.push(Instruction {
                 gate: Gate::X,
-                qubits: vec![Qubit::new(atom)],
+                qubits: Operands::from_slice(&[Qubit::new(atom)]),
                 clbit: None,
                 condition: Some(clbit),
             });
@@ -308,15 +308,13 @@ impl<'a> MovementRouter<'a> {
     fn complete(&mut self, node: usize) -> Result<(), CaqrError> {
         let instr = &self.circuit.instructions()[node];
         let mut ni = instr.clone();
-        let mut qubits = Vec::with_capacity(instr.qubits.len());
-        for q in &instr.qubits {
+        for q in &mut ni.qubits {
             let atom = self
                 .layout
                 .phys_of(q.index())
                 .ok_or_else(|| CaqrError::internal("emitting a gate with an unmapped operand"))?;
-            qubits.push(Qubit::new(atom));
+            *q = Qubit::new(atom);
         }
-        ni.qubits = qubits;
         self.out.push(ni);
         self.scheduled[node] = true;
         let dag = Rc::clone(&self.dag);

@@ -51,7 +51,7 @@ pub use cost::{CostModel, CostModelSpec, SwapScoreCtx, COST_MODEL_GRAMMAR};
 use crate::error::CaqrError;
 use crate::pass::AnalysisCache;
 use caqr_arch::{Device, Layout, MovementSchedule, WireState};
-use caqr_circuit::{Circuit, CircuitDag, Clbit, Gate, Instruction, Qubit};
+use caqr_circuit::{Circuit, CircuitDag, Clbit, Gate, Instruction, Operands, Qubit};
 use caqr_graph::Graph;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -239,7 +239,7 @@ impl<'a> Router<'a> {
                     self.next_clbit += 1;
                     self.out.push(Instruction {
                         gate: Gate::Measure,
-                        qubits: vec![Qubit::new(p)],
+                        qubits: Operands::from_slice(&[Qubit::new(p)]),
                         clbit: Some(c),
                         condition: None,
                     });
@@ -248,7 +248,7 @@ impl<'a> Router<'a> {
             };
             self.out.push(Instruction {
                 gate: Gate::X,
-                qubits: vec![Qubit::new(p)],
+                qubits: Operands::from_slice(&[Qubit::new(p)]),
                 clbit: None,
                 condition: Some(clbit),
             });
@@ -339,15 +339,13 @@ impl<'a> Router<'a> {
     fn complete(&mut self, node: usize) -> Result<(), CaqrError> {
         let instr = &self.circuit.instructions()[node];
         let mut ni = instr.clone();
-        let mut qubits = Vec::with_capacity(instr.qubits.len());
-        for q in &instr.qubits {
+        for q in &mut ni.qubits {
             let p = self
                 .layout
                 .phys_of(q.index())
                 .ok_or_else(|| CaqrError::internal("emitting a gate with an unmapped operand"))?;
-            qubits.push(Qubit::new(p));
+            *q = Qubit::new(p);
         }
-        ni.qubits = qubits;
         self.out.push(ni);
         self.scheduled[node] = true;
         let dag = Rc::clone(&self.dag);
@@ -452,7 +450,7 @@ impl<'a> Router<'a> {
         )?;
         self.out.push(Instruction::gate(
             Gate::Swap,
-            vec![Qubit::new(from), Qubit::new(to)],
+            &[Qubit::new(from), Qubit::new(to)],
         ));
         self.swap_count += 1;
         // Whatever sits on `from` and `to` trades places; the layout moves

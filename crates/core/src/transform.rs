@@ -224,11 +224,9 @@ pub fn apply(circuit: &Circuit, plan: &ReusePlan) -> Result<TransformedCircuit, 
         if node < circuit.len() {
             let instr = &circuit.instructions()[node];
             let mut ni = instr.clone();
-            ni.qubits = instr
-                .qubits
-                .iter()
-                .map(|q| Qubit::new(wire_of[q.index()]))
-                .collect();
+            for q in &mut ni.qubits {
+                *q = Qubit::new(wire_of[q.index()]);
+            }
             out.push(ni);
         } else {
             // D nodes were added to the graph in pair order, directly

@@ -55,12 +55,9 @@ fn build_circuit(n: usize, specs: &[OpSpec]) -> Circuit {
             if q0 == q1 {
                 continue; // degenerate selector: skip this spec
             }
-            c.push(Instruction::gate(
-                gate,
-                vec![Qubit::new(q0), Qubit::new(q1)],
-            ));
+            c.push(Instruction::gate(gate, &[Qubit::new(q0), Qubit::new(q1)]));
         } else {
-            c.push(Instruction::gate(gate, vec![Qubit::new(q0)]));
+            c.push(Instruction::gate(gate, &[Qubit::new(q0)]));
         }
     }
     for q in 0..n {

@@ -994,7 +994,7 @@ fn operand_indices(instr: &Instruction) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caqr_circuit::{Clbit, Qubit};
+    use caqr_circuit::{Clbit, Operands, Qubit};
 
     fn q(i: usize) -> Qubit {
         Qubit::new(i)
@@ -1101,7 +1101,7 @@ mod tests {
         c.measure(q(0), Clbit::new(0));
         c.push(Instruction {
             gate: Gate::X,
-            qubits: vec![q(0)],
+            qubits: Operands::from_slice(&[q(0)]),
             clbit: None,
             condition: Some(Clbit::new(0)),
         });

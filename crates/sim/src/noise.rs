@@ -262,7 +262,7 @@ mod tests {
     }
 
     fn cx(a: usize, b: usize) -> Instruction {
-        Instruction::gate(Gate::Cx, vec![Qubit::new(a), Qubit::new(b)])
+        Instruction::gate(Gate::Cx, &[Qubit::new(a), Qubit::new(b)])
     }
 
     #[test]
@@ -276,7 +276,7 @@ mod tests {
     fn swap_error_is_three_cnots() {
         let m = model();
         let e_cx = m.device().calibration().cx_error(0, 1);
-        let swap = Instruction::gate(Gate::Swap, vec![Qubit::new(0), Qubit::new(1)]);
+        let swap = Instruction::gate(Gate::Swap, &[Qubit::new(0), Qubit::new(1)]);
         let expected = 1.0 - (1.0 - e_cx).powi(3);
         assert!((m.gate_error(&swap) - expected).abs() < 1e-12);
         assert!(m.gate_error(&swap) > e_cx);
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn single_qubit_error_smaller_than_two_qubit() {
         let m = model();
-        let h = Instruction::gate(Gate::H, vec![Qubit::new(0)]);
+        let h = Instruction::gate(Gate::H, &[Qubit::new(0)]);
         assert!(m.gate_error(&h) < m.gate_error(&cx(0, 1)));
     }
 

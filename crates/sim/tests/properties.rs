@@ -61,7 +61,7 @@ fn unitary_circuit(n: usize, clbits: usize, specs: &[OpSpec]) -> Circuit {
         } else {
             vec![Qubit::new(q0)]
         };
-        c.push(caqr_circuit::Instruction::gate(gate, qubits));
+        c.push(caqr_circuit::Instruction::gate(gate, &qubits));
     }
     c
 }

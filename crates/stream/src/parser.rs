@@ -62,9 +62,14 @@ impl StreamingQasmParser {
             if self.partial.is_empty() {
                 self.parse_bytes(line, out)?;
             } else {
-                self.partial.extend_from_slice(line);
-                let full = std::mem::take(&mut self.partial);
-                self.parse_bytes(&full, out)?;
+                // Completed in place, then emptied and kept for the next
+                // split line.
+                let mut full = std::mem::take(&mut self.partial);
+                full.extend_from_slice(line);
+                let parsed = self.parse_bytes(&full, out);
+                full.clear();
+                self.partial = full;
+                parsed?;
             }
         }
         self.partial.extend_from_slice(rest);
@@ -216,6 +221,17 @@ mod tests {
         let text = "qreg q[2];\r\ncreg c[1];\r\ncx q[0], q[1];\r\n";
         let batch = from_qasm(text).expect("batch parse");
         assert_eq!(import_in_chunks(text, 3).fingerprint(), batch.fingerprint());
+    }
+
+    #[test]
+    fn split_lines_keep_the_partial_buffer() {
+        let mut parser = StreamingQasmParser::new();
+        let mut out = Vec::new();
+        parser.feed(b"qreg q[1];\nh q[", &mut out).expect("feed");
+        parser.feed(b"0];\n", &mut out).expect("feed");
+        assert_eq!(out.len(), 2);
+        assert!(parser.partial.is_empty());
+        assert!(parser.partial.capacity() > 0);
     }
 
     #[test]

@@ -232,21 +232,24 @@ impl<S: ChunkSink> StreamSession<S> {
     /// Routes buffered parser events into the scheduler. The chunk-size
     /// check runs per event, so chunk boundaries are a function of the
     /// statement stream alone — byte-chunk splits cannot move them.
+    ///
+    /// The statement buffer is drained in place and handed back, so its
+    /// capacity carries over to the next feed.
     fn dispatch(&mut self) -> Result<(), StreamError> {
-        for stmt in std::mem::take(&mut self.stmts) {
-            match stmt {
-                QasmStmt::Qreg(n) => self.declared_qubits = self.declared_qubits.max(n),
-                QasmStmt::Creg(n) => self.clbits = self.clbits.max(n),
-                QasmStmt::Instr(instr) => {
-                    self.note_clbits(&instr);
-                    self.sched.push(instr, &mut self.emitted)?;
-                    if self.emitted.len() >= self.opts.chunk_gates {
-                        self.flush_chunk();
-                    }
-                }
+        let mut stmts = std::mem::take(&mut self.stmts);
+        let result = stmts.drain(..).try_for_each(|stmt| match stmt {
+            QasmStmt::Qreg(n) => {
+                self.declared_qubits = self.declared_qubits.max(n);
+                Ok(())
             }
-        }
-        Ok(())
+            QasmStmt::Creg(n) => {
+                self.clbits = self.clbits.max(n);
+                Ok(())
+            }
+            QasmStmt::Instr(instr) => self.push_instruction(instr),
+        });
+        self.stmts = stmts;
+        result
     }
 
     fn note_clbits(&mut self, instr: &Instruction) {
@@ -411,6 +414,18 @@ mod tests {
         let (report, _) = stream_text(&text, opts, 8);
         assert!(report.metrics.chunks >= 5, "got {}", report.metrics.chunks);
         assert_eq!(report.metrics.gates_out, 39);
+    }
+
+    #[test]
+    fn feeds_keep_the_statement_buffer() {
+        let text = to_qasm(&chain_circuit());
+        let mut s = StreamSession::new(StreamOptions::default(), NullSink);
+        s.feed(text.as_bytes()).expect("feed");
+        let capacity = s.stmts.capacity();
+        assert!(capacity > 0);
+        assert!(s.stmts.is_empty());
+        s.feed(b"h q[0];\n").expect("feed");
+        assert_eq!(s.stmts.capacity(), capacity);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 
-use caqr_circuit::{Gate, Instruction, Qubit};
+use caqr_circuit::{Gate, Instruction, Operands, Qubit};
 
 use crate::cone::ConeTracker;
 use crate::StreamError;
@@ -172,7 +172,7 @@ impl WindowScheduler {
                 // circuit at the heart of CaQR reuse.
                 out.push(Instruction {
                     gate: Gate::Reset,
-                    qubits: vec![Qubit::new(w as usize)],
+                    qubits: Operands::from_slice(&[Qubit::new(w as usize)]),
                     clbit: None,
                     condition: None,
                 });
@@ -229,17 +229,17 @@ mod tests {
     use caqr_circuit::Clbit;
 
     fn h(q: usize) -> Instruction {
-        Instruction::gate(Gate::H, vec![Qubit::new(q)])
+        Instruction::gate(Gate::H, &[Qubit::new(q)])
     }
 
     fn cx(a: usize, b: usize) -> Instruction {
-        Instruction::gate(Gate::Cx, vec![Qubit::new(a), Qubit::new(b)])
+        Instruction::gate(Gate::Cx, &[Qubit::new(a), Qubit::new(b)])
     }
 
     fn meas(q: usize, c: usize) -> Instruction {
         Instruction {
             gate: Gate::Measure,
-            qubits: vec![Qubit::new(q)],
+            qubits: Operands::from_slice(&[Qubit::new(q)]),
             clbit: Some(Clbit::new(c)),
             condition: None,
         }
@@ -267,7 +267,7 @@ mod tests {
         let names: Vec<&str> = out.iter().map(|i| i.gate.name()).collect();
         assert_eq!(names, ["h", "measure", "reset", "h", "h", "measure"]);
         // Everything runs on wire 0.
-        assert!(out.iter().all(|i| i.qubits == [Qubit::new(0)]));
+        assert!(out.iter().all(|i| *i.qubits == [Qubit::new(0)]));
     }
 
     /// Overlapping lifetimes need two wires no matter the window.
@@ -337,7 +337,7 @@ mod tests {
     fn clbits_pass_through() {
         let cond = Instruction {
             gate: Gate::X,
-            qubits: vec![Qubit::new(1)],
+            qubits: Operands::from_slice(&[Qubit::new(1)]),
             clbit: None,
             condition: Some(Clbit::new(0)),
         };

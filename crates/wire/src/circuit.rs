@@ -21,7 +21,7 @@
 //! ```
 
 use crate::value::Value;
-use caqr_circuit::{Circuit, Clbit, Gate, Instruction, Param, ParametricCircuit, Qubit};
+use caqr_circuit::{Circuit, Clbit, Gate, Instruction, Operands, Param, ParametricCircuit, Qubit};
 use std::fmt;
 
 /// Caps enforced while decoding a circuit, so a hostile document cannot
@@ -252,7 +252,9 @@ fn decode_instruction(
         .get("qubits")
         .and_then(Value::as_array)
         .ok_or_else(|| CircuitCodecError::new("missing \"qubits\""))?;
-    let mut qubits = Vec::with_capacity(qubit_values.len());
+    // Every index is range-checked, but only a gate's worth are kept: a
+    // longer list fails the arity check below.
+    let mut qubits = Operands::new();
     for q in qubit_values {
         let idx = q
             .as_usize()
@@ -262,9 +264,12 @@ fn decode_instruction(
                 "qubit {idx} out of range (declared {num_qubits})"
             )));
         }
-        qubits.push(Qubit::new(idx));
+        if qubits.len() < Operands::MAX {
+            qubits.push(Qubit::new(idx));
+        }
     }
-    if qubits.len() == 2 && qubits[0] == qubits[1] {
+    let num_operands = qubit_values.len();
+    if num_operands == 2 && qubits[0] == qubits[1] {
         return Err(CircuitCodecError::new("two-qubit operands must differ"));
     }
 
@@ -347,11 +352,10 @@ fn decode_instruction(
         "reset" => Gate::Reset,
         other => return Err(CircuitCodecError::new(format!("unknown gate '{other}'"))),
     };
-    if qubits.len() != gate.num_qubits() {
+    if num_operands != gate.num_qubits() {
         return Err(CircuitCodecError::new(format!(
-            "gate '{name}' expects {} qubit(s), got {}",
+            "gate '{name}' expects {} qubit(s), got {num_operands}",
             gate.num_qubits(),
-            qubits.len()
         )));
     }
 
@@ -477,6 +481,23 @@ mod tests {
                 "should reject: {why}"
             );
         }
+    }
+
+    #[test]
+    fn a_third_operand_is_an_arity_error() {
+        let doc = r#"{"qubits":3,"clbits":0,"instructions":[{"gate":"h","qubits":[0,1,2]}]}"#;
+        let err = circuit_from_value(&parse(doc).unwrap()).unwrap_err();
+        assert_eq!(
+            err.message(),
+            "instruction 0: gate 'h' expects 1 qubit(s), got 3"
+        );
+        // The range check still covers every listed index, first.
+        let doc = r#"{"qubits":3,"clbits":0,"instructions":[{"gate":"cx","qubits":[0,1,7]}]}"#;
+        let err = circuit_from_value(&parse(doc).unwrap()).unwrap_err();
+        assert_eq!(
+            err.message(),
+            "instruction 0: qubit 7 out of range (declared 3)"
+        );
     }
 
     #[test]

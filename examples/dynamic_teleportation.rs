@@ -6,7 +6,7 @@
 //! cargo run --example dynamic_teleportation
 //! ```
 
-use caqr_circuit::{draw, Circuit, Clbit, Gate, Qubit};
+use caqr_circuit::{draw, Circuit, Clbit, Gate, Operands, Qubit};
 use caqr_sim::{exact, Executor};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     c.cond_x(q2, c1);
     c.push(caqr_circuit::Instruction {
         gate: Gate::Z,
-        qubits: vec![q2],
+        qubits: Operands::from_slice(&[q2]),
         clbit: None,
         condition: Some(c0),
     });
