@@ -732,6 +732,10 @@ fn simulate_inner(state: &AppState, body: &[u8]) -> Result<Response, Reject> {
         }
         Some(None) => return Err(Reject::bad("'noise' must be a string")),
     };
+    // The worker pool already has one worker per core: run the shots on
+    // this worker, as /v1/compile runs its batch. Histograms do not
+    // depend on the thread count.
+    let executor = executor.with_threads(1);
 
     let run = executor.run_shots_cancellable(&circuit, shots, seed, &|| token.is_cancelled());
     let (counts, shot_report) = match run {
@@ -815,6 +819,8 @@ fn bind_run_inner(state: &AppState, body: &[u8]) -> Result<Response, Reject> {
         }
         Some(None) => return Err(Reject::bad("'noise' must be a string")),
     };
+    // One shot thread on this worker, as in `simulate`.
+    let executor = executor.with_threads(1);
     let token = deadline_token(&body, &state.limits)?;
 
     let job = BindJob::new(name, template, values, device, strategy).with_router(

@@ -20,7 +20,10 @@
 //!    the prefix's Bernoulli draws (no state work); if none fire — always,
 //!    for ideal runs — it forks from the snapshot. Shots where an error
 //!    does fire replay in full from |0...0> with a fresh copy of their
-//!    stream, so they remain bit-exact.
+//!    stream, so they remain bit-exact. When nothing but the deferred
+//!    measurement tail (item 4) follows the prefix, the plan keeps the
+//!    snapshot's probability table instead of the state, and a fork
+//!    samples its tail from the table without copying anything.
 //! 4. **Deferred measurement sampling** — a measurement whose qubit and
 //!    classical bit are never consulted afterwards commutes past the rest
 //!    of the circuit, so such measurements move to the end of the program
@@ -30,8 +33,13 @@
 //!    per measurement with read-only walks over shrinking subsets. On
 //!    compiled benchmark circuits (no feed-forward) every measurement
 //!    qualifies, which also extends the snapshot prefix across the whole
-//!    unitary body. Sampling is disabled under the thermal-relaxation
-//!    channel, whose state-dependent draws do not commute trivially.
+//!    unitary body. A fork from the probability table reads the same sums
+//!    off the table, in the same order, under its Pauli frame's X mask,
+//!    and each shard memoizes them (see `ProbTable` and `TailMemo`), so
+//!    an event-free shot costs O(measurements) once the common outcome
+//!    prefixes are summed. Sampling is disabled under the
+//!    thermal-relaxation channel, whose state-dependent draws do not
+//!    commute trivially.
 //! 5. **Pauli-frame forwarding** — under the Pauli-twirl channel every
 //!    noise draw is state-independent, so the body partitions into runs
 //!    of unconditioned unitaries whose Bernoulli draws can be walked
@@ -52,7 +60,9 @@
 //!    ([`crate::tableau`]): `O(n)` per gate, `O(n^2)` per measurement,
 //!    and no `2^n` memory, so width is not capped at the dense limit.
 //!    [`Engine::Auto`] (the default) picks the tableau only for
-//!    noiseless Clifford circuits; [`Engine::Stabilizer`] extends it to
+//!    noiseless Clifford circuits, whose shots all start from one tableau
+//!    of the instructions before the first measurement or reset (they
+//!    draw no random numbers); [`Engine::Stabilizer`] extends it to
 //!    Pauli-twirl noise (errors are Paulis, hence Clifford) and, on
 //!    non-Clifford circuits, seeds the prefix snapshot from a tableau
 //!    simulation of the maximal Clifford prefix.
@@ -72,6 +82,7 @@ use caqr_circuit::depth::Schedule;
 use caqr_circuit::{Circuit, Gate};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -541,10 +552,29 @@ impl Executor {
             .iter()
             .filter(|i| !matches!(i.gate, Gate::Measure | Gate::Reset))
             .count();
+        // Noiseless Clifford gates draw no random numbers, so every shot
+        // of a noiseless run passes through the same tableau at its first
+        // measurement or reset: simulate up to there once. Conditioned
+        // gates before it never fire (the register is still all-zero).
+        let mut prefix = Tableau::new(circuit.num_qubits());
+        let mut prefix_len = 0;
+        if tables.is_none() {
+            for instr in circuit.instructions() {
+                if matches!(instr.gate, Gate::Measure | Gate::Reset) {
+                    break;
+                }
+                if instr.condition.is_none() {
+                    apply_to_tableau(&mut prefix, instr);
+                }
+                prefix_len += 1;
+            }
+        }
         Some(TableauPlan {
             circuit,
             tables,
             gates,
+            prefix,
+            prefix_len,
         })
     }
 
@@ -702,67 +732,83 @@ impl Executor {
                 && support_bound(&plan.program, cap).is_some();
         }
         if self.snapshot && forkable && boundary_op > 0 {
-            let mut state = StateVector::zero(circuit.num_qubits());
-            state.set_wide(self.wide);
-            if self.engine == Engine::Stabilizer {
-                // Seed the snapshot from a tableau simulation of the
-                // maximal unconditioned Clifford prefix; amplitudes
-                // agree with the dense build up to rounding.
-                let mut rest = 0usize;
-                let instrs = circuit.instructions();
-                let exec_prefix = &plan.tail.order[..plan.boundary_pos];
-                let mut tab = Tableau::new(circuit.num_qubits());
-                while rest < exec_prefix.len() {
-                    let instr = &instrs[exec_prefix[rest]];
-                    if instr.condition.is_some() || !tableau::is_clifford_gate(&instr.gate) {
-                        break;
-                    }
-                    let mut qs = [0usize; 2];
-                    for (i, qb) in instr.qubits.iter().enumerate() {
-                        qs[i] = qb.index();
-                    }
-                    tab.apply(&instr.gate, &qs[..instr.qubits.len()]);
-                    rest += 1;
-                }
-                if rest > 0 {
-                    let handoff = Instant::now();
-                    state = tab.to_state_vector();
-                    state.set_wide(self.wide);
-                    plan.tableau_to_dense_us = handoff.elapsed().as_micros() as u64;
-                    plan.stabilizer_prefix_gates = rest;
-                    // The remaining prefix instructions apply through
-                    // the generic gate path below.
-                    for &idx in &exec_prefix[rest..] {
-                        let instr = &instrs[idx];
-                        if instr.condition.is_some() {
-                            continue;
-                        }
-                        let operands: Vec<usize> = instr.qubits.iter().map(|q| q.index()).collect();
-                        state.apply_gate(&instr.gate, &operands);
-                    }
-                    if plan.sparse {
-                        plan.sparse_snapshot = Some(SparseState::from_dense(&state));
-                    }
-                    plan.snapshot = Some(state);
-                    return plan;
-                }
-            }
-            // The classical register is still all-zero before the
-            // first measurement, so conditioned prefix gates never
-            // execute.
-            for op in &plan.program.ops()[..boundary_op] {
-                if let Op::Unitary { cond: Some(_), .. } = op {
-                    continue;
-                }
-                plan.apply_unitary_op(op, &mut state);
-            }
+            let state = self.prefix_state(&mut plan);
             if plan.sparse {
-                plan.sparse_snapshot = Some(SparseState::from_dense(&state));
+                plan.sparse_snapshot = Some(Snapshot::State(SparseState::from_dense(&state)));
             }
-            plan.snapshot = Some(state);
+            // When the deferred tail is all that follows the prefix, a
+            // fork only samples that tail, which reads nothing but |a|².
+            // Sparse forks stay on the support-sized state instead.
+            let tail_only = boundary_op + plan.tail.tail_len == plan.program.ops().len();
+            plan.snapshot = Some(if tail_only && !plan.sparse {
+                Snapshot::Table(ProbTable::of(&state))
+            } else {
+                Snapshot::State(state)
+            });
         }
         plan
     }
+
+    /// The state after `plan`'s deterministic prefix. Under
+    /// [`Engine::Stabilizer`] a tableau simulation of the maximal
+    /// unconditioned Clifford head seeds it (amplitudes agree with the
+    /// dense build up to rounding); otherwise the prefix kernels build it.
+    fn prefix_state(&self, plan: &mut ShotPlan<'_>) -> StateVector {
+        let circuit = plan.circuit;
+        if self.engine == Engine::Stabilizer {
+            let instrs = circuit.instructions();
+            let exec_prefix = &plan.tail.order[..plan.boundary_pos];
+            let mut tab = Tableau::new(circuit.num_qubits());
+            let mut rest = 0usize;
+            while rest < exec_prefix.len() {
+                let instr = &instrs[exec_prefix[rest]];
+                if instr.condition.is_some() || !tableau::is_clifford_gate(&instr.gate) {
+                    break;
+                }
+                apply_to_tableau(&mut tab, instr);
+                rest += 1;
+            }
+            if rest > 0 {
+                let handoff = Instant::now();
+                let mut state = tab.to_state_vector();
+                state.set_wide(self.wide);
+                plan.tableau_to_dense_us = handoff.elapsed().as_micros() as u64;
+                plan.stabilizer_prefix_gates = rest;
+                // The remaining prefix instructions apply through the
+                // generic gate path.
+                for &idx in &exec_prefix[rest..] {
+                    let instr = &instrs[idx];
+                    if instr.condition.is_some() {
+                        continue;
+                    }
+                    let operands: Vec<usize> = instr.qubits.iter().map(|q| q.index()).collect();
+                    state.apply_gate(&instr.gate, &operands);
+                }
+                return state;
+            }
+        }
+        let mut state = StateVector::zero(circuit.num_qubits());
+        state.set_wide(self.wide);
+        // The classical register is still all-zero before the first
+        // measurement, so conditioned prefix gates never execute.
+        for op in &plan.program.ops()[..plan.boundary_op] {
+            if let Op::Unitary { cond: Some(_), .. } = op {
+                continue;
+            }
+            plan.apply_unitary_op(op, &mut state);
+        }
+        state
+    }
+}
+
+/// Applies a Clifford instruction's gate to `tab` (its condition, if any,
+/// already checked by the caller).
+fn apply_to_tableau(tab: &mut Tableau, instr: &caqr_circuit::Instruction) {
+    let mut qs = [0usize; 2];
+    for (i, qb) in instr.qubits.iter().enumerate() {
+        qs[i] = qb.index();
+    }
+    tab.apply(&instr.gate, &qs[..instr.qubits.len()]);
 }
 
 /// Partitions the program body into chunks for the noisy frame-forwarded
@@ -991,6 +1037,8 @@ struct ShotScratch {
     events: Vec<PauliEvent>,
     /// Cumulative event counts, one per prefix chunk (chunked path only).
     ends: Vec<usize>,
+    /// Masses already summed from the prefix table (table forks only).
+    memo: TailMemo,
 }
 
 impl ShotScratch {
@@ -1003,28 +1051,195 @@ impl ShotScratch {
             wide,
             events: Vec::new(),
             ends: Vec::new(),
+            memo: TailMemo::default(),
         }
     }
 }
 
-/// The whole-circuit stabilizer-engine plan: no compiled program, no
-/// snapshot — per-shot tableau simulation straight off the instruction
-/// list.
+/// What a shot forks from once its prefix draws allow it (see
+/// [`ShotPlan::run_shot_chunked`]).
+enum Snapshot<S> {
+    /// The state after the prefix: a fork copies it, applies its Pauli
+    /// frame and runs the rest of the body.
+    State(S),
+    /// The probability table of that state, kept instead of it when only
+    /// the deferred tail follows the prefix: a fork samples the tail from
+    /// the table and touches no state.
+    Table(ProbTable),
+}
+
+/// `|a_b|²` of a prefix state for every physical amplitude index `b`,
+/// with the state's SWAP-absorbing bit map.
+///
+/// A Pauli frame `X^x Z^z` applied to the state maps `a_b` to
+/// `±a_{b ^ x}` (re/im negations only), and `|·|²` of a negation is
+/// exact, so the forked state's `|a_b|²` is exactly `p[b ^ x]`.
+/// [`ProbTable::masked_sum`] adds those values in the index order
+/// `StateVector::masked_sum` walks; IEEE addition in the same order gives
+/// the same bits, so every conditional probability, and so every draw,
+/// equals the one the forked state would have produced.
+struct ProbTable {
+    p: Vec<f64>,
+    /// `map[q]` = physical bit of logical qubit `q`.
+    map: Vec<usize>,
+}
+
+impl ProbTable {
+    fn of(state: &StateVector) -> Self {
+        ProbTable {
+            p: state.amps().iter().map(|a| a.abs2()).collect(),
+            map: (0..state.num_qubits()).map(|q| state.phys_bit(q)).collect(),
+        }
+    }
+
+    /// The physical-bit mask of the logical qubit mask `x`.
+    fn phys_mask(&self, x: u64) -> usize {
+        self.map
+            .iter()
+            .enumerate()
+            .filter(|&(q, _)| x >> q & 1 == 1)
+            .fold(0, |m, (_, &b)| m | 1 << b)
+    }
+
+    /// `StateVector::masked_sum(mask, value)` of the prefix state after a
+    /// frame with physical X mask `x`: the same walk over `b`, reading
+    /// `p[b ^ x]`.
+    fn masked_sum(&self, x: usize, mask: usize, value: usize) -> f64 {
+        debug_assert_eq!(value & !mask, 0, "value must lie within mask");
+        let p = &self.p;
+        if mask == 0 {
+            return (0..p.len()).map(|b| p[b ^ x]).sum();
+        }
+        let run = 1usize << mask.trailing_zeros();
+        let high_free = (p.len() - 1) & !mask & !(run - 1);
+        // A run's start has no bits below `run`, so its partners form one
+        // aligned block, read in the order `x`'s low bits permute it to.
+        let (x_high, x_low) = (x & !(run - 1), x & (run - 1));
+        let mut sum = 0.0;
+        let mut s = high_free;
+        loop {
+            let start = (value | s) ^ x_high;
+            let block = &p[start..start + run];
+            if x_low == 0 {
+                for v in block {
+                    sum += v;
+                }
+            } else {
+                for i in 0..run {
+                    sum += block[i ^ x_low];
+                }
+            }
+            if s == 0 {
+                break;
+            }
+            s = (s - 1) & high_free;
+        }
+        sum
+    }
+}
+
+/// Masses one shard memoizes per run. Past the cap a mass is summed
+/// afresh, so the cap bounds memory and never changes a value.
+const TAIL_MEMO_CAP: usize = 1 << 16;
+
+/// Walks of at most this many table entries are summed directly: hashing
+/// a memo key costs about as much as adding 32 values.
+const MEMO_MIN_WALK: usize = 32;
+
+/// A shard's memo of prefix-table masses under `(x, mask, value)`. A mass
+/// is a pure function of its key, so a hit returns exactly what a fresh
+/// sum would. With it an event-free shot costs O(measurements) once the
+/// common outcome prefixes are summed.
+struct TailMemo {
+    masses: HashMap<(usize, usize, usize), f64>,
+    cap: usize,
+}
+
+impl Default for TailMemo {
+    fn default() -> Self {
+        TailMemo {
+            masses: HashMap::new(),
+            cap: TAIL_MEMO_CAP,
+        }
+    }
+}
+
+impl TailMemo {
+    fn get_or_sum(&mut self, key: (usize, usize, usize), sum: impl FnOnce() -> f64) -> f64 {
+        if self.masses.len() < self.cap {
+            *self.masses.entry(key).or_insert_with(sum)
+        } else {
+            self.masses.get(&key).copied().unwrap_or_else(sum)
+        }
+    }
+}
+
+/// The reads [`ShotPlan::sample_tail`] makes of a shot's final state: a
+/// live [`SimState`], or a table fork.
+trait TailSource {
+    /// Physical amplitude bit of logical qubit `q`.
+    fn bit(&self, q: usize) -> usize;
+    /// Sum of `|a_b|²` over the `b` whose bits under `mask` equal `value`.
+    fn mass(&mut self, mask: usize, value: usize) -> f64;
+}
+
+impl<S: SimState> TailSource for S {
+    fn bit(&self, q: usize) -> usize {
+        self.phys_bit(q)
+    }
+
+    fn mass(&mut self, mask: usize, value: usize) -> f64 {
+        self.masked_sum(mask, value)
+    }
+}
+
+/// A tail-only fork: the prefix table under the shot's frame, whose
+/// physical X mask is `x`, read through the shard's memo.
+struct TableFork<'a> {
+    table: &'a ProbTable,
+    x: usize,
+    memo: &'a mut TailMemo,
+}
+
+impl TailSource for TableFork<'_> {
+    fn bit(&self, q: usize) -> usize {
+        self.table.map[q]
+    }
+
+    fn mass(&mut self, mask: usize, value: usize) -> f64 {
+        let (table, x) = (self.table, self.x);
+        if table.p.len() >> mask.count_ones() <= MEMO_MIN_WALK {
+            return table.masked_sum(x, mask, value);
+        }
+        self.memo
+            .get_or_sum((x, mask, value), || table.masked_sum(x, mask, value))
+    }
+}
+
+/// The whole-circuit stabilizer-engine plan: no compiled program —
+/// per-shot tableau simulation straight off the instruction list, from
+/// a shared prefix tableau.
 struct TableauPlan<'c> {
     circuit: &'c Circuit,
     tables: Option<NoiseTables>,
     /// Unitary gates in the circuit (for the report).
     gates: usize,
+    /// The tableau after the first `prefix_len` instructions, which
+    /// every shot passes through identically: those before the first
+    /// measurement or reset of a noiseless run, none of a noisy one.
+    prefix: Tableau,
+    prefix_len: usize,
 }
 
 impl TableauPlan<'_> {
-    /// Runs one shot on `tab` (cleared first); returns the final
-    /// classical register.
+    /// Runs one shot on `tab` (overwritten with the prefix first);
+    /// returns the final classical register.
     fn run_shot(&self, tab: &mut Tableau, seed: u64, shot: u64) -> u64 {
         let mut rng = shot_rng(seed, shot);
-        tab.clear();
+        tab.clone_from(&self.prefix);
         let mut clreg: u64 = 0;
-        for (index, instr) in self.circuit.instructions().iter().enumerate() {
+        let instrs = self.circuit.instructions();
+        for (index, instr) in instrs.iter().enumerate().skip(self.prefix_len) {
             // Idle decoherence: stochastic Paulis are Clifford, so they
             // apply to the tableau like any other gate.
             if let Some(tables) = &self.tables {
@@ -1055,17 +1270,13 @@ impl TableauPlan<'_> {
                     }
                 }
                 Gate::Reset => tab.reset(instr.qubits[0].index(), &mut rng),
-                ref gate => {
+                _ => {
                     if let Some(c) = instr.condition {
                         if clreg >> c.index() & 1 == 0 {
                             continue;
                         }
                     }
-                    let mut qs = [0usize; 2];
-                    for (i, qb) in instr.qubits.iter().enumerate() {
-                        qs[i] = qb.index();
-                    }
-                    tab.apply(gate, &qs[..instr.qubits.len()]);
+                    apply_to_tableau(tab, instr);
                     if let Some(tables) = &self.tables {
                         let p = tables.gate[index];
                         if p > 0.0 {
@@ -1096,8 +1307,9 @@ struct ShotPlan<'c> {
     boundary_op: usize,
     /// Execution-order position of the first measurement/reset.
     boundary_pos: usize,
-    /// State after the deterministic prefix, when forking is enabled.
-    snapshot: Option<StateVector>,
+    /// What shots fork from after the deterministic prefix, when forking
+    /// is enabled.
+    snapshot: Option<Snapshot<StateVector>>,
     /// Body partition for the chunked noisy fast path (`None` = stream
     /// ops one at a time).
     chunks: Option<Vec<Chunk>>,
@@ -1106,8 +1318,8 @@ struct ShotPlan<'c> {
     /// Shots run on the support-tracked sparse engine (implies
     /// `chunks.is_some()` and a proven support bound).
     sparse: bool,
-    /// `snapshot` converted for sparse forking.
-    sparse_snapshot: Option<SparseState>,
+    /// The prefix state converted for sparse forking.
+    sparse_snapshot: Option<Snapshot<SparseState>>,
     /// Clifford prefix length absorbed by the tableau handoff.
     stabilizer_prefix_gates: usize,
     /// Microseconds the tableau-to-dense conversion took.
@@ -1117,44 +1329,68 @@ struct ShotPlan<'c> {
 impl ShotPlan<'_> {
     /// Runs one shot; returns `(clreg, forked_from_snapshot)`.
     fn run_shot(&self, seed: u64, shot: u64, scratch: &mut ShotScratch) -> (u64, bool) {
+        // Destructure for disjoint borrows of the state and the rest of
+        // the scratch.
+        let ShotScratch {
+            state,
+            sparse,
+            wide,
+            events,
+            ends,
+            memo,
+        } = scratch;
+        let mut rng = shot_rng(seed, shot);
         if self.chunks.is_some() {
-            // Destructure for disjoint borrows of the state and the
-            // event scratch.
-            let ShotScratch {
-                state,
-                sparse,
-                wide,
-                events,
-                ends,
-            } = scratch;
             if self.sparse {
                 let n = self.circuit.num_qubits();
                 let sp = sparse.get_or_insert_with(|| SparseState::new(n, *wide));
-                return self.run_shot_chunked(
-                    seed,
-                    shot,
-                    self.sparse_snapshot.as_ref(),
-                    sp,
-                    events,
-                    ends,
-                );
+                let snapshot = self.sparse_snapshot.as_ref();
+                return self.run_shot_chunked(&mut rng, snapshot, sp, events, ends, memo);
             }
-            return self.run_shot_chunked(seed, shot, self.snapshot.as_ref(), state, events, ends);
+            let snapshot = self.snapshot.as_ref();
+            return self.run_shot_chunked(&mut rng, snapshot, state, events, ends, memo);
         }
-        let scratch = &mut scratch.state;
-        let mut rng = shot_rng(seed, shot);
         if let Some(snapshot) = &self.snapshot {
             if self.prefix_event_free(&mut rng) {
-                scratch.load(snapshot);
-                let value = self.finish_shot(self.boundary_op, &mut rng, scratch);
+                let value = match snapshot {
+                    Snapshot::State(prefix) => {
+                        state.load(prefix);
+                        self.finish_shot(self.boundary_op, &mut rng, state)
+                    }
+                    Snapshot::Table(table) => self.sample_table(&mut rng, table, 0, 0, memo),
+                };
                 return (value, true);
             }
             // A prefix error fired: replay in full with a fresh copy of
             // this shot's stream so the draw sequence matches exactly.
             rng = shot_rng(seed, shot);
         }
-        scratch.set_zero();
-        (self.finish_shot(0, &mut rng, scratch), false)
+        state.set_zero();
+        (self.finish_shot(0, &mut rng, state), false)
+    }
+
+    /// Samples a tail-only fork's deferred tail from the prefix table,
+    /// under the shot's frame X mask `x` (logical qubits); returns the
+    /// final classical register. The register is still all-zero here:
+    /// nothing but unitaries precedes the tail.
+    fn sample_table(
+        &self,
+        rng: &mut ChaCha8Rng,
+        table: &ProbTable,
+        x: u64,
+        body_flips: u64,
+        memo: &mut TailMemo,
+    ) -> u64 {
+        let mut clreg = 0;
+        if self.tail.tail_len > 0 {
+            let mut fork = TableFork {
+                table,
+                x: table.phys_mask(x),
+                memo,
+            };
+            self.sample_tail(rng, &mut fork, body_flips, &mut clreg);
+        }
+        clreg
     }
 
     /// Runs one shot over the chunk partition. Every chunk's Bernoulli
@@ -1168,18 +1404,18 @@ impl ShotPlan<'_> {
     /// cost of a global phase only, and probabilities are exactly
     /// phase-invariant. Only a frame that stalls against a non-Clifford
     /// kernel forces a from-zero replay with the recorded Paulis
-    /// interleaved at their exact positions.
+    /// interleaved at their exact positions. A fork from a probability
+    /// table samples the tail straight from it under the frame's X mask.
     fn run_shot_chunked<S: SimState>(
         &self,
-        seed: u64,
-        shot: u64,
-        snapshot: Option<&S>,
+        rng: &mut ChaCha8Rng,
+        snapshot: Option<&Snapshot<S>>,
         state: &mut S,
         ev_buf: &mut Vec<PauliEvent>,
         ends: &mut Vec<usize>,
+        memo: &mut TailMemo,
     ) -> (u64, bool) {
         let chunks = self.chunks.as_deref().expect("chunked shots have chunks");
-        let mut rng = shot_rng(seed, shot);
         let mut clreg: u64 = 0;
         let mut body_flips: u64 = 0;
         let mut forked = false;
@@ -1194,21 +1430,31 @@ impl ShotPlan<'_> {
             for chunk in &chunks[..self.prefix_chunks] {
                 match chunk {
                     Chunk::Run { start, end } => {
-                        self.prewalk_run(*start, *end, &mut rng, ev_buf, &mut body_flips);
+                        self.prewalk_run(*start, *end, rng, ev_buf, &mut body_flips);
                     }
                     Chunk::Inline { pos } => {
-                        self.prewalk_inline(*pos, &mut rng, ev_buf, &mut body_flips);
+                        self.prewalk_inline(*pos, rng, ev_buf, &mut body_flips);
                     }
                 }
                 ends.push(ev_buf.len());
             }
-            if ev_buf.is_empty() {
-                state.load(snapshot);
-                forked = true;
-            } else if let Some((x, z)) = self.forward_frame(ev_buf) {
-                state.load(snapshot);
-                state.apply_pauli_masks(x, z);
-                forked = true;
+            let frame = if ev_buf.is_empty() {
+                Some((0, 0))
+            } else {
+                self.forward_frame(ev_buf)
+            };
+            if let Some((x, z)) = frame {
+                match snapshot {
+                    Snapshot::State(prefix) => {
+                        state.load(prefix);
+                        state.apply_pauli_masks(x, z);
+                        forked = true;
+                    }
+                    Snapshot::Table(table) => {
+                        let value = self.sample_table(rng, table, x, body_flips, memo);
+                        return (value, true);
+                    }
+                }
             } else {
                 state.set_zero();
                 let mut ev0 = 0usize;
@@ -1238,17 +1484,17 @@ impl ShotPlan<'_> {
             match chunk {
                 Chunk::Inline { pos } => {
                     let op = &self.program.ops()[*pos];
-                    self.exec_op(op, &mut rng, state, &mut clreg, &mut body_flips);
+                    self.exec_op(op, rng, state, &mut clreg, &mut body_flips);
                 }
                 Chunk::Run { start, end } => {
                     ev_buf.clear();
-                    self.prewalk_run(*start, *end, &mut rng, ev_buf, &mut body_flips);
+                    self.prewalk_run(*start, *end, rng, ev_buf, &mut body_flips);
                     self.exec_run(*start, *end, ev_buf, state);
                 }
             }
         }
         if self.tail.tail_len > 0 {
-            self.sample_tail(&mut rng, state, body_flips, &mut clreg);
+            self.sample_tail(rng, state, body_flips, &mut clreg);
         }
         (clreg, forked)
     }
@@ -1581,7 +1827,9 @@ impl ShotPlan<'_> {
     /// Bits are drawn sequentially against conditional probabilities: the
     /// mass of the fixed assignment so far (`kept`) and the mass of its
     /// `q = 1` refinement are masked amplitude sums over shrinking,
-    /// read-only subsets — no projection or renormalization sweeps. A
+    /// read-only subsets — no projection or renormalization sweeps. Both
+    /// come through [`TailSource::mass`], from a live state or from a
+    /// table fork, so the two share this one draw loop. A
     /// Pauli-twirl X/Y that fires on a tail qubit is tracked as a
     /// classical flip of that qubit's outcome (Z leaves probabilities
     /// untouched), which is exactly its action this late in the circuit.
@@ -1591,10 +1839,10 @@ impl ShotPlan<'_> {
     /// XOR-corrected by the deterministic flips from crossed X/Y gates
     /// (`base_flips`) and this shot's stochastic flips from body noise on
     /// the dead wire (`body_flips`, accumulated by [`ShotPlan::run_ops`]).
-    fn sample_tail<S: SimState>(
+    fn sample_tail(
         &self,
         rng: &mut ChaCha8Rng,
-        state: &S,
+        state: &mut impl TailSource,
         body_flips: u64,
         clreg: &mut u64,
     ) {
@@ -1630,16 +1878,16 @@ impl ShotPlan<'_> {
             // Masks address physical amplitude bits: the wire's position
             // under the state's SWAP-absorbing permutation. The tail holds
             // no swaps, so the permutation is stable while sampling.
-            let qb = 1usize << state.phys_bit(q);
+            let qb = 1usize << state.bit(q);
             // `one` is the mass of the q = 1 refinement when q is fresh;
             // a repeat read of an already-fixed qubit is deterministic.
             let (p_raw, one) = if mask & qb != 0 {
                 (f64::from(u8::from(value & qb != 0)), None)
             } else {
                 if kept.is_nan() {
-                    kept = state.masked_sum(0, 0);
+                    kept = state.mass(0, 0);
                 }
-                let one = state.masked_sum(mask | qb, value | qb);
+                let one = state.mass(mask | qb, value | qb);
                 let p = if kept > 0.0 { one / kept } else { 0.0 };
                 (p, Some(one))
             };
@@ -1905,12 +2153,15 @@ mod tests {
 
     #[test]
     fn snapshot_on_off_bit_identical() {
-        let circ = stress_circuit();
+        // The commuting circuit's forks read the prefix probability table;
+        // the stress circuit's copy the prefix state.
         let noisy = NoiseModel::from_device(Device::mumbai(0)).with_scale(4.0);
-        for exec in [Executor::ideal(), Executor::noisy(noisy)] {
-            let on = exec.clone().with_snapshot(true).run_shots(&circ, 400, 13);
-            let off = exec.clone().with_snapshot(false).run_shots(&circ, 400, 13);
-            assert_eq!(on, off);
+        for circ in [stress_circuit(), commuting_circuit()] {
+            for exec in [Executor::ideal(), Executor::noisy(noisy.clone())] {
+                let on = exec.clone().with_snapshot(true).run_shots(&circ, 400, 13);
+                let off = exec.clone().with_snapshot(false).run_shots(&circ, 400, 13);
+                assert_eq!(on, off);
+            }
         }
     }
 
@@ -2137,6 +2388,88 @@ mod tests {
             .run_shots_traced(&circ, 64, 31);
         assert_eq!(off.prefix_ops, 0);
         assert_eq!(off.snapshot_forks, 0);
+    }
+
+    #[test]
+    fn only_tail_only_dense_plans_keep_a_table() {
+        let noisy = Executor::noisy(NoiseModel::from_device(Device::mumbai(0)).with_scale(4.0));
+        let table = |exec: &Executor, circ: &Circuit| {
+            matches!(exec.plan(circ).snapshot, Some(Snapshot::Table(_)))
+        };
+        // Every measurement of the commuting circuit defers, so the tail
+        // is all that follows the prefix.
+        let commuting = commuting_circuit();
+        assert!(table(&Executor::ideal(), &commuting));
+        assert!(table(&noisy, &commuting));
+        // The stress circuit's c0 feeds a condition and stays inline.
+        assert!(!table(&Executor::ideal(), &stress_circuit()));
+        // Low-support circuits fork the sparse state instead.
+        let mut ghz_t = Circuit::new(8, 8);
+        ghz_t.h(q(0));
+        for i in 0..7 {
+            ghz_t.cx(q(i), q(i + 1));
+        }
+        ghz_t.t(q(3));
+        ghz_t.measure_all();
+        let plan = noisy.plan(&ghz_t);
+        assert!(plan.sparse);
+        assert!(matches!(plan.snapshot, Some(Snapshot::State(_))));
+    }
+
+    #[test]
+    fn table_memo_past_its_cap_changes_nothing() {
+        // Eleven qubits in a spread superposition: far more distinct
+        // memoized masses than the shrunken cap below.
+        let n = 11;
+        let mut circ = Circuit::new(n, n);
+        for i in 0..n {
+            circ.h(q(i));
+            circ.rz(0.3 + 0.2 * i as f64, q(i));
+            circ.h(q(i));
+        }
+        for i in 0..n - 1 {
+            circ.cx(q(i), q(i + 1));
+        }
+        circ.measure_all();
+        let noisy = NoiseModel::from_device(Device::mumbai(0)).with_scale(4.0);
+        for exec in [Executor::ideal(), Executor::noisy(noisy)] {
+            let plan = exec.plan(&circ);
+            assert!(matches!(plan.snapshot, Some(Snapshot::Table(_))));
+            let mut scratch = ShotScratch::new(n, true);
+            scratch.memo.cap = 16;
+            let mut capped = Counts::new(n);
+            for shot in 0..300 {
+                capped.record(plan.run_shot(29, shot, &mut scratch).0);
+            }
+            assert_eq!(scratch.memo.masses.len(), 16, "the memo filled up");
+            assert_eq!(capped, exec.run_shots(&circ, 300, 29));
+            assert_eq!(capped, exec.with_snapshot(false).run_shots(&circ, 300, 29));
+        }
+    }
+
+    #[test]
+    fn tableau_prefix_matches_runs_from_zero() {
+        // A noiseless run starts every shot from the tableau after the
+        // first four instructions (the conditioned X never fires); a
+        // silent noise model keeps the same draws but starts from |0..0>.
+        let mut circ = Circuit::new(3, 3);
+        circ.h(q(0));
+        circ.cond_x(q(1), c(2));
+        circ.cx(q(0), q(1));
+        circ.push_gate(Gate::S, &[q(2)]);
+        circ.measure(q(0), c(0));
+        circ.cond_x(q(2), c(0));
+        circ.h(q(1));
+        circ.reset(q(0));
+        circ.measure(q(1), c(1));
+        circ.measure(q(2), c(2));
+        let exec = Executor::ideal().with_engine(Engine::Stabilizer);
+        let plan = exec.tableau_plan(&circ).expect("Clifford");
+        assert_eq!(plan.prefix_len, 4);
+        let silent = NoiseModel::from_device(Device::mumbai(0)).with_scale(0.0);
+        let zero = Executor::noisy(silent).with_engine(Engine::Stabilizer);
+        assert_eq!(zero.tableau_plan(&circ).expect("Clifford").prefix_len, 0);
+        assert_eq!(exec.run_shots(&circ, 500, 3), zero.run_shots(&circ, 500, 3));
     }
 
     #[test]

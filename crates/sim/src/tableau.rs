@@ -47,7 +47,7 @@ use rand::Rng;
 /// t.project(0, true);
 /// assert_eq!(t.deterministic_outcome(1), Some(true));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Tableau {
     n: usize,
     /// `u64` words per row.
@@ -58,6 +58,29 @@ pub struct Tableau {
     z: Vec<u64>,
     /// Sign bit per row.
     r: Vec<bool>,
+}
+
+impl Clone for Tableau {
+    fn clone(&self) -> Self {
+        Tableau {
+            n: self.n,
+            words: self.words,
+            x: self.x.clone(),
+            z: self.z.clone(),
+            r: self.r.clone(),
+        }
+    }
+
+    /// Copies `source` into this tableau's buffers without reallocating
+    /// when the widths match: the stabilizer engine starts every shot
+    /// this way from its prefix tableau.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.words = source.words;
+        self.x.clone_from(&source.x);
+        self.z.clone_from(&source.z);
+        self.r.clone_from(&source.r);
+    }
 }
 
 /// Is `gate` in the Clifford set the tableau simulates directly?
@@ -106,20 +129,6 @@ impl Tableau {
             t.z[(n + i) * words + i / 64] |= 1 << (i % 64);
         }
         t
-    }
-
-    /// Resets the tableau to |0...0> in place, reusing its buffers — the
-    /// per-shot path of the stabilizer engine calls this instead of
-    /// reallocating via [`Tableau::new`].
-    pub fn clear(&mut self) {
-        self.x.fill(0);
-        self.z.fill(0);
-        self.r.fill(false);
-        let words = self.words;
-        for i in 0..self.n {
-            self.x[i * words + i / 64] |= 1 << (i % 64);
-            self.z[(self.n + i) * words + i / 64] |= 1 << (i % 64);
-        }
     }
 
     /// The number of qubits.
@@ -258,21 +267,26 @@ impl Tableau {
         }
     }
 
+    /// Sum of `g` over the 64 qubits of one row word: multiplying the
+    /// Pauli word `(x1, z1)` into `(x2, z2)`.
+    fn word_exponent(x1: u64, z1: u64, x2: u64, z2: u64) -> i32 {
+        let mut exp = 0i32;
+        let mut bits = x1 | z1;
+        while bits != 0 {
+            let m = 1u64 << bits.trailing_zeros();
+            exp += Self::g(x1 & m != 0, z1 & m != 0, x2 & m != 0, z2 & m != 0);
+            bits &= bits - 1;
+        }
+        exp
+    }
+
     /// Phase exponent (mod 4) accumulated over all qubits when multiplying
     /// row `i`'s Pauli into the row described by `(hx, hz)`.
     fn phase_exponent(&self, i: usize, hx: &[u64], hz: &[u64]) -> i32 {
         let base = i * self.words;
         let mut exp = 0i32;
         for w in 0..self.words {
-            let (x1w, z1w) = (self.x[base + w], self.z[base + w]);
-            let (x2w, z2w) = (hx[w], hz[w]);
-            let mut bits = x1w | z1w;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                let m = 1u64 << b;
-                exp += Self::g(x1w & m != 0, z1w & m != 0, x2w & m != 0, z2w & m != 0);
-                bits &= bits - 1;
-            }
+            exp += Self::word_exponent(self.x[base + w], self.z[base + w], hx[w], hz[w]);
         }
         exp.rem_euclid(4)
     }
@@ -316,25 +330,34 @@ impl Tableau {
             return None;
         }
         let (w, bit) = (a / 64, 1u64 << (a % 64));
-        // Accumulate the product of the stabilizers matching each
-        // destabilizer that anticommutes with Z_a; its sign is the outcome.
-        let mut sx = vec![0u64; self.words];
-        let mut sz = vec![0u64; self.words];
-        let mut exp = 0i32;
-        for i in 0..self.n {
-            if self.x[i * self.words + w] & bit == 0 {
-                continue;
-            }
-            let s = self.n + i;
-            exp = (exp + 2 * i32::from(self.r[s]) + self.phase_exponent(s, &sx, &sz)).rem_euclid(4);
-            let sb = s * self.words;
-            for ww in 0..self.words {
-                sx[ww] ^= self.x[sb + ww];
-                sz[ww] ^= self.z[sb + ww];
-            }
-        }
+        // The product of the stabilizers matching each destabilizer that
+        // anticommutes with Z_a is ±Z_a; its sign is the outcome.
+        let exp = self.product_exponent(|| {
+            (0..self.n)
+                .filter(move |i| self.x[i * self.words + w] & bit != 0)
+                .map(|i| self.n + i)
+        });
         debug_assert!(exp % 2 == 0);
         Some(exp == 2)
+    }
+
+    /// The phase exponent (mod 4), sign bits included, of the ordered
+    /// product of the rows `rows()` yields. The product's words are
+    /// independent, and the exponent is a sum over them, so the product
+    /// is built one word at a time in two registers instead of two
+    /// row-sized buffers.
+    fn product_exponent<I: Iterator<Item = usize>>(&self, rows: impl Fn() -> I) -> i32 {
+        let mut exp: i32 = rows().map(|s| 2 * i32::from(self.r[s])).sum();
+        for w in 0..self.words {
+            let (mut px, mut pz) = (0u64, 0u64);
+            for s in rows() {
+                let (x, z) = (self.x[s * self.words + w], self.z[s * self.words + w]);
+                exp = (exp + Self::word_exponent(x, z, px, pz)).rem_euclid(4);
+                px ^= x;
+                pz ^= z;
+            }
+        }
+        exp.rem_euclid(4)
     }
 
     /// Forces qubit `a` to `outcome`, assuming its measurement is random
@@ -703,6 +726,43 @@ mod tests {
         let first = t.measure(0, &mut r);
         for q in 1..70 {
             assert_eq!(t.deterministic_outcome(q), Some(first), "qubit {q}");
+        }
+    }
+
+    /// The phase exponent of an ordered row product as Aaronson–Gottesman
+    /// accumulate it: whole-row buffers, one `phase_exponent` per row.
+    fn exponent_by_rows(t: &Tableau, rows: &[usize]) -> i32 {
+        let (mut px, mut pz) = (vec![0u64; t.words], vec![0u64; t.words]);
+        let mut exp = 0i32;
+        for &s in rows {
+            exp = (exp + 2 * i32::from(t.r[s]) + t.phase_exponent(s, &px, &pz)).rem_euclid(4);
+            for w in 0..t.words {
+                px[w] ^= t.x[s * t.words + w];
+                pz[w] ^= t.z[s * t.words + w];
+            }
+        }
+        exp
+    }
+
+    #[test]
+    fn word_by_word_product_matches_row_buffers() {
+        use rand::{Rng as _, RngCore as _};
+        let mut r = rng();
+        for n in [3, 64, 65, 130, 200] {
+            // Arbitrary rows: the exponent is plain arithmetic on them.
+            let mut t = Tableau::new(n);
+            t.x.iter_mut().for_each(|w| *w = r.next_u64());
+            t.z.iter_mut().for_each(|w| *w = r.next_u64());
+            t.r.iter_mut().for_each(|b| *b = r.gen_bool(0.5));
+            for _ in 0..50 {
+                let len = r.gen_range(0..12);
+                let rows: Vec<usize> = (0..len).map(|_| r.gen_range(0..2 * n)).collect();
+                assert_eq!(
+                    t.product_exponent(|| rows.iter().copied()),
+                    exponent_by_rows(&t, &rows),
+                    "n {n}, rows {rows:?}"
+                );
+            }
         }
     }
 

@@ -12,6 +12,9 @@
 //!   measurement, reset, and feed-forward included).
 //! * The support-tracked sparse engine is bit-identical to the dense
 //!   engine on random low-support noisy circuits.
+//! * Shots that fork from the prefix probability table (circuits whose
+//!   measurements all defer to the tail) are bit-identical to shots that
+//!   replay the whole circuit, ideal and noisy.
 
 use caqr_arch::Device;
 use caqr_circuit::{Circuit, Clbit, Gate, Qubit};
@@ -129,6 +132,35 @@ fn low_support_circuit(n: usize, specs: &[OpSpec]) -> Circuit {
                 }
             }
         }
+    }
+    c
+}
+
+/// A random unitary body whose measurements all defer to the program
+/// tail: every qubit read once, in an order rotated by `rotate`, then the
+/// `rereads` — an X, a SWAP with the next wire, or nothing, followed by a
+/// second read into a fresh clbit. Everything after the body is the
+/// deferred tail, so the default executor forks such circuits from its
+/// prefix probability table.
+fn tail_measured_circuit(
+    n: usize,
+    specs: &[OpSpec],
+    rotate: usize,
+    rereads: &[(u8, u32)],
+) -> Circuit {
+    let mut c = unitary_circuit(n, n + rereads.len(), specs);
+    for k in 0..n {
+        let q = (k + rotate) % n;
+        c.measure(Qubit::new(q), Clbit::new(q));
+    }
+    for (k, &(kind, qsel)) in rereads.iter().enumerate() {
+        let q = qsel as usize % n;
+        match kind % 3 {
+            0 => {}
+            1 => c.x(Qubit::new(q)),
+            _ => c.swap(Qubit::new(q), Qubit::new((q + 1) % n)),
+        }
+        c.measure(Qubit::new(q), Clbit::new(n + k));
     }
     c
 }
@@ -337,6 +369,28 @@ proptest! {
                 diff < 0.08,
                 "clbit {bit}: dense vs tableau P(1) differ by {diff:.4}"
             );
+        }
+    }
+
+    #[test]
+    fn table_forks_bit_identical_to_replays(
+        n in 2usize..=7,
+        specs in collection::vec((0u8..=255, 0u32..10_000, 0u32..1000), 1..30),
+        rotate in 0usize..7,
+        rereads in collection::vec((0u8..=255, 0u32..10_000), 0..4),
+        seed in 0u64..1_000_000,
+    ) {
+        let circuit = tail_measured_circuit(n, &specs, rotate, &rereads);
+        // Scale 4 makes most noisy shots carry a frame with X bits.
+        let noisy = NoiseModel::from_device(Device::mumbai(0)).with_scale(4.0);
+        for exec in [Executor::ideal(), Executor::noisy(noisy.clone())] {
+            let (counts, report) = exec.clone().run_shots_traced(&circuit, 128, seed);
+            let replayed = exec.clone().with_snapshot(false).run_shots(&circuit, 128, seed);
+            prop_assert_eq!(&counts, &replayed);
+            // Ideal Clifford bodies run on the tableau, which defers nothing.
+            if report.kernel_dispatch != KernelDispatch::Tableau {
+                prop_assert_eq!(report.deferred_measures, n + rereads.len());
+            }
         }
     }
 
