@@ -21,7 +21,8 @@
 //! * `--quick` — density 0.3, single layer only (CI smoke; composes with
 //!   `--check`).
 
-use caqr::{compile_template, compile_with, CostModelSpec, Strategy};
+use caqr::manager::NoopObserver;
+use caqr::{CancelToken, CompileCtx, PassManager, Strategy};
 use caqr_bench::{mumbai, Table, EXPERIMENT_SEED};
 use caqr_benchmarks::qaoa::{maxcut_template, GraphKind};
 use caqr_circuit::parametric::bind_circuit;
@@ -73,7 +74,11 @@ fn run_row(density: f64, layers: usize, strategy: Strategy) -> Row {
     let mut routed = None;
     for _ in 0..COMPILE_REPS {
         let started = Instant::now();
-        let report = compile_template(&template, &device, strategy).expect("fits device");
+        let ctx = CompileCtx::new(template.circuit().clone(), &device, strategy)
+            .with_parametric(template.num_slots());
+        let report = PassManager::for_strategy(strategy)
+            .run(ctx, &mut NoopObserver, &CancelToken::new())
+            .expect("fits device");
         compile_samples.push(started.elapsed().as_secs_f64() * 1e6);
         routed = Some(report);
     }
@@ -97,8 +102,7 @@ fn run_row(density: f64, layers: usize, strategy: Strategy) -> Row {
     let bound = bind_circuit(&routed.circuit, template.num_slots(), &values)
         .expect("arity matches the template");
     let concrete = template.bind(&values).expect("canonical binding is finite");
-    let direct =
-        compile_with(&concrete, &device, strategy, CostModelSpec::Hop).expect("fits device");
+    let direct = caqr::compile(&concrete, &device, strategy).expect("fits device");
     assert_eq!(
         bound.fingerprint(),
         direct.circuit.fingerprint(),

@@ -13,7 +13,8 @@
 //! compile / bind / simulate wall-time split: with one compile amortized
 //! over all evaluations, compile time drops out of the optimizer loop.
 
-use caqr::{compile_template, Strategy};
+use caqr::manager::NoopObserver;
+use caqr::{CancelToken, CompileCtx, PassManager, Strategy};
 use caqr_arch::Device;
 use caqr_bench::{mumbai, SimArgs, Table, EXPERIMENT_SEED};
 use caqr_benchmarks::qaoa::{maxcut_template, GraphKind};
@@ -67,11 +68,15 @@ fn converge(
     let compile_started = Instant::now();
     let (compiled, qubits) = if strategy == Strategy::Sr {
         let routed =
-            caqr::sr::compile_for_fidelity_template(&template, device).expect("fits device");
+            caqr::sr::compile_for_fidelity(template.circuit(), device).expect("fits device");
         let q = routed.physical_qubits_used;
         (routed.circuit, q)
     } else {
-        let report = compile_template(&template, device, strategy).expect("fits device");
+        let ctx = CompileCtx::new(template.circuit().clone(), device, strategy)
+            .with_parametric(template.num_slots());
+        let report = PassManager::for_strategy(strategy)
+            .run(ctx, &mut NoopObserver, &CancelToken::new())
+            .expect("fits device");
         let q = report.qubits;
         (report.circuit, q)
     };

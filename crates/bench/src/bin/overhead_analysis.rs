@@ -3,6 +3,7 @@
 //! (`O(k n^3)` for general circuits; matching-dominated for QAOA).
 
 use caqr::commuting::{schedule, CommutingSpec, Matcher};
+use caqr::router::{self, RouterOptions};
 use caqr::{analysis::ReuseAnalysis, baseline, qs, sr};
 use caqr_arch::Device;
 use caqr_bench::{device_for, Table, EXPERIMENT_SEED};
@@ -37,7 +38,7 @@ fn main() {
         let _ = qs::regular::sweep(&bench.circuit, &device.logical_duration_model());
         let t_sweep = ms(s);
         let s = Instant::now();
-        let _ = sr::route_only(&bench.circuit, &device);
+        let _ = router::route(&bench.circuit, &device, RouterOptions::sr());
         let t_sr = ms(s);
         let s = Instant::now();
         let _ = baseline::compile(&bench.circuit, &device);

@@ -31,14 +31,16 @@
 //!   composes with `--check`).
 //! * `--routing-backend` — restrict to one backend (default `both`).
 
+use caqr::manager::NoopObserver;
 use caqr::{
-    compile_with, CompileReport, CostModelSpec, RouterConfig, RoutingBackendSpec, Strategy,
+    CancelToken, CaqrError, CompileCtx, CompileReport, CostModelSpec, PassManager, RouterConfig,
+    RoutingBackendSpec, Strategy,
 };
 use caqr_arch::Device;
 use caqr_bench::Table;
 use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
 use caqr_benchmarks::{bv, revlib, Benchmark};
-use caqr_circuit::Gate;
+use caqr_circuit::{Circuit, Gate};
 use caqr_wire::Value;
 
 const STRATEGIES: [Strategy; 6] = [
@@ -69,6 +71,18 @@ fn models() -> Vec<CostModelSpec> {
         CostModelSpec::lookahead(),
         CostModelSpec::NoiseAware,
     ]
+}
+
+/// Compiles `circuit` under `strategy`'s recipe and routing policy
+/// `router`.
+fn compile(
+    circuit: &Circuit,
+    device: &Device,
+    strategy: Strategy,
+    router: impl Into<RouterConfig>,
+) -> Result<CompileReport, CaqrError> {
+    let ctx = CompileCtx::new(circuit.clone(), device, strategy).with_router(router);
+    PassManager::for_strategy(strategy).run(ctx, &mut NoopObserver, &CancelToken::new())
 }
 
 /// Calibration CX-error mass of a routed circuit: every two-qubit gate
@@ -143,7 +157,7 @@ fn run_jobs(quick: bool) -> Vec<Row> {
     for bench in benches {
         for &strategy in strategies {
             for &model in &models() {
-                let report = compile_with(&bench.circuit, &device, strategy, model)
+                let report = compile(&bench.circuit, &device, strategy, model)
                     .unwrap_or_else(|e| panic!("{} {strategy} {model}: {e}", bench.name));
                 rows.push(Row {
                     bench: bench.name.clone(),
@@ -174,7 +188,7 @@ fn run_dpqa_jobs(quick: bool) -> Vec<DpqaRow> {
     let mut rows = Vec::new();
     for bench in benches {
         for &strategy in strategies {
-            let report = compile_with(&bench.circuit, &device, strategy, router)
+            let report = compile(&bench.circuit, &device, strategy, router)
                 .unwrap_or_else(|e| panic!("{} {strategy} dpqa: {e}", bench.name));
             rows.push(DpqaRow {
                 bench: bench.name.clone(),

@@ -2,9 +2,9 @@
 //!
 //! A [`CancelToken`] is a cheap, clonable handle combining an explicit
 //! stop flag with an optional deadline. Work that honours it —
-//! [`crate::manager::PassManager::run_observed_cancellable`] checks
-//! between passes, the simulator's executor checks between shot chunks —
-//! stops at the next checkpoint and reports
+//! [`crate::manager::PassManager::run`] checks between passes, the
+//! simulator's executor checks between shot chunks — stops at the next
+//! checkpoint and reports
 //! [`crate::CaqrError::DeadlineExceeded`], which `caqr-serve` maps to an
 //! HTTP 504 without killing the worker thread.
 //!

@@ -85,10 +85,7 @@ pub use error::CaqrError;
 pub use manager::{create_pass, PassManager, PassObserver, REGISTERED_PASSES};
 pub use pass::{AnalysisCache, CompileCtx, LogicalSweep, Pass, RoutedSweep};
 pub use pipeline::{
-    compile, compile_template, compile_template_traced_cancellable_with, compile_template_with,
-    compile_traced, compile_traced_cancellable, compile_traced_cancellable_with,
-    compile_traced_with, compile_with, CompileReport, Stage, StageTrace, Strategy,
-    LOGICAL_SWEEP_PASSES, SWEEP_PASSES,
+    compile, CompileReport, Stage, StageTrace, Strategy, LOGICAL_SWEEP_PASSES, SWEEP_PASSES,
 };
 pub use router::{
     CostModel, CostModelSpec, RoutedProgram, RouterConfig, RoutingBackend, RoutingBackendSpec,

@@ -3,8 +3,11 @@
 //!
 //! Every [`Strategy`] is a declarative recipe — a list of registered pass
 //! names — so strategies, CLI `--passes` overrides, and future custom
-//! pipelines all flow through the same machinery. `compile_traced` is a
-//! thin wrapper that installs a [`StageTrace`]-recording observer.
+//! pipelines all flow through the same machinery. A compilation is a
+//! context plus two run arguments: [`PassManager::run`] takes the
+//! [`CompileCtx`] (circuit, device, strategy, routing policy, template
+//! slots, seeded sweeps), the observer (a [`StageTrace`] records where the
+//! time went) and the [`CancelToken`] (the deadline).
 //!
 //! A recipe that consumes a sweep splits where that sweep is complete.
 //! [`PassManager::for_logical_sweep`] builds the logical sweep that SR-CaQR
@@ -25,11 +28,8 @@ use crate::pass::{
 use crate::pipeline::{
     CompileReport, Stage, StageTrace, Strategy, LOGICAL_SWEEP_PASSES, SWEEP_PASSES,
 };
-use crate::router::{CostModelSpec, RouterConfig};
-use caqr_arch::Device;
 #[cfg(debug_assertions)]
 use caqr_circuit::parametric;
-use caqr_circuit::{Circuit, ParametricCircuit};
 use std::time::{Duration, Instant};
 
 /// Instrumentation hook invoked as the pass manager runs.
@@ -171,158 +171,62 @@ impl PassManager {
         self.passes.iter().map(|p| p.name()).collect()
     }
 
-    /// Compiles `circuit` for `device`, labelling the report with
-    /// `strategy`.
+    /// Compiles `ctx` and returns its report.
     ///
-    /// # Errors
+    /// `observer` sees every executed pass — including the failing one,
+    /// with its elapsed time — before the error propagates. `cancel` is
+    /// checked before every pass: a tripped token (explicit cancel or
+    /// elapsed deadline) stops the pipeline at the next pass boundary with
+    /// [`CaqrError::DeadlineExceeded`] naming the pass that would have
+    /// run. Passes themselves are never interrupted mid-flight, so overrun
+    /// is bounded by the slowest single pass.
     ///
-    /// The first pass failure, or [`CaqrError::MissingArtifact`] if the
-    /// sequence finished without producing a report.
-    pub fn run(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-        strategy: Strategy,
-    ) -> Result<CompileReport, CaqrError> {
-        self.run_observed(circuit, device, strategy, &mut NoopObserver)
-    }
-
-    /// [`PassManager::run`] with per-pass instrumentation.
-    ///
-    /// The observer sees every executed pass — including the failing one,
-    /// with its elapsed time — before the error propagates.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PassManager::run`].
-    pub fn run_observed(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-        strategy: Strategy,
-        observer: &mut dyn PassObserver,
-    ) -> Result<CompileReport, CaqrError> {
-        self.run_observed_cancellable(circuit, device, strategy, observer, &CancelToken::new())
-    }
-
-    /// [`PassManager::run_observed`] under a [`CancelToken`].
-    ///
-    /// The token is checked before every pass: a tripped token (explicit
-    /// cancel or elapsed deadline) stops the pipeline at the next pass
-    /// boundary with [`CaqrError::DeadlineExceeded`] naming the pass that
-    /// would have run. Passes themselves are never interrupted mid-flight,
-    /// so overrun is bounded by the slowest single pass.
-    ///
-    /// # Errors
-    ///
-    /// [`CaqrError::DeadlineExceeded`] on cancellation, otherwise the same
-    /// contract as [`PassManager::run`].
-    pub fn run_observed_cancellable(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-        strategy: Strategy,
-        observer: &mut dyn PassObserver,
-        cancel: &CancelToken,
-    ) -> Result<CompileReport, CaqrError> {
-        self.run_observed_cancellable_with(
-            circuit,
-            device,
-            strategy,
-            CostModelSpec::Hop,
-            observer,
-            cancel,
-        )
-    }
-
-    /// [`PassManager::run_observed_cancellable`] under an explicit
-    /// routing policy — a bare swap-scoring [`CostModelSpec`] (SWAP
-    /// backend) or a full [`RouterConfig`] choosing the backend too:
-    /// every routing pass in the recipe (baseline route, SR route, the
-    /// sweep router) compiles under it.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PassManager::run_observed_cancellable`].
-    pub fn run_observed_cancellable_with(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-        strategy: Strategy,
-        router_config: impl Into<RouterConfig>,
-        observer: &mut dyn PassObserver,
-        cancel: &CancelToken,
-    ) -> Result<CompileReport, CaqrError> {
-        let ctx = CompileCtx::new(circuit.clone(), device, strategy).with_router(router_config);
-        self.run_ctx(ctx, observer, cancel)
-    }
-
-    /// Compiles a parametric template through the full pipeline: layout,
-    /// routing, and reuse scheduling run on the slot-carrying circuit,
-    /// and the resulting report's circuit still carries the slots — one
-    /// [`ParametricCircuit::bind`] call away from any concrete binding.
-    ///
-    /// In debug builds, every pass is audited for angle-independence:
-    /// after each pass the working circuit must contain only finite
-    /// angles and well-formed slots, and the final routed artifact must
-    /// use exactly the template's slot multiset (passes may reorder,
-    /// remap, or interleave rotations, but never invent, drop, or do
+    /// A context marked parametric ([`CompileCtx::with_parametric`]) is a
+    /// template whose report keeps its symbolic slots, one
+    /// [`bind_circuit`](caqr_circuit::parametric::bind_circuit) away from
+    /// any concrete binding. In debug builds every pass is audited for
+    /// angle-independence: after each pass the working circuit must hold
+    /// only finite angles and well-formed slots, and the routed artifact
+    /// must use exactly the template's slot multiset (passes may reorder,
+    /// remap or interleave rotations, but never invent, drop, or do
     /// arithmetic on a symbolic angle).
     ///
     /// # Errors
     ///
-    /// Same contract as [`PassManager::run_observed_cancellable_with`].
-    pub fn run_template_observed_cancellable_with(
-        &self,
-        template: &ParametricCircuit,
-        device: &Device,
-        strategy: Strategy,
-        router_config: impl Into<RouterConfig>,
-        observer: &mut dyn PassObserver,
-        cancel: &CancelToken,
-    ) -> Result<CompileReport, CaqrError> {
-        let ctx = CompileCtx::new(template.circuit().clone(), device, strategy)
-            .with_router(router_config)
-            .with_parametric(template.num_slots());
-        let report = self.run_ctx(ctx, observer, cancel)?;
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(
-                parametric::validate_angles(&report.circuit, template.num_slots()).is_ok(),
-                "routed template carries a malformed angle"
-            );
-            debug_assert_eq!(
-                parametric::slot_census(&report.circuit),
-                parametric::slot_census(template.circuit()),
-                "pipeline changed the template's slot multiset"
-            );
-        }
-        Ok(report)
-    }
-
-    /// Compiles a context the caller built (one seeded with a sweep, say)
-    /// and returns its report.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PassManager::run_observed_cancellable`].
-    pub fn run_ctx(
+    /// The first pass failure, [`CaqrError::DeadlineExceeded`] on
+    /// cancellation, or [`CaqrError::MissingArtifact`] if the sequence
+    /// finished without producing a report.
+    pub fn run(
         &self,
         mut ctx: CompileCtx<'_>,
         observer: &mut dyn PassObserver,
         cancel: &CancelToken,
     ) -> Result<CompileReport, CaqrError> {
         self.run_in(&mut ctx, observer, cancel)?;
-        ctx.report.take().ok_or(CaqrError::MissingArtifact {
+        let report = ctx.report.take().ok_or(CaqrError::MissingArtifact {
             pass: "pass-manager",
             artifact: "compile report",
-        })
+        })?;
+        #[cfg(debug_assertions)]
+        if let Some(num_slots) = ctx.parametric_slots() {
+            debug_assert!(
+                parametric::validate_angles(&report.circuit, num_slots).is_ok(),
+                "routed template carries a malformed angle"
+            );
+            debug_assert_eq!(
+                parametric::slot_census(&report.circuit),
+                ctx.template_census,
+                "pipeline changed the template's slot multiset"
+            );
+        }
+        Ok(report)
     }
 
     /// Runs the passes over a context the caller keeps, for a recipe whose
     /// product is an artifact other than the report (the sweep of
-    /// [`PassManager::for_logical_sweep`], say). Cancellation and the
-    /// observer work as in [`PassManager::run_observed_cancellable`].
+    /// [`PassManager::for_logical_sweep`], say). Cancellation, the
+    /// observer and the per-pass template audit work as in
+    /// [`PassManager::run`].
     ///
     /// # Errors
     ///
@@ -359,6 +263,8 @@ impl PassManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caqr_arch::Device;
+    use caqr_circuit::Circuit;
     use std::sync::Arc;
 
     #[test]
@@ -405,15 +311,12 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let pm = PassManager::for_strategy(Strategy::QsMaxReuse);
-        let err = pm
-            .run_observed_cancellable(&c, &device, Strategy::QsMaxReuse, &mut NoopObserver, &token)
-            .unwrap_err();
+        let ctx = || CompileCtx::new(c.clone(), &device, Strategy::QsMaxReuse);
+        let err = pm.run(ctx(), &mut NoopObserver, &token).unwrap_err();
         assert_eq!(err, CaqrError::DeadlineExceeded { phase: "optimize" });
         // An untripped token compiles normally.
         let live = CancelToken::new();
-        assert!(pm
-            .run_observed_cancellable(&c, &device, Strategy::QsMaxReuse, &mut NoopObserver, &live)
-            .is_ok());
+        assert!(pm.run(ctx(), &mut NoopObserver, &live).is_ok());
     }
 
     #[test]
@@ -474,7 +377,7 @@ mod tests {
                     None => seeded.with_sweep(Arc::clone(&logical)),
                 };
                 let shared = selection
-                    .run_ctx(seeded, &mut NoopObserver, &live)
+                    .run(seeded, &mut NoopObserver, &live)
                     .expect("selection runs");
                 let alone = crate::compile(&circuit, &device, strategy).expect("fits");
                 assert_eq!(shared.circuit, alone.circuit, "{strategy}");

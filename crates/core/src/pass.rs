@@ -19,7 +19,7 @@ use crate::commuting::{CommutingSpec, NotCommutingError};
 use crate::error::CaqrError;
 use crate::pipeline::{CompileReport, Stage, Strategy};
 use crate::qs::SweepPoint;
-use crate::router::{CostModelSpec, RoutedProgram, RouterConfig, RoutingBackendSpec};
+use crate::router::{RoutedProgram, RouterConfig};
 use caqr_arch::Device;
 use caqr_circuit::depth::DurationModel;
 use caqr_circuit::{Circuit, CircuitDag};
@@ -142,8 +142,12 @@ pub struct CompileCtx<'d> {
     analyses: AnalysisCache,
     /// `Some(num_slots)` when compiling a parametric template: the working
     /// circuit carries NaN-boxed slot angles, and the pass manager audits
-    /// angle-independence after every pass (see `PassManager`).
+    /// angle-independence after every pass (see `PassManager::run`).
     parametric_slots: Option<u32>,
+    /// The template's slot multiset, which the routed artifact must keep
+    /// (audited by `PassManager::run`).
+    #[cfg(debug_assertions)]
+    pub(crate) template_census: Vec<u32>,
     /// Commuting-region analysis: `Some(Ok(_))` for QAOA-shaped circuits,
     /// `Some(Err(_))` for regular circuits, `None` until the
     /// `commuting-analysis` pass runs.
@@ -164,7 +168,8 @@ pub struct CompileCtx<'d> {
 
 impl<'d> CompileCtx<'d> {
     /// A fresh context owning `circuit`, targeting `device`, routing with
-    /// the default policy (SWAP backend, [`CostModelSpec::Hop`] scoring).
+    /// the default policy (SWAP backend,
+    /// [`CostModelSpec::Hop`](crate::router::CostModelSpec::Hop) scoring).
     pub fn new(circuit: Circuit, device: &'d Device, strategy: Strategy) -> Self {
         CompileCtx {
             device,
@@ -173,18 +178,14 @@ impl<'d> CompileCtx<'d> {
             circuit,
             analyses: AnalysisCache::new(),
             parametric_slots: None,
+            #[cfg(debug_assertions)]
+            template_census: Vec::new(),
             commuting: None,
             sweep: None,
             routed_sweep: None,
             routed: None,
             report: None,
         }
-    }
-
-    /// The same context routing under a different swap-scoring model.
-    pub fn with_cost_model(mut self, cost_model: CostModelSpec) -> Self {
-        self.router.cost_model = cost_model;
-        self
     }
 
     /// The same context routing under a different complete routing policy
@@ -199,6 +200,10 @@ impl<'d> CompileCtx<'d> {
     /// audited for angle-independence (debug builds).
     pub fn with_parametric(mut self, num_slots: u32) -> Self {
         self.parametric_slots = Some(num_slots);
+        #[cfg(debug_assertions)]
+        {
+            self.template_census = caqr_circuit::parametric::slot_census(&self.circuit);
+        }
         self
     }
 
@@ -237,19 +242,9 @@ impl<'d> CompileCtx<'d> {
         self.strategy
     }
 
-    /// The swap-scoring model every routing pass in this compilation uses.
-    pub fn cost_model(&self) -> CostModelSpec {
-        self.router.cost_model
-    }
-
     /// The complete routing policy (backend + cost model).
     pub fn router(&self) -> RouterConfig {
         self.router
-    }
-
-    /// The routing backend every routing pass in this compilation uses.
-    pub fn routing_backend(&self) -> RoutingBackendSpec {
-        self.router.backend
     }
 
     /// The current working circuit (read-only).
@@ -539,6 +534,7 @@ impl Pass for SrRoutePass {
             &sweep.points,
             ctx.device(),
             ctx.router(),
+            crate::sr::swap_rank,
         )?;
         ctx.routed = Some(routed);
         Ok(())

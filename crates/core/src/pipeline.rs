@@ -1,21 +1,25 @@
-//! One-call compilation pipelines and the per-circuit report the paper's
-//! tables are built from.
+//! The one-call compiler and the per-circuit report the paper's tables
+//! are built from.
 //!
-//! Since the pass-manager refactor this module is a thin veneer: every
-//! [`Strategy`] maps to a declarative pass-name recipe
-//! ([`Strategy::pass_names`]) executed by [`crate::manager::PassManager`],
-//! and [`compile_traced`] is the same run with a [`StageTrace`]-recording
-//! observer installed.
+//! Every [`Strategy`] maps to a declarative pass-name recipe
+//! ([`Strategy::pass_names`]) executed by [`PassManager`]. [`compile`]
+//! runs a strategy's recipe with the default routing policy, no
+//! instrumentation and no deadline. Everything else is
+//! [`PassManager::run`] on a [`CompileCtx`] the caller builds: a routing
+//! policy ([`CompileCtx::with_router`]), a parametric template
+//! ([`CompileCtx::with_parametric`]) or a seeded sweep, with a
+//! [`StageTrace`] as the observer to record where the time went and a
+//! [`CancelToken`] as the deadline.
 
+use crate::cancel::CancelToken;
 use crate::error::CaqrError;
 use crate::esp;
-use crate::manager::PassManager;
-use crate::pass::SelectObjective;
-use crate::router::RouterConfig;
+use crate::manager::{NoopObserver, PassManager};
+use crate::pass::{CompileCtx, SelectObjective};
 use caqr_arch::Device;
-use caqr_circuit::{Circuit, ParametricCircuit};
+use caqr_circuit::Circuit;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The passes that build the logical QS sweep
 /// ([`LogicalSweep`](crate::pass::LogicalSweep)). Their product depends
@@ -199,7 +203,7 @@ impl fmt::Display for CompileReport {
     }
 }
 
-/// A coarse pipeline stage, as reported by [`compile_traced`]. Every pass
+/// A coarse pipeline stage, as a [`StageTrace`] records it. Every pass
 /// belongs to exactly one stage; per-pass spans are recorded alongside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
@@ -271,14 +275,6 @@ impl StageTrace {
         self.passes.push((name, elapsed));
     }
 
-    /// Runs `f`, recording its wall-clock under `stage`.
-    pub fn time<T>(&mut self, stage: Stage, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.record(stage, start.elapsed());
-        out
-    }
-
     /// All recorded spans, in execution order.
     pub fn spans(&self) -> &[(Stage, Duration)] {
         &self.spans
@@ -325,182 +321,11 @@ pub fn compile(
     device: &Device,
     strategy: Strategy,
 ) -> Result<CompileReport, CaqrError> {
-    PassManager::for_strategy(strategy).run(circuit, device, strategy)
-}
-
-/// [`compile`] under an explicit routing policy: a bare swap-scoring
-/// [`CostModelSpec`](crate::router::CostModelSpec) (SWAP backend, the
-/// historical behaviour) or a full [`RouterConfig`] selecting the backend
-/// too — every routing pass in the strategy's recipe uses it.
-///
-/// # Errors
-///
-/// Same contract as [`compile`].
-pub fn compile_with(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: Strategy,
-    router_config: impl Into<RouterConfig>,
-) -> Result<CompileReport, CaqrError> {
-    compile_traced_cancellable_with(
-        circuit,
-        device,
-        strategy,
-        router_config,
-        &crate::cancel::CancelToken::new(),
+    PassManager::for_strategy(strategy).run(
+        CompileCtx::new(circuit.clone(), device, strategy),
+        &mut NoopObserver,
+        &CancelToken::new(),
     )
-    .0
-}
-
-/// [`compile`], additionally reporting where the wall-clock went.
-///
-/// The [`StageTrace`] is returned even when compilation fails — the
-/// observer hook fires after every executed pass, including the failing
-/// one — so callers can attribute the cost of failed jobs too. This is the
-/// entry point the batch-compilation engine (`caqr-engine`) builds its
-/// per-stage and per-pass metrics on.
-pub fn compile_traced(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: Strategy,
-) -> (Result<CompileReport, CaqrError>, StageTrace) {
-    compile_traced_cancellable(
-        circuit,
-        device,
-        strategy,
-        &crate::cancel::CancelToken::new(),
-    )
-}
-
-/// [`compile_traced`] under an explicit routing policy (a
-/// [`CostModelSpec`](crate::router::CostModelSpec) or [`RouterConfig`]).
-pub fn compile_traced_with(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: Strategy,
-    router_config: impl Into<RouterConfig>,
-) -> (Result<CompileReport, CaqrError>, StageTrace) {
-    compile_traced_cancellable_with(
-        circuit,
-        device,
-        strategy,
-        router_config,
-        &crate::cancel::CancelToken::new(),
-    )
-}
-
-/// [`compile_traced`] under a [`crate::cancel::CancelToken`], checked at
-/// every pass boundary.
-///
-/// This is the entry point `caqr-serve` drives: a request deadline becomes
-/// a token, and a tripped token surfaces as
-/// [`CaqrError::DeadlineExceeded`] (HTTP 504) with the partial
-/// [`StageTrace`] still attributing the time already spent.
-pub fn compile_traced_cancellable(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: Strategy,
-    cancel: &crate::cancel::CancelToken,
-) -> (Result<CompileReport, CaqrError>, StageTrace) {
-    compile_traced_cancellable_with(
-        circuit,
-        device,
-        strategy,
-        crate::router::CostModelSpec::Hop,
-        cancel,
-    )
-}
-
-/// [`compile_traced_cancellable`] under an explicit routing policy (a
-/// [`CostModelSpec`](crate::router::CostModelSpec) or [`RouterConfig`]) —
-/// the fully general entry point the batch engine and HTTP service drive:
-/// strategy, routing policy, deadline token, and instrumentation all in
-/// one call.
-pub fn compile_traced_cancellable_with(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: Strategy,
-    router_config: impl Into<RouterConfig>,
-    cancel: &crate::cancel::CancelToken,
-) -> (Result<CompileReport, CaqrError>, StageTrace) {
-    let mut trace = StageTrace::default();
-    let result = PassManager::for_strategy(strategy).run_observed_cancellable_with(
-        circuit,
-        device,
-        strategy,
-        router_config,
-        &mut trace,
-        cancel,
-    );
-    (result, trace)
-}
-
-/// Compiles a parametric template through the full pipeline. The
-/// returned report's circuit still carries the template's symbolic
-/// slots; its structural metrics (qubits, depth, duration, SWAPs, 2q
-/// count, ESP) are angle-independent and therefore valid for **every**
-/// binding. Stamp concrete angles in with
-/// [`caqr_circuit::parametric::bind_circuit`] — an O(gates) walk.
-///
-/// # Errors
-///
-/// Same contract as [`compile`].
-pub fn compile_template(
-    template: &ParametricCircuit,
-    device: &Device,
-    strategy: Strategy,
-) -> Result<CompileReport, CaqrError> {
-    compile_template_with(
-        template,
-        device,
-        strategy,
-        crate::router::CostModelSpec::Hop,
-    )
-}
-
-/// [`compile_template`] under an explicit routing policy (a
-/// [`CostModelSpec`](crate::router::CostModelSpec) or [`RouterConfig`]).
-///
-/// # Errors
-///
-/// Same contract as [`compile`].
-pub fn compile_template_with(
-    template: &ParametricCircuit,
-    device: &Device,
-    strategy: Strategy,
-    router_config: impl Into<RouterConfig>,
-) -> Result<CompileReport, CaqrError> {
-    compile_template_traced_cancellable_with(
-        template,
-        device,
-        strategy,
-        router_config,
-        &crate::cancel::CancelToken::new(),
-    )
-    .0
-}
-
-/// The fully general template entry point: strategy, routing policy,
-/// deadline token, and per-pass instrumentation in one call — the
-/// template analogue of [`compile_traced_cancellable_with`], and the
-/// entry the batch engine's bind path drives.
-pub fn compile_template_traced_cancellable_with(
-    template: &ParametricCircuit,
-    device: &Device,
-    strategy: Strategy,
-    router_config: impl Into<RouterConfig>,
-    cancel: &crate::cancel::CancelToken,
-) -> (Result<CompileReport, CaqrError>, StageTrace) {
-    let mut trace = StageTrace::default();
-    let result = PassManager::for_strategy(strategy).run_template_observed_cancellable_with(
-        template,
-        device,
-        strategy,
-        router_config,
-        &mut trace,
-        cancel,
-    );
-    (result, trace)
 }
 
 #[cfg(test)]
@@ -513,6 +338,18 @@ mod tests {
 
     fn q(i: usize) -> Qubit {
         Qubit::new(i)
+    }
+
+    /// [`compile`] with a [`StageTrace`] observing the run.
+    fn compile_with_trace(
+        circuit: &Circuit,
+        device: &Device,
+        strategy: Strategy,
+    ) -> (Result<CompileReport, CaqrError>, StageTrace) {
+        let mut trace = StageTrace::default();
+        let ctx = CompileCtx::new(circuit.clone(), device, strategy);
+        let result = PassManager::for_strategy(strategy).run(ctx, &mut trace, &CancelToken::new());
+        (result, trace)
     }
 
     fn bv(n: usize) -> Circuit {
@@ -600,7 +437,7 @@ mod tests {
         let c = bv(6);
         for strategy in [Strategy::Baseline, Strategy::QsMaxReuse, Strategy::Sr] {
             let plain = compile(&c, &dev, strategy)?;
-            let (traced, trace) = compile_traced(&c, &dev, strategy);
+            let (traced, trace) = compile_with_trace(&c, &dev, strategy);
             let traced = traced?;
             assert_eq!(plain.circuit, traced.circuit, "{strategy}");
             assert_eq!(plain.qubits, traced.qubits);
@@ -660,7 +497,7 @@ mod tests {
     fn trace_survives_failure() {
         // 10 logical qubits cannot fit a 3-qubit line under baseline.
         let dev = Device::with_synthetic_calibration(caqr_arch::Topology::line(3), 1);
-        let (result, trace) = compile_traced(&bv(10), &dev, Strategy::Baseline);
+        let (result, trace) = compile_with_trace(&bv(10), &dev, Strategy::Baseline);
         assert!(result.is_err());
         assert!(trace.spans().iter().any(|(s, _)| *s == Stage::Optimize));
         // The failing pass itself is recorded too.

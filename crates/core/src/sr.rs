@@ -12,11 +12,13 @@
 //! commuting-gate circuit (§3.3.2) the matching scheduler builds that
 //! sweep, so each point imposes the partial gate order of one reuse level.
 //! Every version is routed under both the delay/reclaim policy and the
-//! eager-placement (no-reuse) policy, and the best compiled circuit wins:
-//! fewest SWAPs (plus DPQA movement stages), then fewest qubits, then
-//! least depth. The `sr-route` pass runs the same selection on the sweep
-//! `qs-sweep` built, so a caller that also runs a QS strategy can build
-//! that sweep once.
+//! eager-placement (no-reuse) policy, and the best compiled circuit wins.
+//! One selection loop ranks the candidates two ways: by SWAPs (plus DPQA
+//! movement stages), then qubits, then depth, for SR-CaQR itself; or by
+//! estimated success probability for the fidelity experiments
+//! ([`compile_for_fidelity`]). The `sr-route` pass runs the SWAP-ranked
+//! selection on the sweep `qs-sweep` built, so a caller that also runs a
+//! QS strategy can build that sweep once.
 //!
 //! Each candidate circuit gets one shared [`AnalysisCache`] so its DAG,
 //! interaction graph, and critical-path marks are built once, not once per
@@ -28,28 +30,8 @@ use crate::pass::AnalysisCache;
 use crate::qs::{self, SweepPoint};
 use crate::router::{self, RoutedProgram, RouterConfig, RouterOptions};
 use caqr_arch::Device;
-use caqr_circuit::parametric::{self, ParametricCircuit};
 use caqr_circuit::Circuit;
-
-/// Routes `circuit` under each policy in order, sharing one analysis
-/// cache, feeding every result to `consider`.
-fn route_versions(
-    circuit: &Circuit,
-    device: &Device,
-    policies: [RouterOptions; 2],
-    mut consider: impl FnMut(Result<RoutedProgram, CaqrError>),
-) {
-    let mut analyses = AnalysisCache::new();
-    for opts in policies {
-        consider(router::route_cached(
-            circuit,
-            device,
-            opts,
-            None,
-            &mut analyses,
-        ));
-    }
-}
+use std::cmp::Reverse;
 
 /// Compiles a regular circuit with SR-CaQR (§3.3.1): version selection
 /// over the circuit's QS-CaQR sweep, whose point 0 is the circuit itself,
@@ -62,14 +44,67 @@ fn route_versions(
 /// Returns [`CaqrError::OutOfQubits`] when no version fits the device.
 pub fn compile(circuit: &Circuit, device: &Device) -> Result<RoutedProgram, CaqrError> {
     let points = qs::regular::sweep(circuit, &device.logical_duration_model());
-    select_version(None, &points, device, RouterConfig::default())
+    select_version(None, &points, device, RouterConfig::default(), swap_rank)
+}
+
+/// SR-CaQR with the *fidelity* objective: the input under the
+/// eager-placement then the delay/reclaim policy, then every point of its
+/// QS-CaQR sweep (the matching scheduler's for a commuting circuit), ranked
+/// by estimated success probability instead of SWAP count. This is the
+/// selection the paper's end-to-end fidelity experiments (Table 3,
+/// Figs. 15/16) exercise — the reuse level that best balances SWAP savings
+/// against the added measure-and-reset duration.
+///
+/// ESP reads gate types, durations and calibration, never rotation
+/// angles, so compiling a parametric template's circuit picks the version
+/// and routing every binding of it would get; the routed circuit keeps
+/// the template's slots, one
+/// [`bind_circuit`](caqr_circuit::parametric::bind_circuit) away from
+/// concrete angles.
+///
+/// # Errors
+///
+/// Returns [`CaqrError::OutOfQubits`] when no version fits the device.
+pub fn compile_for_fidelity(
+    circuit: &Circuit,
+    device: &Device,
+) -> Result<RoutedProgram, CaqrError> {
+    let points = match CommutingSpec::from_circuit(circuit) {
+        Ok(spec) => qs::commuting::sweep(&spec, default_matcher(&spec)),
+        Err(_) => qs::regular::sweep(circuit, &device.logical_duration_model()),
+    };
+    // A regular circuit leads with itself too, although its point 0 is the
+    // circuit again: the candidate order decides ESP ties.
+    let routed = select_version(
+        Some(circuit),
+        &points,
+        device,
+        RouterConfig::default(),
+        |routed| Reverse(crate::esp::estimate(&routed.circuit, device)),
+    )?;
+    debug_assert_eq!(
+        caqr_circuit::parametric::slot_census(&routed.circuit),
+        caqr_circuit::parametric::slot_census(circuit),
+        "fidelity version selection must preserve a template's slot multiset"
+    );
+    Ok(routed)
+}
+
+/// SR-CaQR's rank of a routed version, lower being better: SWAPs (plus
+/// DPQA movement stages), then qubit usage, then depth.
+pub(crate) fn swap_rank(routed: &RoutedProgram) -> (usize, usize, usize) {
+    (
+        routed.swap_count + routed.movement_stages,
+        routed.physical_qubits_used,
+        routed.circuit.depth(),
+    )
 }
 
 /// SR-CaQR's version selection, shared by the `sr-route` pass and the
 /// free functions of this module. Routes each version under two policies
-/// and keeps the best compiled circuit, ranked by SWAPs (plus DPQA
-/// movement stages), then qubit usage, then depth; a tie goes to the
-/// earlier candidate.
+/// and keeps the candidate with the strictly lowest `rank` ([`swap_rank`]
+/// for SR-CaQR, reversed ESP for the fidelity objective); a tie goes to
+/// the earlier candidate.
 ///
 /// The versions, in order: `input` under the eager-placement then the
 /// delay/reclaim policy, when given (a commuting circuit, whose sweep
@@ -80,11 +115,12 @@ pub fn compile(circuit: &Circuit, device: &Device) -> Result<RoutedProgram, Caqr
 /// # Errors
 ///
 /// The last routing error when no version fits the device.
-pub(crate) fn select_version(
+pub(crate) fn select_version<K: PartialOrd>(
     input: Option<&Circuit>,
     points: &[SweepPoint],
     device: &Device,
     router: RouterConfig,
+    rank: impl Fn(&RoutedProgram) -> K,
 ) -> Result<RoutedProgram, CaqrError> {
     let sr = RouterOptions::sr().with_router(router);
     let baseline = RouterOptions::baseline().with_router(router);
@@ -92,145 +128,30 @@ pub(crate) fn select_version(
         .map(|circuit| (circuit, [baseline, sr]))
         .into_iter()
         .chain(points.iter().map(|point| (&point.circuit, [sr, baseline])));
-    let mut best: Option<((usize, usize, usize), RoutedProgram)> = None;
+    let mut best: Option<(K, RoutedProgram)> = None;
     let mut last_err = None;
     for (circuit, policies) in versions {
-        route_versions(circuit, device, policies, |candidate| match candidate {
-            Ok(routed) => {
-                let key = (
-                    routed.swap_count + routed.movement_stages,
-                    routed.physical_qubits_used,
-                    routed.circuit.depth(),
-                );
-                if best.as_ref().is_none_or(|(b, _)| key < *b) {
-                    best = Some((key, routed));
+        // One analysis cache serves both policies of a version.
+        let mut analyses = AnalysisCache::new();
+        for opts in policies {
+            match router::route_cached(circuit, device, opts, None, &mut analyses) {
+                Ok(routed) => {
+                    let key = rank(&routed);
+                    if best.as_ref().is_none_or(|(b, _)| key < *b) {
+                        best = Some((key, routed));
+                    }
                 }
+                Err(e) => last_err = Some(e),
             }
-            Err(e) => last_err = Some(e),
-        });
+        }
     }
-    finish(best.map(|(_, routed)| routed), last_err)
-}
-
-/// Resolves the best candidate, or the last routing error when every
-/// version failed.
-fn finish(
-    best: Option<RoutedProgram>,
-    last_err: Option<CaqrError>,
-) -> Result<RoutedProgram, CaqrError> {
     match best {
-        Some(b) => Ok(b),
+        Some((_, routed)) => Ok(routed),
         None => {
             Err(last_err
                 .unwrap_or_else(|| CaqrError::internal("version selection saw no candidates")))
         }
     }
-}
-
-/// Routes with the delay/reclaim mapper only — the raw §3.3.1 algorithm
-/// without version selection, exposed for ablations.
-///
-/// # Errors
-///
-/// Returns [`CaqrError::OutOfQubits`] when the circuit cannot fit.
-pub fn route_only(circuit: &Circuit, device: &Device) -> Result<RoutedProgram, CaqrError> {
-    router::route(circuit, device, RouterOptions::sr())
-}
-
-/// SR-CaQR with the *fidelity* objective: the same candidate versions as
-/// [`compile`] / [`compile_commuting`], ranked by estimated success
-/// probability instead of SWAP count. This is the selection the paper's
-/// end-to-end fidelity experiments (Table 3, Figs. 15/16) exercise — the
-/// reuse level that best balances SWAP savings against the added
-/// measure-and-reset duration.
-///
-/// # Errors
-///
-/// Returns [`CaqrError::OutOfQubits`] when no version fits the device.
-pub fn compile_for_fidelity(
-    circuit: &Circuit,
-    device: &Device,
-) -> Result<RoutedProgram, CaqrError> {
-    let mut best: Option<(f64, RoutedProgram)> = None;
-    let mut last_err = None;
-    let mut consider = |candidate: Result<RoutedProgram, CaqrError>| match candidate {
-        Ok(routed) => {
-            let esp = crate::esp::estimate(&routed.circuit, device);
-            if best.as_ref().is_none_or(|(b, _)| esp > *b) {
-                best = Some((esp, routed));
-            }
-        }
-        Err(e) => last_err = Some(e),
-    };
-    route_versions(
-        circuit,
-        device,
-        [RouterOptions::baseline(), RouterOptions::sr()],
-        &mut consider,
-    );
-    let points = match CommutingSpec::from_circuit(circuit) {
-        Ok(spec) => qs::commuting::sweep(&spec, default_matcher(&spec)),
-        Err(_) => qs::regular::sweep(circuit, &device.logical_duration_model()),
-    };
-    for point in points {
-        route_versions(
-            &point.circuit,
-            device,
-            [RouterOptions::sr(), RouterOptions::baseline()],
-            &mut consider,
-        );
-    }
-    finish(best.map(|(_, r)| r), last_err)
-}
-
-/// [`compile_for_fidelity`] for a parametric template. Version selection
-/// ranks by ESP, which reads gate types, durations, and calibration —
-/// never rotation angles — so the chosen version and its routing are
-/// valid for **every** binding of the template. The routed circuit still
-/// carries the template's symbolic slots; stamp concrete angles in with
-/// [`caqr_circuit::parametric::bind_circuit`] (an O(gates) walk).
-///
-/// # Errors
-///
-/// Returns [`CaqrError::OutOfQubits`] when no version fits the device.
-pub fn compile_for_fidelity_template(
-    template: &ParametricCircuit,
-    device: &Device,
-) -> Result<RoutedProgram, CaqrError> {
-    let routed = compile_for_fidelity(template.circuit(), device)?;
-    debug_assert_eq!(
-        parametric::slot_census(&routed.circuit),
-        parametric::slot_census(template.circuit()),
-        "fidelity version selection must preserve the template's slot multiset"
-    );
-    Ok(routed)
-}
-
-/// Compiles a commuting-gate circuit with SR-CaQR (§3.3.2): version
-/// selection over the circuit as given (under the eager-placement then the
-/// delay/reclaim policy) and every point of its QS-CaQR sweep (under the
-/// delay/reclaim then the eager-placement policy), each point the matching
-/// scheduler's gate order for one reuse level (0 up to the maximum). That
-/// is a strict superset of the QS-min-SWAP candidates, so SR never loses
-/// Table 2's comparison by construction. `_slack` is ignored: every reuse
-/// level is a version.
-///
-/// Falls back to [`compile`] when the circuit does not have the
-/// commuting-layer shape.
-///
-/// # Errors
-///
-/// Returns [`CaqrError::OutOfQubits`] as for [`compile`].
-pub fn compile_commuting(
-    circuit: &Circuit,
-    device: &Device,
-    _slack: f64,
-) -> Result<RoutedProgram, CaqrError> {
-    let Ok(spec) = CommutingSpec::from_circuit(circuit) else {
-        return compile(circuit, device);
-    };
-    let points = qs::commuting::sweep(&spec, default_matcher(&spec));
-    select_version(Some(circuit), &points, device, RouterConfig::default())
 }
 
 /// Blossom matching for small instances; the §3.4 greedy alternative once
@@ -247,6 +168,7 @@ pub fn default_matcher(spec: &CommutingSpec) -> Matcher {
 mod tests {
     use super::*;
     use crate::baseline;
+    use caqr_circuit::parametric::{self, ParametricCircuit};
     use caqr_circuit::{Clbit, Qubit};
     use caqr_graph::gen;
 
@@ -290,6 +212,20 @@ mod tests {
         c
     }
 
+    /// SR-CaQR's commuting flow (§3.3.2) outside the pipeline: the circuit
+    /// as given, then every reuse level of its matching-scheduled sweep.
+    fn select_commuting(circuit: &Circuit, device: &Device) -> Result<RoutedProgram, CaqrError> {
+        let spec = CommutingSpec::from_circuit(circuit).expect("commuting-layer shape");
+        let points = qs::commuting::sweep(&spec, default_matcher(&spec));
+        select_version(
+            Some(circuit),
+            &points,
+            device,
+            RouterConfig::default(),
+            swap_rank,
+        )
+    }
+
     #[test]
     fn sr_beats_baseline_swaps_on_bv10() -> TestResult {
         // The Fig. 4/5 argument at scale: BV's star graph strains the
@@ -324,7 +260,7 @@ mod tests {
     fn commuting_path_compiles_qaoa() -> TestResult {
         let dev = Device::mumbai(3);
         let c = qaoa_circuit(8, 0.3, 5);
-        let r = compile_commuting(&c, &dev, 0.1)?;
+        let r = select_commuting(&c, &dev)?;
         assert!(r.is_hardware_compliant(&dev));
         // Version selection guarantees SR is never worse than the no-reuse
         // compilation on SWAPs, and usage stays at or below the baseline
@@ -347,26 +283,20 @@ mod tests {
 
     /// The `sr-route` pass and the free functions run one selection: on a
     /// circuit the peephole pass leaves as it is, SR through the pipeline
-    /// equals the free function for its shape.
+    /// equals the selection for its shape.
     #[test]
     fn sr_route_pass_matches_the_free_functions() -> TestResult {
         let dev = Device::mumbai(3);
-        for c in [qaoa_circuit(8, 0.3, 5), bv(6)] {
-            assert_eq!(caqr_circuit::optimize::peephole(&c), c);
-            let piped = crate::compile(&c, &dev, crate::Strategy::Sr)?;
-            let free = compile_commuting(&c, &dev, 0.1)?;
+        let (qaoa, regular) = (qaoa_circuit(8, 0.3, 5), bv(6));
+        for (c, free) in [
+            (&qaoa, select_commuting(&qaoa, &dev)?),
+            (&regular, compile(&regular, &dev)?),
+        ] {
+            assert_eq!(caqr_circuit::optimize::peephole(c), *c);
+            let piped = crate::compile(c, &dev, crate::Strategy::Sr)?;
             assert_eq!(piped.circuit, free.circuit);
             assert_eq!(piped.swaps, free.swap_count);
         }
-        Ok(())
-    }
-
-    #[test]
-    fn commuting_falls_back_for_regular_circuits() -> TestResult {
-        let dev = Device::mumbai(3);
-        let c = bv(5);
-        let r = compile_commuting(&c, &dev, 0.1)?;
-        assert!(r.is_hardware_compliant(&dev));
         Ok(())
     }
 
@@ -389,7 +319,7 @@ mod tests {
         let dev = Device::mumbai(4);
         let concrete = qaoa_circuit(8, 0.3, 9);
         let (template, values) = ParametricCircuit::parametrize(&concrete);
-        let routed = compile_for_fidelity_template(&template, &dev)?;
+        let routed = compile_for_fidelity(template.circuit(), &dev)?;
         let bound = parametric::bind_circuit(&routed.circuit, template.num_slots(), &values)
             .map_err(|e| e.to_string())?;
         let direct = compile_for_fidelity(&concrete, &dev)?;

@@ -7,8 +7,9 @@
 //! model. Layout, routing, reuse, and scheduling must therefore never
 //! read an angle; this suite is the end-to-end proof of that audit.
 
+use caqr::manager::NoopObserver;
 use caqr::router::CostModelSpec;
-use caqr::{compile_template_with, compile_with, Strategy};
+use caqr::{CancelToken, CaqrError, CompileCtx, CompileReport, PassManager, Strategy};
 use caqr_arch::Device;
 use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
 use caqr_circuit::parametric::{bind_circuit, has_slots, slot_census};
@@ -29,6 +30,23 @@ fn cost_models() -> [CostModelSpec; 3] {
         CostModelSpec::parse("lookahead").expect("valid spec"),
         CostModelSpec::parse("noise-aware").expect("valid spec"),
     ]
+}
+
+/// Compiles `circuit` under `strategy` and `cost_model`: a concrete
+/// circuit, or a template's circuit when `template_slots` is given.
+fn compile(
+    circuit: &Circuit,
+    device: &Device,
+    strategy: Strategy,
+    cost_model: CostModelSpec,
+    template_slots: Option<u32>,
+) -> Result<CompileReport, CaqrError> {
+    let ctx = CompileCtx::new(circuit.clone(), device, strategy).with_router(cost_model);
+    let ctx = match template_slots {
+        Some(num_slots) => ctx.with_parametric(num_slots),
+        None => ctx,
+    };
+    PassManager::for_strategy(strategy).run(ctx, &mut NoopObserver, &CancelToken::new())
 }
 
 /// A rotation-dense regular (non-commuting) circuit: interleaved axes and
@@ -73,10 +91,16 @@ fn bound_template_is_byte_identical_to_direct_compile() {
         for strategy in STRATEGIES {
             for cost_model in cost_models() {
                 let tag = format!("{name} / {strategy} / {cost_model}");
-                let direct = compile_with(&circuit, &device, strategy, cost_model)
+                let direct = compile(&circuit, &device, strategy, cost_model, None)
                     .unwrap_or_else(|e| panic!("{tag}: direct compile failed: {e}"));
-                let routed = compile_template_with(&template, &device, strategy, cost_model)
-                    .unwrap_or_else(|e| panic!("{tag}: template compile failed: {e}"));
+                let routed = compile(
+                    template.circuit(),
+                    &device,
+                    strategy,
+                    cost_model,
+                    Some(template.num_slots()),
+                )
+                .unwrap_or_else(|e| panic!("{tag}: template compile failed: {e}"));
                 // The routed template keeps the full slot multiset…
                 assert!(has_slots(&routed.circuit), "{tag}: slots lost in routing");
                 assert_eq!(
@@ -117,8 +141,14 @@ fn rebinding_the_same_routed_template_is_pure() {
     let device = Device::mumbai(2023);
     let bench = qaoa_benchmark(6, 0.3, GraphKind::Random, 2029);
     let (template, values) = ParametricCircuit::parametrize(&bench.circuit);
-    let routed = compile_template_with(&template, &device, Strategy::Sr, CostModelSpec::Hop)
-        .expect("compiles");
+    let routed = compile(
+        template.circuit(),
+        &device,
+        Strategy::Sr,
+        CostModelSpec::Hop,
+        Some(template.num_slots()),
+    )
+    .expect("compiles");
     let a = bind_circuit(&routed.circuit, template.num_slots(), &values).unwrap();
     let b = bind_circuit(&routed.circuit, template.num_slots(), &values).unwrap();
     assert_eq!(a.fingerprint(), b.fingerprint());

@@ -23,9 +23,10 @@
 //!              (see `caqr::REGISTERED_PASSES`); overrides --strategy's recipe
 //! ```
 
+use caqr::manager::NoopObserver;
 use caqr::{
-    advisor, qs, CostModelSpec, PassManager, RouterConfig, RoutingBackendSpec, Strategy,
-    COST_MODEL_GRAMMAR, REGISTERED_PASSES, ROUTING_BACKEND_GRAMMAR,
+    advisor, qs, CancelToken, CompileCtx, CostModelSpec, PassManager, RouterConfig,
+    RoutingBackendSpec, Strategy, COST_MODEL_GRAMMAR, REGISTERED_PASSES, ROUTING_BACKEND_GRAMMAR,
 };
 use caqr_arch::{Device, Topology};
 use caqr_circuit::depth::UnitDurations;
@@ -73,29 +74,18 @@ fn run(args: &[String]) -> Result<(), String> {
     match command.as_str() {
         "compile" => {
             let device = opts.device()?;
-            let report = match &opts.passes {
-                // A custom pass sequence: run it through the same
-                // PassManager the strategy recipes use, labelled with
-                // whatever --strategy says (for the report header only).
-                Some(names) => {
-                    let manager = PassManager::from_names(names.iter().map(String::as_str))
-                        .map_err(|e| {
-                            format!("{e} (registered: {})", REGISTERED_PASSES.join(", "))
-                        })?;
-                    manager
-                        .run_observed_cancellable_with(
-                            &circuit,
-                            &device,
-                            opts.strategy,
-                            opts.router(),
-                            &mut caqr::manager::NoopObserver,
-                            &caqr::CancelToken::new(),
-                        )
-                        .map_err(|e| format!("compilation failed: {e}"))?
-                }
-                None => caqr::compile_with(&circuit, &device, opts.strategy, opts.router())
-                    .map_err(|e| format!("compilation failed: {e}"))?,
+            // A custom pass sequence runs through the same PassManager the
+            // strategy recipes use, labelled with whatever --strategy says
+            // (for the report header only).
+            let manager = match &opts.passes {
+                Some(names) => PassManager::from_names(names.iter().map(String::as_str))
+                    .map_err(|e| format!("{e} (registered: {})", REGISTERED_PASSES.join(", ")))?,
+                None => PassManager::for_strategy(opts.strategy),
             };
+            let ctx = CompileCtx::new(circuit, &device, opts.strategy).with_router(opts.router());
+            let report = manager
+                .run(ctx, &mut NoopObserver, &CancelToken::new())
+                .map_err(|e| format!("compilation failed: {e}"))?;
             println!("{report}");
             if opts.emit {
                 print!("{}", qasm::to_qasm(&report.circuit));

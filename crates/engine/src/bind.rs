@@ -15,8 +15,8 @@ use crate::job::{FailedJob, JobError};
 use crate::metrics::EngineMetrics;
 use crate::pool::Engine;
 use caqr::{
-    CancelToken, CompileReport, CostModelSpec, RouterConfig, RoutingBackendSpec, StageTrace,
-    Strategy,
+    CancelToken, CompileCtx, CompileReport, CostModelSpec, PassManager, RouterConfig,
+    RoutingBackendSpec, StageTrace, Strategy,
 };
 use caqr_arch::Device;
 use caqr_circuit::fingerprint::{Fingerprint, StableHasher};
@@ -199,13 +199,14 @@ impl Engine {
                 metrics.template_cache_misses = 1;
                 let compile_started = Instant::now();
                 let compiled = catch_unwind(AssertUnwindSafe(|| {
-                    caqr::compile_template_traced_cancellable_with(
-                        &job.template,
-                        &job.device,
-                        job.strategy,
-                        job.router,
-                        cancel,
-                    )
+                    let mut trace = StageTrace::default();
+                    let ctx =
+                        CompileCtx::new(job.template.circuit().clone(), &job.device, job.strategy)
+                            .with_router(job.router)
+                            .with_parametric(job.template.num_slots());
+                    let result =
+                        PassManager::for_strategy(job.strategy).run(ctx, &mut trace, cancel);
+                    (result, trace)
                 }));
                 let (result, trace) = match compiled {
                     Ok(pair) => pair,
@@ -397,8 +398,9 @@ mod tests {
         for (out, values) in [(&cold_out, &job.values), (&warm_out, &warm_job.values)] {
             let concrete =
                 bind_circuit(job.template.circuit(), job.template.num_slots(), values).unwrap();
-            let direct =
-                caqr::compile_with(&concrete, &job.device, job.strategy, job.router).unwrap();
+            let direct = CompileJob::new("direct", concrete, job.device.clone(), job.strategy)
+                .with_router(job.router);
+            let direct = crate::pool::compile_alone(&direct, &token).0.unwrap();
             assert_eq!(out.report.circuit, direct.circuit);
             assert_eq!(out.report.depth, direct.depth);
             assert_eq!(out.report.esp.to_bits(), direct.esp.to_bits());

@@ -6,7 +6,7 @@ use crate::cache::CompileCache;
 use crate::job::{BatchReport, BatchRequest, CompileJob, FailedJob, JobError, JobOutcome};
 use crate::metrics::EngineMetrics;
 use crate::sweep::SweepMemo;
-use caqr::{CancelToken, CaqrError, CompileReport, PassManager, StageTrace};
+use caqr::{CancelToken, CaqrError, CompileCtx, CompileReport, PassManager, StageTrace};
 use caqr_sim::effective_workers;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,6 +34,15 @@ where
 /// What compiling one job yields: the report (or error) plus stage
 /// timings.
 type Compiled = (Result<CompileReport, CaqrError>, StageTrace);
+
+/// Compiles `job` through its strategy's full recipe, sharing nothing.
+pub(crate) fn compile_alone(job: &CompileJob, cancel: &CancelToken) -> Compiled {
+    let mut trace = StageTrace::default();
+    let ctx =
+        CompileCtx::new(job.circuit.clone(), &job.device, job.strategy).with_router(job.router);
+    let result = PassManager::for_strategy(job.strategy).run(ctx, &mut trace, cancel);
+    (result, trace)
+}
 
 /// The batch-compilation engine.
 ///
@@ -97,13 +106,7 @@ impl Engine {
         let compile =
             |index: usize, job: &CompileJob| match PassManager::for_selection(job.strategy) {
                 Some(selection) => memo.compile(index, job, &selection, cancel),
-                None => caqr::compile_traced_cancellable_with(
-                    &job.circuit,
-                    &job.device,
-                    job.strategy,
-                    job.router,
-                    cancel,
-                ),
+                None => compile_alone(job, cancel),
             };
         Self::run_impl(request, cache, &compile, &memo, cancel)
     }
@@ -360,7 +363,7 @@ mod tests {
             if job.name == "boom" {
                 panic!("injected failure in {}", job.name);
             }
-            caqr::compile_traced(&job.circuit, &job.device, job.strategy)
+            compile_alone(job, &CancelToken::new())
         };
         let mut all = jobs();
         all.insert(
@@ -389,7 +392,7 @@ mod tests {
         let compiles = Counter::new(0);
         let counting = |job: &CompileJob| {
             compiles.fetch_add(1, Ordering::SeqCst);
-            caqr::compile_traced(&job.circuit, &job.device, job.strategy)
+            compile_alone(job, &CancelToken::new())
         };
         let duplicated: Vec<CompileJob> = jobs().into_iter().chain(jobs()).collect();
         let request = BatchRequest::new(duplicated).with_options(BatchOptions {

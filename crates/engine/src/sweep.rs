@@ -124,7 +124,7 @@ impl SweepMemo {
         let result = seeded.and_then(|ctx| {
             let counter = if built { &self.computed } else { &self.reused };
             counter.fetch_add(1, Ordering::Relaxed);
-            selection.run_ctx(ctx, &mut trace, cancel)
+            selection.run(ctx, &mut trace, cancel)
         });
         (result, trace)
     }
@@ -335,6 +335,7 @@ impl<T> Drop for Publish<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::compile_alone;
     use caqr::Strategy;
     use caqr_arch::Device;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -492,7 +493,7 @@ mod tests {
         for (index, job) in jobs.iter().enumerate() {
             let selection = PassManager::for_selection(job.strategy).expect("consumer");
             let (result, trace) = memo.compile(index, job, &selection, &token);
-            let alone = caqr::compile_with(&job.circuit, &job.device, job.strategy, job.router);
+            let (alone, _) = compile_alone(job, &CancelToken::new());
             assert!(matches!(
                 result,
                 Err(CaqrError::BackendDeviceMismatch { .. })
@@ -527,13 +528,7 @@ mod tests {
         for (index, job) in jobs.iter().enumerate() {
             let selection = PassManager::for_selection(job.strategy).expect("consumer");
             let (result, _) = memo.compile(index, job, &selection, &token);
-            let (alone, _) = caqr::compile_traced_cancellable_with(
-                &job.circuit,
-                &job.device,
-                job.strategy,
-                job.router,
-                &token,
-            );
+            let (alone, _) = compile_alone(job, &token);
             assert_eq!(result.unwrap_err(), alone.unwrap_err());
             memo.finish(index);
         }

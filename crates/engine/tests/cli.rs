@@ -217,6 +217,27 @@ fn compile_accepts_router_alias() {
     assert!(stderr.contains("unknown cost model"), "{stderr}");
 }
 
+/// `--passes` runs its names through the same pass manager as the
+/// strategy recipes: a strategy's recipe spelled out compiles exactly what
+/// the strategy does, and an unknown name fails listing the registry.
+#[test]
+fn compile_passes_spelling_out_a_recipe_matches_the_strategy() {
+    for (strategy, passes) in [
+        ("baseline", "optimize,baseline-route,report"),
+        ("sr", "optimize,commuting-analysis,qs-sweep,sr-route,report"),
+    ] {
+        let args = ["compile", "-", "--strategy", strategy, "--emit"];
+        let (by_strategy, _, ok) = run(&args, BV3_QASM);
+        assert!(ok, "{by_strategy}");
+        let (by_passes, _, ok) = run(&[&args[..], &["--passes", passes]].concat(), BV3_QASM);
+        assert!(ok, "{by_passes}");
+        assert_eq!(by_passes, by_strategy, "{strategy}");
+    }
+    let (_, stderr, ok) = run(&["compile", "-", "--passes", "optimize,bogus"], BV3_QASM);
+    assert!(!ok);
+    assert!(stderr.contains("registered: optimize"), "{stderr}");
+}
+
 #[test]
 fn compile_routes_with_the_dpqa_backend_on_a_grid_device() {
     let (stdout, _, ok) = run(

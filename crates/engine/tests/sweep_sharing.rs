@@ -3,7 +3,11 @@
 //! never share across a differing input, and a failed sweep fails each job
 //! exactly as it fails alone.
 
-use caqr::{CancelToken, CaqrError, CompileReport, CostModelSpec, RoutingBackendSpec, Strategy};
+use caqr::manager::NoopObserver;
+use caqr::{
+    CancelToken, CaqrError, CompileCtx, CompileReport, CostModelSpec, PassManager,
+    RoutingBackendSpec, Strategy,
+};
 use caqr_arch::Device;
 use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
 use caqr_benchmarks::{bv, revlib, Benchmark};
@@ -31,7 +35,9 @@ fn run(jobs: Vec<CompileJob>, workers: usize) -> BatchReport {
 }
 
 fn alone(job: &CompileJob) -> Result<CompileReport, CaqrError> {
-    caqr::compile_with(&job.circuit, &job.device, job.strategy, job.router)
+    let ctx =
+        CompileCtx::new(job.circuit.clone(), &job.device, job.strategy).with_router(job.router);
+    PassManager::for_strategy(job.strategy).run(ctx, &mut NoopObserver, &CancelToken::new())
 }
 
 fn assert_same_report(batched: &CompileReport, direct: &CompileReport, what: &str) {

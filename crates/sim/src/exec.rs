@@ -23,7 +23,8 @@
 //!    stream, so they remain bit-exact. When nothing but the deferred
 //!    measurement tail (item 4) follows the prefix, the plan keeps the
 //!    snapshot's probability table instead of the state, and a fork
-//!    samples its tail from the table without copying anything.
+//!    samples its tail from the table without copying anything. A shard
+//!    allocates its dense state only when a shot runs on one.
 //! 4. **Deferred measurement sampling** — a measurement whose qubit and
 //!    classical bit are never consulted afterwards commutes past the rest
 //!    of the circuit, so such measurements move to the end of the program
@@ -462,7 +463,7 @@ impl Executor {
         let stopped = AtomicBool::new(false);
         let shards = parallel::run_shards(workers, shots, |range| {
             let mut counts = Counts::new(circuit.num_clbits());
-            let mut scratch = ShotScratch::new(circuit.num_qubits(), self.wide);
+            let mut scratch = ShotScratch::new();
             let mut forks = 0usize;
             for (done, shot) in range.enumerate() {
                 if done % CANCEL_CHUNK == 0 && (stopped.load(Ordering::Relaxed) || should_stop()) {
@@ -490,7 +491,7 @@ impl Executor {
             threads: workers,
             gates_in: stats.gates_in,
             kernels_out: stats.kernels_out,
-            prefix_ops: if plan.snapshot.is_some() {
+            prefix_ops: if plan.snapshot.is_some() || plan.sparse_snapshot.is_some() {
                 plan.boundary_op
             } else {
                 0
@@ -520,7 +521,7 @@ impl Executor {
             return tplan.run_shot(&mut tab, seed, 0);
         }
         let plan = self.plan(circuit);
-        let mut scratch = ShotScratch::new(circuit.num_qubits(), self.wide);
+        let mut scratch = ShotScratch::new();
         plan.run_shot(seed, 0, &mut scratch).0
     }
 
@@ -694,6 +695,7 @@ impl Executor {
             tables,
             program,
             kernels: self.kernels,
+            wide: self.wide,
             tail,
             boundary_op,
             boundary_pos,
@@ -733,18 +735,17 @@ impl Executor {
         }
         if self.snapshot && forkable && boundary_op > 0 {
             let state = self.prefix_state(&mut plan);
+            // Sparse forks stay on the support-sized state. Otherwise,
+            // when the deferred tail is all that follows the prefix, a
+            // fork only samples that tail, which reads nothing but |a|².
+            let tail_only = boundary_op + plan.tail.tail_len == plan.program.ops().len();
             if plan.sparse {
                 plan.sparse_snapshot = Some(Snapshot::State(SparseState::from_dense(&state)));
-            }
-            // When the deferred tail is all that follows the prefix, a
-            // fork only samples that tail, which reads nothing but |a|².
-            // Sparse forks stay on the support-sized state instead.
-            let tail_only = boundary_op + plan.tail.tail_len == plan.program.ops().len();
-            plan.snapshot = Some(if tail_only && !plan.sparse {
-                Snapshot::Table(ProbTable::of(&state))
+            } else if tail_only {
+                plan.snapshot = Some(Snapshot::Table(ProbTable::of(&state)));
             } else {
-                Snapshot::State(state)
-            });
+                plan.snapshot = Some(Snapshot::State(state));
+            }
         }
         plan
     }
@@ -1027,12 +1028,13 @@ fn merge_event(ev: &PauliEvent, x: &mut u64, z: &mut u64) {
 
 /// Per-worker mutable storage reused across shots.
 struct ShotScratch {
-    state: StateVector,
-    /// Sparse twin of `state`, created lazily on the first sparse shot
-    /// (plans that never go sparse never pay for it).
+    /// The dense state, created on the first shot that runs on it: a
+    /// replay, a fork of a [`Snapshot::State`] or a chunked dense shot.
+    /// Table forks and sparse shots never touch it, so a plan that only
+    /// runs those never pays for `2^n` amplitudes per shard.
+    state: Option<StateVector>,
+    /// Sparse twin of `state`, likewise created on the first sparse shot.
     sparse: Option<SparseState>,
-    /// Wide-kernel setting, for the lazy sparse construction.
-    wide: bool,
     /// Pauli events recorded by chunk pre-walks (chunked path only).
     events: Vec<PauliEvent>,
     /// Cumulative event counts, one per prefix chunk (chunked path only).
@@ -1042,13 +1044,10 @@ struct ShotScratch {
 }
 
 impl ShotScratch {
-    fn new(num_qubits: usize, wide: bool) -> Self {
-        let mut state = StateVector::zero(num_qubits);
-        state.set_wide(wide);
+    fn new() -> Self {
         ShotScratch {
-            state,
+            state: None,
             sparse: None,
-            wide,
             events: Vec::new(),
             ends: Vec::new(),
             memo: TailMemo::default(),
@@ -1301,14 +1300,16 @@ struct ShotPlan<'c> {
     tables: Option<NoiseTables>,
     program: CompiledCircuit,
     kernels: bool,
+    /// Wide-kernel setting of the states shots run on.
+    wide: bool,
     /// Execution order plus deferred-tail sampling bookkeeping.
     tail: DeferredTail,
     /// Ops before the first measurement/reset.
     boundary_op: usize,
     /// Execution-order position of the first measurement/reset.
     boundary_pos: usize,
-    /// What shots fork from after the deterministic prefix, when forking
-    /// is enabled.
+    /// What dense shots fork from after the deterministic prefix, when
+    /// forking is enabled (`None` for sparse plans).
     snapshot: Option<Snapshot<StateVector>>,
     /// Body partition for the chunked noisy fast path (`None` = stream
     /// ops one at a time).
@@ -1334,7 +1335,6 @@ impl ShotPlan<'_> {
         let ShotScratch {
             state,
             sparse,
-            wide,
             events,
             ends,
             memo,
@@ -1342,10 +1342,8 @@ impl ShotPlan<'_> {
         let mut rng = shot_rng(seed, shot);
         if self.chunks.is_some() {
             if self.sparse {
-                let n = self.circuit.num_qubits();
-                let sp = sparse.get_or_insert_with(|| SparseState::new(n, *wide));
                 let snapshot = self.sparse_snapshot.as_ref();
-                return self.run_shot_chunked(&mut rng, snapshot, sp, events, ends, memo);
+                return self.run_shot_chunked(&mut rng, snapshot, sparse, events, ends, memo);
             }
             let snapshot = self.snapshot.as_ref();
             return self.run_shot_chunked(&mut rng, snapshot, state, events, ends, memo);
@@ -1354,6 +1352,7 @@ impl ShotPlan<'_> {
             if self.prefix_event_free(&mut rng) {
                 let value = match snapshot {
                     Snapshot::State(prefix) => {
+                        let state = self.state_in(state);
                         state.load(prefix);
                         self.finish_shot(self.boundary_op, &mut rng, state)
                     }
@@ -1365,8 +1364,14 @@ impl ShotPlan<'_> {
             // this shot's stream so the draw sequence matches exactly.
             rng = shot_rng(seed, shot);
         }
+        let state = self.state_in(state);
         state.set_zero();
         (self.finish_shot(0, &mut rng, state), false)
+    }
+
+    /// The state in `slot`, made on first use.
+    fn state_in<'s, S: SimState>(&self, slot: &'s mut Option<S>) -> &'s mut S {
+        slot.get_or_insert_with(|| S::zero(self.circuit.num_qubits(), self.wide))
     }
 
     /// Samples a tail-only fork's deferred tail from the prefix table,
@@ -1405,12 +1410,14 @@ impl ShotPlan<'_> {
     /// phase-invariant. Only a frame that stalls against a non-Clifford
     /// kernel forces a from-zero replay with the recorded Paulis
     /// interleaved at their exact positions. A fork from a probability
-    /// table samples the tail straight from it under the frame's X mask.
+    /// table samples the tail straight from it under the frame's X mask,
+    /// and is the one shot that leaves `slot` as it is; every other shot
+    /// runs on `slot`'s state, made on first use.
     fn run_shot_chunked<S: SimState>(
         &self,
         rng: &mut ChaCha8Rng,
         snapshot: Option<&Snapshot<S>>,
-        state: &mut S,
+        slot: &mut Option<S>,
         ev_buf: &mut Vec<PauliEvent>,
         ends: &mut Vec<usize>,
         memo: &mut TailMemo,
@@ -1443,18 +1450,18 @@ impl ShotPlan<'_> {
             } else {
                 self.forward_frame(ev_buf)
             };
+            if let (Some((x, _)), Snapshot::Table(table)) = (frame, snapshot) {
+                let value = self.sample_table(rng, table, x, body_flips, memo);
+                return (value, true);
+            }
+            let state = self.state_in(slot);
             if let Some((x, z)) = frame {
-                match snapshot {
-                    Snapshot::State(prefix) => {
-                        state.load(prefix);
-                        state.apply_pauli_masks(x, z);
-                        forked = true;
-                    }
-                    Snapshot::Table(table) => {
-                        let value = self.sample_table(rng, table, x, body_flips, memo);
-                        return (value, true);
-                    }
-                }
+                let Snapshot::State(prefix) = snapshot else {
+                    unreachable!("table forks returned above");
+                };
+                state.load(prefix);
+                state.apply_pauli_masks(x, z);
+                forked = true;
             } else {
                 state.set_zero();
                 let mut ev0 = 0usize;
@@ -1478,8 +1485,9 @@ impl ShotPlan<'_> {
             }
             first = self.prefix_chunks;
         } else {
-            state.set_zero();
+            self.state_in(slot).set_zero();
         }
+        let state = self.state_in(slot);
         for chunk in &chunks[first..] {
             match chunk {
                 Chunk::Inline { pos } => {
@@ -2413,7 +2421,40 @@ mod tests {
         ghz_t.measure_all();
         let plan = noisy.plan(&ghz_t);
         assert!(plan.sparse);
-        assert!(matches!(plan.snapshot, Some(Snapshot::State(_))));
+        assert!(
+            plan.snapshot.is_none(),
+            "no dense prefix state beside the sparse one"
+        );
+        assert!(matches!(plan.sparse_snapshot, Some(Snapshot::State(_))));
+        let (_, report) = noisy.run_shots_traced(&ghz_t, 64, 5);
+        assert!(plan.boundary_op > 0);
+        assert_eq!(report.prefix_ops, plan.boundary_op);
+    }
+
+    #[test]
+    fn only_shots_that_run_on_the_dense_state_allocate_it() {
+        let commuting = commuting_circuit();
+        // Ideal shots of a table plan all sample the prefix table.
+        let ideal = Executor::ideal();
+        let plan = ideal.plan(&commuting);
+        assert!(matches!(plan.snapshot, Some(Snapshot::Table(_))));
+        let mut scratch = ShotScratch::new();
+        for shot in 0..64 {
+            assert!(plan.run_shot(41, shot, &mut scratch).1);
+        }
+        assert!(scratch.state.is_none() && scratch.sparse.is_none());
+        // Noisy shots fork from the table too, until an X or Y error meets
+        // the T gate and the shot replays from |0..0> on a dense state.
+        let noisy = Executor::noisy(NoiseModel::from_device(Device::mumbai(0)).with_scale(4.0));
+        let plan = noisy.plan(&commuting);
+        assert!(matches!(plan.snapshot, Some(Snapshot::Table(_))));
+        let mut scratch = ShotScratch::new();
+        let mut replayed = false;
+        for shot in 0..300 {
+            replayed |= !plan.run_shot(41, shot, &mut scratch).1;
+            assert_eq!(scratch.state.is_some(), replayed, "shot {shot}");
+        }
+        assert!(replayed, "some shot replays");
     }
 
     #[test]
@@ -2435,7 +2476,7 @@ mod tests {
         for exec in [Executor::ideal(), Executor::noisy(noisy)] {
             let plan = exec.plan(&circ);
             assert!(matches!(plan.snapshot, Some(Snapshot::Table(_))));
-            let mut scratch = ShotScratch::new(n, true);
+            let mut scratch = ShotScratch::new();
             scratch.memo.cap = 16;
             let mut capped = Counts::new(n);
             for shot in 0..300 {

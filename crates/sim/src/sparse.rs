@@ -45,7 +45,9 @@ use rand_chacha::ChaCha8Rng;
 /// by both the dense [`StateVector`] and the sparse [`SparseState`]. The
 /// executor's chunked hot path is generic over this trait, so one body
 /// of replay/fork/sampling logic serves both engines.
-pub(crate) trait SimState {
+pub(crate) trait SimState: Sized {
+    /// The all-zeros state |0...0> of `num_qubits` qubits.
+    fn zero(num_qubits: usize, wide: bool) -> Self;
     /// Overwrites this state with a copy of `src`.
     fn load(&mut self, src: &Self);
     /// Resets to |0...0> with an identity bit permutation.
@@ -70,6 +72,12 @@ pub(crate) trait SimState {
 }
 
 impl SimState for StateVector {
+    fn zero(num_qubits: usize, wide: bool) -> Self {
+        let mut state = StateVector::zero(num_qubits);
+        state.set_wide(wide);
+        state
+    }
+
     fn load(&mut self, src: &Self) {
         StateVector::load(self, src);
     }
@@ -500,6 +508,10 @@ impl SparseState {
 }
 
 impl SimState for SparseState {
+    fn zero(num_qubits: usize, wide: bool) -> Self {
+        SparseState::new(num_qubits, wide)
+    }
+
     fn load(&mut self, src: &Self) {
         if self.dense || src.dense {
             self.inner.load(&src.inner);
