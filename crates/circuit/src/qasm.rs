@@ -9,6 +9,9 @@ use crate::circuit::{Circuit, Clbit, Instruction, Operands, Qubit};
 use crate::gate::Gate;
 use std::fmt::Write as _;
 
+#[cfg(test)]
+mod reference;
+
 /// Serializes `circuit` as OpenQASM 2 text.
 ///
 /// # Examples
@@ -112,7 +115,7 @@ pub enum QasmStmt {
     /// A gate application, measurement, or reset. Operand indices are
     /// *not* yet range-checked against the declared registers: the
     /// dialect tolerates declarations after uses, so validation is
-    /// deferred to the end of the program (see [`validate_ranges`]).
+    /// deferred to the end of the program (see [`DeclaredRanges`]).
     Instr(Instruction),
 }
 
@@ -139,9 +142,10 @@ impl LineParser {
     /// Parses one source line (1-based `lineno` for error reporting).
     /// Returns `None` for lines that carry no circuit content.
     ///
-    /// A statement costs no heap allocation: delimiters are found by byte
-    /// scans, angles land in a fixed array and operands straight in
-    /// [`Operands`]. Only an error allocates (its message).
+    /// The line is read in one forward pass: its head word picks the
+    /// statement kind, and one cursor reads the angles, the `q[i]`/`c[i]`
+    /// operands and the final `;`. A statement costs no heap allocation;
+    /// only an error allocates (its message).
     ///
     /// # Errors
     ///
@@ -152,182 +156,505 @@ impl LineParser {
         raw: &str,
         lineno: usize,
     ) -> Result<Option<QasmStmt>, ParseQasmError> {
-        let line = match find_pair(raw, *b"//") {
-            Some(comment) => &raw[..comment],
-            None => raw,
-        }
-        .trim();
         if self.in_gate_body {
-            if line.contains('}') {
+            if before_comment(raw).contains('}') {
                 self.in_gate_body = false;
             }
             return Ok(None);
         }
-        if line.starts_with("gate ") || line.starts_with("gate\t") {
-            self.in_gate_body = !line.contains('}');
-            return Ok(None);
-        }
-        if line.is_empty()
-            || line.starts_with("OPENQASM")
-            || line.starts_with("include")
-            || line.starts_with("barrier")
-        {
-            return Ok(None);
-        }
-        let stmt = line
-            .strip_suffix(';')
-            .ok_or_else(|| ParseQasmError::new(lineno, "missing ';'"))?
-            .trim();
-        if let Some(rest) = stmt.strip_prefix("qreg") {
-            return Ok(Some(QasmStmt::Qreg(parse_reg_decl(rest, lineno)?)));
-        }
-        if let Some(rest) = stmt.strip_prefix("creg") {
-            return Ok(Some(QasmStmt::Creg(parse_reg_decl(rest, lineno)?)));
-        }
-
-        let (condition, body) = match stmt.strip_prefix("if(") {
-            Some(rest) => {
-                let close = find_byte(rest, b')')
-                    .ok_or_else(|| ParseQasmError::new(lineno, "unterminated if("))?;
-                let bit = rest[..close]
-                    .strip_prefix("c[")
-                    .and_then(|s| s.strip_suffix("]==1"))
-                    .ok_or_else(|| {
-                        ParseQasmError::new(lineno, "only if(c[i]==1) conditions supported")
-                    })?;
-                let idx = parse_u32_index(bit.as_bytes())
-                    .ok_or_else(|| ParseQasmError::new(lineno, "bad condition bit"))?;
-                (Some(Clbit::new(idx)), rest[close + 1..].trim())
-            }
-            None => (None, stmt),
-        };
-
-        if let Some(rest) = body.strip_prefix("measure") {
-            let arrow = find_pair(rest, *b"->")
-                .ok_or_else(|| ParseQasmError::new(lineno, "measure missing '->'"))?;
-            let qi = parse_index(rest[..arrow].trim(), b'q', lineno)?;
-            let ci = parse_index(rest[arrow + 2..].trim(), b'c', lineno)?;
-            return Ok(Some(QasmStmt::Instr(Instruction {
-                gate: Gate::Measure,
-                qubits: Operands::from_slice(&[Qubit::new(qi)]),
-                clbit: Some(Clbit::new(ci)),
-                condition,
-            })));
-        }
-
-        // Gate application: name[(angle[, angle...])] q[i][, q[j]].
-        // The angle list is delimited by its parentheses (angle
-        // expressions may contain spaces), so the operand list starts
-        // after ')' when one is present and after the first space
-        // otherwise.
-        let mut angles = [0.0; 3];
-        let (name, num_angles, operands) = match find_byte(body, b'(') {
-            Some(open) => {
-                let rest = &body[open + 1..];
-                let close = find_byte(rest, b')')
-                    .ok_or_else(|| ParseQasmError::new(lineno, "unterminated angle"))?;
-                let mut count = 0;
-                for expr in split_byte(&rest[..close], b',') {
-                    let angle = parse_angle_expr(expr)
-                        .ok_or_else(|| ParseQasmError::new(lineno, "bad angle"))?;
-                    if let Some(slot) = angles.get_mut(count) {
-                        *slot = angle;
-                    }
-                    count += 1;
+        let line = trim_start(raw);
+        match line.as_bytes() {
+            [] | [b'/', b'/', ..] => return Ok(None),
+            [b'g', b'a', b't', b'e', b' ' | b'\t', ..] => {
+                // A definition, unless a comment leaves no text after
+                // "gate" and its blank is trimmed away.
+                let line = before_comment(raw);
+                if line.len() > 4 {
+                    self.in_gate_body = !line.contains('}');
+                    return Ok(None);
                 }
-                (body[..open].trim(), count, rest[close + 1..].trim())
             }
-            None => {
-                let space = find_byte(body, b' ')
-                    .ok_or_else(|| ParseQasmError::new(lineno, "gate missing operands"))?;
-                (&body[..space], 0, &body[space + 1..])
+            [b'O', b'P', b'E', b'N', b'Q', b'A', b'S', b'M', ..]
+            | [b'i', b'n', b'c', b'l', b'u', b'd', b'e', ..]
+            | [b'b', b'a', b'r', b'r', b'i', b'e', b'r', ..] => return Ok(None),
+            [reg @ (b'q' | b'c'), b'r', b'e', b'g', ..] => {
+                // Any text may stand before a declaration's '[', a
+                // comment included, so it is read up to its comment.
+                let stmt = statement(before_comment(raw), lineno)?;
+                let size = register_size(&stmt[4..])
+                    .ok_or_else(|| ParseQasmError::new(lineno, "bad register declaration"))?;
+                return Ok(Some(match reg {
+                    b'q' => QasmStmt::Qreg(size),
+                    _ => QasmStmt::Creg(size),
+                }));
             }
-        };
-        // More than three angles names no gate.
-        let gate = angles
-            .get(..num_angles)
-            .and_then(|angles| gate_from_name(name, angles))
-            .ok_or_else(|| ParseQasmError::new(lineno, format!("unknown gate '{name}'")))?;
-        // Every operand is parsed (a malformed one is reported first),
-        // but only a gate's worth are kept.
-        let mut qubits = Operands::new();
-        let mut count = 0;
-        for op in split_byte(operands, b',') {
-            let qi = parse_index(op.trim(), b'q', lineno)?;
-            if count < Operands::MAX {
-                qubits.push(Qubit::new(qi));
+            _ => {}
+        }
+        let mut line = trim_end(line);
+        if !line.ends_with(';') {
+            // Perhaps a trailing comment.
+            line = before_comment(raw);
+        }
+        match statement(line, lineno).and_then(|stmt| instruction(stmt, lineno)) {
+            Ok(instr) => Ok(Some(QasmStmt::Instr(instr))),
+            Err(err) => {
+                // No instruction the grammar accepts holds "//", so only
+                // a line that failed can hide a comment before its ';'.
+                let cut = before_comment(raw);
+                if cut.len() == line.len() {
+                    return Err(err);
+                }
+                let instr = statement(cut, lineno).and_then(|stmt| instruction(stmt, lineno))?;
+                Ok(Some(QasmStmt::Instr(instr)))
             }
-            count += 1;
         }
-        if count != gate.num_qubits() {
-            return Err(ParseQasmError::new(lineno, "operand count mismatch"));
-        }
-        if count == 2 && qubits[0] == qubits[1] {
-            return Err(ParseQasmError::new(
-                lineno,
-                "two-qubit gate operands must differ",
-            ));
-        }
-        Ok(Some(QasmStmt::Instr(Instruction {
-            gate,
-            qubits,
-            clbit: None,
-            condition,
-        })))
     }
 }
 
-/// Byte offset of the first `sep` in `s`.
-fn find_byte(s: &str, sep: u8) -> Option<usize> {
-    s.bytes().position(|b| b == sep)
+/// The bytes `str::trim` removes from ASCII text: `\t`, `\n`, VT, FF,
+/// `\r` and space (`u8::is_ascii_whitespace` leaves out VT).
+fn is_blank(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
 }
 
-/// Byte offset of the first occurrence of the two-byte ASCII `pair`.
-fn find_pair(s: &str, pair: [u8; 2]) -> Option<usize> {
-    s.as_bytes()
-        .windows(2)
-        .position(|w| w[0] == pair[0] && w[1] == pair[1])
+/// `str::trim_start`, with ASCII blanks skipped byte by byte: any other
+/// whitespace starts with a non-ASCII byte, where `str::trim_start`
+/// takes over.
+fn trim_start(s: &str) -> &str {
+    let rest = &s[s.bytes().take_while(|&b| is_blank(b)).count()..];
+    match rest.as_bytes().first() {
+        Some(&b) if !b.is_ascii() => rest.trim_start(),
+        _ => rest,
+    }
 }
 
-/// The pieces of `s` between `sep` bytes, as `str::split` with an ASCII
-/// separator yields them.
-fn split_byte(s: &str, sep: u8) -> impl Iterator<Item = &str> {
-    let mut rest = Some(s);
-    std::iter::from_fn(move || {
-        let r = rest?;
-        Some(match find_byte(r, sep) {
-            Some(at) => {
-                rest = Some(&r[at + 1..]);
-                &r[..at]
-            }
-            None => {
-                rest = None;
-                r
-            }
-        })
+/// `str::trim_end`, read as [`trim_start`] reads the front.
+fn trim_end(s: &str) -> &str {
+    let rest = &s[..s.len() - s.bytes().rev().take_while(|&b| is_blank(b)).count()];
+    match rest.as_bytes().last() {
+        Some(&b) if !b.is_ascii() => rest.trim_end(),
+        _ => rest,
+    }
+}
+
+fn trim(s: &str) -> &str {
+    trim_end(trim_start(s))
+}
+
+/// The line up to its first `//`, trimmed.
+fn before_comment(raw: &str) -> &str {
+    trim(raw.find("//").map_or(raw, |comment| &raw[..comment]))
+}
+
+/// A line without its final `;`, trimmed.
+fn statement(line: &str, lineno: usize) -> Result<&str, ParseQasmError> {
+    line.strip_suffix(';')
+        .map(trim_end)
+        .ok_or_else(|| ParseQasmError::new(lineno, "missing ';'"))
+}
+
+/// `n` of a declaration's `...[n]` (`usize::from_str` digits).
+fn register_size(rest: &str) -> Option<usize> {
+    let (_, size) = rest.split_once('[')?;
+    size.strip_suffix(']')?.parse().ok()
+}
+
+/// `[if(c[i]==1)] measure q[i] -> c[j]` or
+/// `[if(c[i]==1)] name[(angles)] q[i][, q[j]]`.
+fn instruction(stmt: &str, lineno: usize) -> Result<Instruction, ParseQasmError> {
+    let (condition, body) = match stmt.strip_prefix("if(") {
+        None => (None, stmt),
+        Some(rest) => {
+            let close = rest
+                .find(')')
+                .ok_or_else(|| ParseQasmError::new(lineno, "unterminated if("))?;
+            let bit = rest[..close]
+                .strip_prefix("c[")
+                .and_then(|bit| bit.strip_suffix("]==1"))
+                .ok_or_else(|| {
+                    ParseQasmError::new(lineno, "only if(c[i]==1) conditions supported")
+                })?;
+            let mut digits = Cursor::new(bit);
+            let bit = digits
+                .index()
+                .filter(|_| digits.done())
+                .ok_or_else(|| ParseQasmError::new(lineno, "bad condition bit"))?;
+            (Some(Clbit::new(bit)), trim_start(&rest[close + 1..]))
+        }
+    };
+    let (gate, qubits, clbit) = match body.strip_prefix("measure") {
+        Some(rest) => measure(rest, lineno)?,
+        None => application(body, lineno)?,
+    };
+    Ok(Instruction {
+        gate,
+        qubits,
+        clbit,
+        condition,
     })
 }
 
-/// The end-of-program range check both importers apply: the dialect
-/// tolerates register declarations *after* uses, so operand ranges are
-/// only checkable once the whole program has been seen.
-///
-/// # Errors
-///
-/// The importers' historical "operand out of declared range" error (line
-/// 0 — the offending declaration order has no single line).
-pub fn validate_ranges(
-    instr: &Instruction,
-    num_qubits: usize,
-    num_clbits: usize,
-) -> Result<(), ParseQasmError> {
-    if instr.qubits.iter().any(|q| q.index() >= num_qubits)
-        || instr.clbit.is_some_and(|c| c.index() >= num_clbits)
-        || instr.condition.is_some_and(|c| c.index() >= num_clbits)
-    {
-        return Err(ParseQasmError::new(0, "operand out of declared range"));
+type Parsed = (Gate, Operands, Option<Clbit>);
+
+/// `q[i] -> c[j]`, after `measure`.
+fn measure(rest: &str, lineno: usize) -> Result<Parsed, ParseQasmError> {
+    let arrow = rest
+        .find("->")
+        .ok_or_else(|| ParseQasmError::new(lineno, "measure missing '->'"))?;
+    let (qubit, clbit) = (&rest[..arrow], &rest[arrow + 2..]);
+    let q = whole_operand(qubit, b'q').ok_or_else(|| bad_operand(qubit, b'q', lineno))?;
+    let c = whole_operand(clbit, b'c').ok_or_else(|| bad_operand(clbit, b'c', lineno))?;
+    let qubits = Operands::from_slice(&[Qubit::new(q)]);
+    Ok((Gate::Measure, qubits, Some(Clbit::new(c))))
+}
+
+/// `name[(angles)] operands`. The angle list is delimited by its
+/// parentheses (angle expressions may hold blanks), so the operands
+/// follow its ')' when the statement has a '(' and the name's first
+/// space otherwise.
+fn application(body: &str, lineno: usize) -> Result<Parsed, ParseQasmError> {
+    let mut cursor = Cursor::new(body);
+    cursor.skip(|b| b.is_ascii_alphanumeric());
+    let name_end = cursor.at;
+    cursor.blanks();
+    if cursor.peek() == Some(b'(') {
+        return with_angles(body, cursor.at, lineno);
     }
-    Ok(())
+    let space = match body.as_bytes().get(name_end) {
+        Some(b' ') => Some(name_end),
+        _ => body.find(' '),
+    };
+    let parsed = match space {
+        None => Err(ParseQasmError::new(lineno, "gate missing operands")),
+        Some(space) => {
+            let name = &body[..space];
+            named_gate(name, [0.0; 3], 0)
+                .ok_or_else(|| unknown_gate(name, lineno))
+                .and_then(|gate| Ok((gate, operands(gate, &body[space + 1..], lineno)?, None)))
+        }
+    };
+    // The operand grammar holds no '(', so only a failed parse can have
+    // missed one, which makes all before it the name.
+    match parsed {
+        Err(err) => match body.find('(') {
+            Some(open) => with_angles(body, open, lineno),
+            None => Err(err),
+        },
+        parsed => parsed,
+    }
+}
+
+/// `name(angle, ...) operands`, with `open` the first '('.
+fn with_angles(body: &str, open: usize, lineno: usize) -> Result<Parsed, ParseQasmError> {
+    let mut cursor = Cursor::new(body);
+    cursor.at = open + 1;
+    let mut angles = [0.0; 3];
+    let mut count = 0;
+    loop {
+        let angle = cursor.angle();
+        let (Some(angle), Some(end @ (b',' | b')'))) = (angle, cursor.peek()) else {
+            let unterminated = !body[open..].contains(')');
+            let message = if unterminated {
+                "unterminated angle"
+            } else {
+                "bad angle"
+            };
+            return Err(ParseQasmError::new(lineno, message));
+        };
+        if let Some(slot) = angles.get_mut(count) {
+            *slot = angle;
+        }
+        count += 1;
+        cursor.at += 1;
+        if end == b')' {
+            break;
+        }
+    }
+    let name = trim(&body[..open]);
+    let gate = named_gate(name, angles, count).ok_or_else(|| unknown_gate(name, lineno))?;
+    Ok((gate, operands(gate, cursor.rest(), lineno)?, None))
+}
+
+/// A gate's comma-separated `q[i]` operands. Every operand is parsed (a
+/// malformed one is reported first), but only a gate's worth are kept.
+fn operands(gate: Gate, text: &str, lineno: usize) -> Result<Operands, ParseQasmError> {
+    let mut cursor = Cursor::new(text);
+    let mut qubits = Operands::new();
+    let mut count = 0;
+    loop {
+        let start = cursor.at;
+        match cursor.operand(b'q') {
+            Some(q) if matches!(cursor.peek(), None | Some(b',')) => {
+                if count < Operands::MAX {
+                    qubits.push(Qubit::new(q));
+                }
+                count += 1;
+            }
+            _ => {
+                let piece = &text[start..];
+                let piece = piece.find(',').map_or(piece, |comma| &piece[..comma]);
+                return Err(bad_operand(piece, b'q', lineno));
+            }
+        }
+        if !cursor.eat(b',') {
+            break;
+        }
+    }
+    if count != gate.num_qubits() {
+        return Err(ParseQasmError::new(lineno, "operand count mismatch"));
+    }
+    if count == 2 && qubits[0] == qubits[1] {
+        return Err(ParseQasmError::new(
+            lineno,
+            "two-qubit gate operands must differ",
+        ));
+    }
+    Ok(qubits)
+}
+
+/// `piece` as exactly one `reg[i]`, blanks around it aside.
+fn whole_operand(piece: &str, reg: u8) -> Option<usize> {
+    let mut cursor = Cursor::new(piece);
+    cursor.operand(reg).filter(|_| cursor.done())
+}
+
+fn bad_operand(piece: &str, reg: u8, lineno: usize) -> ParseQasmError {
+    let (reg, token) = (char::from(reg), trim(piece));
+    ParseQasmError::new(lineno, format!("expected {reg}[i], got '{token}'"))
+}
+
+fn unknown_gate(name: &str, lineno: usize) -> ParseQasmError {
+    ParseQasmError::new(lineno, format!("unknown gate '{name}'"))
+}
+
+/// The gate `name` spells with `count` angles, the first three of which
+/// are `a`; more than three angles name no gate.
+fn named_gate(name: &str, a: [f64; 3], count: usize) -> Option<Gate> {
+    let (gate, arity) = match name.as_bytes() {
+        b"h" => (Gate::H, 0),
+        b"x" => (Gate::X, 0),
+        b"y" => (Gate::Y, 0),
+        b"z" => (Gate::Z, 0),
+        b"s" => (Gate::S, 0),
+        b"sdg" => (Gate::Sdg, 0),
+        b"t" => (Gate::T, 0),
+        b"tdg" => (Gate::Tdg, 0),
+        b"id" => (Gate::U(0.0, 0.0, 0.0), 0),
+        b"rx" => (Gate::Rx(a[0]), 1),
+        b"ry" => (Gate::Ry(a[0]), 1),
+        b"rz" => (Gate::Rz(a[0]), 1),
+        b"p" | b"u1" => (Gate::Phase(a[0]), 1),
+        b"u2" => (Gate::U(std::f64::consts::FRAC_PI_2, a[0], a[1]), 2),
+        b"u" | b"u3" => (Gate::U(a[0], a[1], a[2]), 3),
+        b"cx" => (Gate::Cx, 0),
+        b"cz" => (Gate::Cz, 0),
+        b"cp" => (Gate::Cp(a[0]), 1),
+        b"rzz" => (Gate::Rzz(a[0]), 1),
+        b"swap" => (Gate::Swap, 0),
+        b"reset" => (Gate::Reset, 0),
+        _ => return None,
+    };
+    (count == arity).then_some(gate)
+}
+
+/// A forward reader over one statement. It only ever steps over ASCII
+/// bytes or whole whitespace characters, so `at` stays a char boundary.
+struct Cursor<'a> {
+    text: &'a str,
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(text: &'a str) -> Self {
+        Cursor { text, at: 0 }
+    }
+
+    fn rest(&self) -> &'a str {
+        &self.text[self.at..]
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.at).copied()
+    }
+
+    fn done(&self) -> bool {
+        self.at == self.text.len()
+    }
+
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.at += usize::from(hit);
+        hit
+    }
+
+    /// Steps over the bytes `keep` accepts, which must all be ASCII.
+    fn skip(&mut self, keep: impl Fn(u8) -> bool) {
+        let bytes = self.text.as_bytes();
+        while self.at < bytes.len() && keep(bytes[self.at]) {
+            self.at += 1;
+        }
+    }
+
+    fn blanks(&mut self) {
+        let bytes = self.text.as_bytes();
+        while let Some(&b) = bytes.get(self.at) {
+            if !is_blank(b) {
+                if !b.is_ascii() {
+                    self.at = self.text.len() - self.text[self.at..].trim_start().len();
+                }
+                return;
+            }
+            self.at += 1;
+        }
+    }
+
+    /// A decimal index as `usize::from_str` reads one (one optional `+`,
+    /// leading zeros allowed) that fits the Qubit/Clbit newtypes: past
+    /// `u32::MAX` an adversarial `h q[99999999999999];` is a parse error,
+    /// not a panic inside `Qubit::new`.
+    fn index(&mut self) -> Option<usize> {
+        self.eat(b'+');
+        let start = self.at;
+        let mut n = 0u64;
+        while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
+            n = n * 10 + u64::from(d - b'0');
+            if n > u64::from(u32::MAX) {
+                return None;
+            }
+            self.at += 1;
+        }
+        (self.at > start).then_some(n as usize)
+    }
+
+    /// `reg[i]` between blanks.
+    fn operand(&mut self, reg: u8) -> Option<usize> {
+        self.blanks();
+        if !(self.eat(reg) && self.eat(b'[')) {
+            return None;
+        }
+        let index = self.index().filter(|_| self.eat(b']'))?;
+        self.blanks();
+        Some(index)
+    }
+
+    /// A qelib-style angle expression: products and quotients of `pi`
+    /// and float literals, with unary minus — `pi`, `pi/2`, `2*pi`,
+    /// `-pi/4`, `3*pi/2`, `0.5`. `*` and `/` associate left at equal
+    /// precedence, which matches OpenQASM 2 for the expression subset
+    /// qelib1 headers use. Stops, past trailing blanks, at the first byte
+    /// that continues no expression.
+    fn angle(&mut self) -> Option<f64> {
+        let mut value = self.atom()?;
+        loop {
+            self.blanks();
+            match self.peek() {
+                Some(b'*') => {
+                    self.at += 1;
+                    value *= self.atom()?;
+                }
+                Some(b'/') => {
+                    self.at += 1;
+                    value /= self.atom()?;
+                }
+                _ => return Some(value),
+            }
+        }
+    }
+
+    /// One operand: optional unary minus, then `pi` or a float literal.
+    fn atom(&mut self) -> Option<f64> {
+        self.blanks();
+        let mut negative = false;
+        while self.eat(b'-') {
+            negative = !negative;
+            self.blanks();
+        }
+        let value = if self.rest().as_bytes().starts_with(b"pi") {
+            // "pie" must not parse as pi * <garbage>.
+            self.at += 2;
+            if self.peek().is_some_and(|b| b.is_ascii_alphanumeric()) {
+                return None;
+            }
+            std::f64::consts::PI
+        } else {
+            // Longest float-literal prefix: digits and '.', optionally
+            // followed by an exponent with its own sign.
+            let start = self.at;
+            self.skip(|b| b.is_ascii_digit() || b == b'.');
+            let mantissa_end = self.at;
+            if self.eat(b'e') || self.eat(b'E') {
+                let _ = self.eat(b'+') || self.eat(b'-');
+                let digits = self.at;
+                self.skip(|b| b.is_ascii_digit());
+                if self.at == digits {
+                    self.at = mantissa_end;
+                }
+            }
+            if self.at == start {
+                return None;
+            }
+            self.text[start..self.at].parse().ok()?
+        };
+        Some(if negative { -value } else { value })
+    }
+}
+
+/// The end-of-program range check of [`from_qasm`], the streaming
+/// importer and the streaming session: the dialect tolerates register
+/// declarations *after* uses, and a later declaration replaces an
+/// earlier one, so operands are checked against the last declarations
+/// once the whole program has been read.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct DeclaredRanges {
+    qubits: usize,
+    clbits: usize,
+    /// One past the largest qubit any instruction names.
+    used_qubits: usize,
+    /// One past the largest clbit any measurement or condition names.
+    used_clbits: usize,
+}
+
+impl DeclaredRanges {
+    /// Records one statement: a declaration sets its register's width,
+    /// an instruction the operands it needs.
+    pub fn note(&mut self, stmt: &QasmStmt) {
+        match stmt {
+            QasmStmt::Qreg(n) => self.qubits = *n,
+            QasmStmt::Creg(n) => self.clbits = *n,
+            QasmStmt::Instr(instr) => {
+                for q in &instr.qubits {
+                    self.used_qubits = self.used_qubits.max(q.index() + 1);
+                }
+                for c in instr.clbit.iter().chain(&instr.condition) {
+                    self.used_clbits = self.used_clbits.max(c.index() + 1);
+                }
+            }
+        }
+    }
+
+    /// The last declared qubit-register width (0 if none).
+    pub fn qubits(&self) -> usize {
+        self.qubits
+    }
+
+    /// The last declared classical-register width (0 if none).
+    pub fn clbits(&self) -> usize {
+        self.clbits
+    }
+
+    /// Checks every noted operand against the last declarations.
+    ///
+    /// # Errors
+    ///
+    /// The importers' historical "operand out of declared range" error
+    /// (line 0 — the offending declaration order has no single line) when
+    /// an instruction names a qubit or clbit past the last declaration.
+    pub fn check(&self) -> Result<(), ParseQasmError> {
+        if self.used_qubits > self.qubits || self.used_clbits > self.clbits {
+            return Err(ParseQasmError::new(0, "operand out of declared range"));
+        }
+        Ok(())
+    }
 }
 
 /// Parses the dialect produced by [`to_qasm`].
@@ -337,171 +664,23 @@ pub fn validate_ranges(
 /// Returns [`ParseQasmError`] on malformed statements, unknown gates, or
 /// out-of-range operands.
 pub fn from_qasm(text: &str) -> Result<Circuit, ParseQasmError> {
-    let mut num_qubits = 0usize;
-    let mut num_clbits = 0usize;
+    let mut ranges = DeclaredRanges::default();
     let mut instrs: Vec<Instruction> = Vec::new();
     let mut parser = LineParser::new();
     for (lineno, raw) in text.lines().enumerate() {
-        match parser.parse_line(raw, lineno + 1)? {
-            None => {}
-            Some(QasmStmt::Qreg(n)) => num_qubits = n,
-            Some(QasmStmt::Creg(n)) => num_clbits = n,
-            Some(QasmStmt::Instr(instr)) => instrs.push(instr),
+        if let Some(stmt) = parser.parse_line(raw, lineno + 1)? {
+            ranges.note(&stmt);
+            if let QasmStmt::Instr(instr) = stmt {
+                instrs.push(instr);
+            }
         }
     }
-
-    let mut circuit = Circuit::new(num_qubits, num_clbits);
-    for i in instrs {
-        // Re-validate ranges through push.
-        validate_ranges(&i, num_qubits, num_clbits)?;
-        circuit.push(i);
+    ranges.check()?;
+    let mut circuit = Circuit::new(ranges.qubits(), ranges.clbits());
+    for instr in instrs {
+        circuit.push(instr);
     }
     Ok(circuit)
-}
-
-/// Parses a qelib-style angle expression: products and quotients of `pi`
-/// and float literals, with unary minus — `pi`, `pi/2`, `2*pi`, `-pi/4`,
-/// `3*pi/2`, `0.5`. `*` and `/` associate left at equal precedence, which
-/// matches OpenQASM 2 for the expression subset qelib1 headers use.
-fn parse_angle_expr(s: &str) -> Option<f64> {
-    let mut rest = s.trim();
-    let mut acc = parse_angle_atom(&mut rest)?;
-    loop {
-        rest = rest.trim_start();
-        if rest.is_empty() {
-            return Some(acc);
-        }
-        let op = rest.as_bytes()[0];
-        if op != b'*' && op != b'/' {
-            return None;
-        }
-        rest = rest[1..].trim_start();
-        let atom = parse_angle_atom(&mut rest)?;
-        if op == b'*' {
-            acc *= atom;
-        } else {
-            acc /= atom;
-        }
-    }
-}
-
-/// One operand: optional unary minus, then `pi` or a float literal.
-/// Consumes from the front of `rest`.
-fn parse_angle_atom(rest: &mut &str) -> Option<f64> {
-    let mut s = rest.trim_start();
-    let mut neg = false;
-    while let Some(r) = s.strip_prefix('-') {
-        neg = !neg;
-        s = r.trim_start();
-    }
-    if let Some(r) = s.strip_prefix("pi") {
-        // "pie" must not parse as pi * <garbage>.
-        if r.chars().next().is_some_and(|c| c.is_ascii_alphanumeric()) {
-            return None;
-        }
-        *rest = r;
-        return Some(if neg {
-            -std::f64::consts::PI
-        } else {
-            std::f64::consts::PI
-        });
-    }
-    // Longest float-literal prefix: digits and '.', optionally followed by
-    // an exponent with its own sign.
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
-        i += 1;
-    }
-    if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
-        let mut j = i + 1;
-        if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
-            j += 1;
-        }
-        let digits_start = j;
-        while j < bytes.len() && bytes[j].is_ascii_digit() {
-            j += 1;
-        }
-        if j > digits_start {
-            i = j;
-        }
-    }
-    if i == 0 {
-        return None;
-    }
-    let v: f64 = s[..i].parse().ok()?;
-    *rest = &s[i..];
-    Some(if neg { -v } else { v })
-}
-
-fn parse_reg_decl(rest: &str, lineno: usize) -> Result<usize, ParseQasmError> {
-    rest.trim()
-        .split_once('[')
-        .and_then(|(_, r)| r.strip_suffix(']'))
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| ParseQasmError::new(lineno, "bad register declaration"))
-}
-
-/// Parses `q[i]` (or `c[i]`, per `reg`) into `i`.
-fn parse_index(token: &str, reg: u8, lineno: usize) -> Result<usize, ParseQasmError> {
-    match token.as_bytes() {
-        [r, b'[', digits @ .., b']'] if *r == reg => parse_u32_index(digits),
-        _ => None,
-    }
-    .ok_or_else(|| {
-        let reg = char::from(reg);
-        ParseQasmError::new(lineno, format!("expected {reg}[i], got '{token}'"))
-    })
-}
-
-/// Parses a decimal index as `usize::from_str` does (one optional leading
-/// `+`, leading zeros allowed), rejecting values past `u32::MAX`. The u32
-/// bound mirrors the Qubit/Clbit newtypes: checking here turns an
-/// adversarial `h q[99999999999999];` into a parse error instead of a
-/// panic inside `Qubit::new`.
-fn parse_u32_index(digits: &[u8]) -> Option<usize> {
-    let digits = digits.strip_prefix(b"+").unwrap_or(digits);
-    if digits.is_empty() {
-        return None;
-    }
-    let mut n = 0u64;
-    for &d in digits {
-        if !d.is_ascii_digit() {
-            return None;
-        }
-        n = n * 10 + u64::from(d - b'0');
-        if n > u64::from(u32::MAX) {
-            return None;
-        }
-    }
-    usize::try_from(n).ok()
-}
-
-fn gate_from_name(name: &str, angles: &[f64]) -> Option<Gate> {
-    Some(match (name, angles) {
-        ("h", []) => Gate::H,
-        ("x", []) => Gate::X,
-        ("y", []) => Gate::Y,
-        ("z", []) => Gate::Z,
-        ("s", []) => Gate::S,
-        ("sdg", []) => Gate::Sdg,
-        ("t", []) => Gate::T,
-        ("tdg", []) => Gate::Tdg,
-        ("id", []) => Gate::U(0.0, 0.0, 0.0),
-        ("rx", &[a]) => Gate::Rx(a),
-        ("ry", &[a]) => Gate::Ry(a),
-        ("rz", &[a]) => Gate::Rz(a),
-        ("p", &[a]) | ("u1", &[a]) => Gate::Phase(a),
-        ("u2", &[phi, lambda]) => Gate::U(std::f64::consts::FRAC_PI_2, phi, lambda),
-        ("u", &[t, p, l]) | ("u3", &[t, p, l]) => Gate::U(t, p, l),
-        ("cx", []) => Gate::Cx,
-        ("cz", []) => Gate::Cz,
-        ("cp", &[a]) => Gate::Cp(a),
-        ("rzz", &[a]) => Gate::Rzz(a),
-        ("swap", []) => Gate::Swap,
-        ("reset", []) => Gate::Reset,
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -836,6 +1015,242 @@ mod tests {
         ];
         for (line, want) in table {
             assert_eq!(&outcome(line), want, "line {line:?}");
+        }
+    }
+
+    /// Pieces of random lines: gate names and near-misses, conditions,
+    /// angle lists, operands, blanks (VT/FF, U+3000/U+00A0), separators,
+    /// and line ends with comments and stray `;`/`,`.
+    const HEADS: &[&str] = &[
+        "h",
+        "x",
+        "cx",
+        "cz",
+        "swap",
+        "rz",
+        "rx",
+        "u3",
+        "u2",
+        "u",
+        "id",
+        "p",
+        "cp",
+        "rzz",
+        "sdg",
+        "reset",
+        "measure",
+        "measurex",
+        "H",
+        "hh",
+        "c",
+        "cxx",
+        "sw\u{e9}p",
+        "gate",
+        "qreg",
+        "creg",
+        "qregs",
+        "barrier",
+        "OPENQASM",
+        "include",
+        "if",
+        "",
+    ];
+    const CONDITIONS: &[&str] = &[
+        "",
+        "",
+        "",
+        "if(c[0]==1) ",
+        "if(c[1]==1)",
+        "if(c[+0]==1)\t",
+        "if (c[0]==1) ",
+        "if(c[0]==2) ",
+        "if(c[0]==1 ",
+        "if(c[4294967296]==1) ",
+        "if(c[0]]==1) ",
+        "if(c[1]==1)\u{3000}",
+    ];
+    const ANGLES: &[&str] = &[
+        "",
+        "",
+        "",
+        "",
+        "(pi)",
+        "(pi/2)",
+        "( pi / 2 )",
+        "(-pi/4, 0.5)",
+        "(1,2,3)",
+        "(1,2,3,4)",
+        "(pie)",
+        "()",
+        "(1,,3)",
+        "(pi",
+        "(0.1)",
+        "(1e400)",
+        "(2**pi)",
+        "(pi//2)",
+        "(3*pi/2)",
+        " (pi)",
+        "(\u{3000}pi)",
+        "(-2*-pi)",
+        "(1e)",
+        "(.5e-1)",
+        "(1,2)",
+        "(pi_)",
+        "(2pi)",
+        "(1/0)",
+    ];
+    const OPERANDS: &[&str] = &[
+        "q[0]",
+        "q[1]",
+        "q[0]",
+        "q[1]",
+        "q[+3]",
+        "q[007]",
+        "q[+0]",
+        "q[4294967295]",
+        "q[4294967296]",
+        "q[1234567890]",
+        "q[]",
+        "q[-1]",
+        "q[2",
+        "q2",
+        "c[0]",
+        "q[0]x",
+        "[0]",
+        "",
+    ];
+    const CLBITS: &[&str] = &["c[0]", "c[1]", "c[+2]", "c[4294967296]", "c[x]", "q[0]", ""];
+    const BLANKS: &[&str] = &[
+        "", "", " ", " ", "  ", "\t", "\x0B", "\x0C", "\u{3000}", "\u{a0}", "\r",
+    ];
+    const COMMAS: &[&str] = &[", ", ", ", ",", " , ", ",\u{a0}", ",\t", ";", ",,"];
+    const ARROWS: &[&str] = &[" -> ", " -> ", "->", " - > ", " ", "->->", " -> c[0] ->"];
+    const ENDS: &[&str] = &[
+        ";",
+        ";",
+        ";",
+        ";",
+        "",
+        ";;",
+        " ;",
+        ";\u{3000}",
+        "; // trailing",
+        " // c ;",
+        ";//",
+        ";\r",
+        ",;",
+        "// x",
+        " {",
+        " { h a; }",
+        "}",
+    ];
+    const LINES: &[&str] = &[
+        "gate foo a {",
+        "gate bar a { h a; }",
+        "gate\tbaz a, b",
+        "}",
+        "  } // end",
+        "h a; }",
+        "OPENQASM 2.0;",
+        "include \"qelib1.inc\";",
+        "barrier q[0], q[1];",
+        "qreg q[8];",
+        "creg c[4];",
+        "qreg q[+2];",
+        "qregs[3];",
+        "creg c[x];",
+        "qreg q[3] // c;",
+        "qreg //x[3];",
+        "qreg q[2]; // c",
+        "creg c[18446744073709551616];",
+        "// only a comment",
+        "",
+        "   ",
+        "\u{3000}// c",
+        "qreg q[2]",
+        "creg c[1] ;",
+    ];
+    const CHARS: &[&str] = &[
+        "q", "c", "[", "]", "(", ")", "-", ">", "/", "*", "=", "+", "0", "1", "9", "e", "E", ".",
+        "p", "i", ";", ",", "{", "}", " ", "\t", "\u{b}", "\u{85}", "\u{2028}", "\u{e9}",
+    ];
+    const TWO_QUBIT: &[&str] = &["cx", "cz", "swap", "cp(pi)", "rzz(0.5)"];
+    const SAME_QUBIT: &[&str] = &["q[0]", "q[+0]", "q[00]", "q[1]"];
+
+    /// A random line from 16 selectors: mostly statements shaped like the
+    /// grammar's, some whole directive/declaration/gate-body lines, some
+    /// two-qubit gates on likely-equal operands, and some token soup.
+    fn random_line(sel: &[u32]) -> String {
+        let pick = |i: usize, table: &[&'static str]| table[sel[i] as usize % table.len()];
+        let mut line = String::from(pick(0, BLANKS));
+        match sel[1] % 8 {
+            0 => {
+                let all: Vec<&str> = [
+                    HEADS, CONDITIONS, ANGLES, OPERANDS, BLANKS, COMMAS, ENDS, CHARS, CHARS,
+                ]
+                .concat();
+                for i in 3..3 + sel[2] as usize % 13 {
+                    line.push_str(pick(i, &all));
+                }
+            }
+            1 => line.push_str(pick(2, LINES)),
+            2 => {
+                line.push_str(pick(2, TWO_QUBIT));
+                line.push(' ');
+                line.push_str(pick(3, SAME_QUBIT));
+                line.push_str(pick(4, COMMAS));
+                line.push_str(pick(5, SAME_QUBIT));
+                line.push(';');
+            }
+            _ => {
+                line.push_str(pick(2, CONDITIONS));
+                let head = pick(3, HEADS);
+                line.push_str(head);
+                line.push_str(pick(4, ANGLES));
+                line.push_str(pick(5, BLANKS));
+                line.push(' ');
+                for i in 0..sel[6] as usize % 4 {
+                    if head == "measure" {
+                        line.push_str(
+                            [pick(8, OPERANDS), pick(9, ARROWS), pick(10, CLBITS)][i % 3],
+                        );
+                    } else {
+                        if i > 0 {
+                            line.push_str(pick(7 + i, COMMAS));
+                        }
+                        line.push_str(pick(10 + i, OPERANDS));
+                    }
+                }
+                line.push_str(pick(14, ENDS));
+            }
+        }
+        line.push_str(pick(15, BLANKS));
+        line
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
+
+        /// The byte-scan grammar and the one it replaced give the same
+        /// statement, `None`, or error text and line for every line of
+        /// random programs (the gate-body flag carries between lines).
+        #[test]
+        fn parse_line_matches_the_reference_grammar(
+            program in proptest::collection::vec(
+                proptest::collection::vec(0u32..1 << 20, 16..17),
+                1..8,
+            ),
+        ) {
+            let mut parser = LineParser::new();
+            let mut reference = reference::ReferenceParser::default();
+            for (i, selectors) in program.iter().enumerate() {
+                let line = random_line(selectors);
+                let got = parser.parse_line(&line, i + 1);
+                let want = reference.parse_line(&line, i + 1);
+                // Debug text compares angles bit for bit (NaN, -0.0).
+                let (got, want) = (format!("{got:?}"), format!("{want:?}"));
+                proptest::prop_assert!(got == want, "line {line:?}: {got} != {want}");
+            }
         }
     }
 }

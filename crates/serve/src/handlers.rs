@@ -924,9 +924,9 @@ fn compile_stream_inner(state: &AppState, body: &[u8]) -> Result<Response, Rejec
         Err(StreamJobError::Stream(StreamError::Parse(e))) => {
             return Err(Reject::unprocessable_at(e.line(), format!("bad QASM: {e}")))
         }
-        Err(StreamJobError::Stream(e @ StreamError::WindowTooSmall { .. })) => {
-            return Err(Reject::unprocessable(e.to_string()))
-        }
+        Err(StreamJobError::Stream(
+            e @ (StreamError::WindowTooSmall { .. } | StreamError::QubitIndexTooLarge { .. }),
+        )) => return Err(Reject::unprocessable(e.to_string())),
         Err(StreamJobError::Cancelled(_)) => {
             return Ok(Response::error(504, "deadline exceeded (in 'stream')"))
         }
@@ -1582,6 +1582,29 @@ mod tests {
             .and_then(Value::as_str)
             .unwrap()
             .contains("line 3"));
+    }
+
+    /// Operands past the declared registers are rejected by the stream
+    /// endpoint at the end of the body, with the error `/v1/compile`
+    /// gives for the same program.
+    #[test]
+    fn compile_stream_range_checks_operands_like_compile() {
+        let state = state();
+        for text in [
+            "qreg q[2];\ncreg c[2];\nh q[1000];\n",
+            "qreg q[2];\ncreg c[2];\nmeasure q[0] -> c[7];\n",
+        ] {
+            let streamed = handle(&state, &post("/v1/compile-stream", text));
+            assert_eq!(streamed.status, 422, "{text:?}");
+            let body = Value::obj(vec![("qasm", Value::str(text))]).encode();
+            let compiled = handle(&state, &post("/v1/compile", &body));
+            assert_eq!(compiled.status, 422, "{text:?}");
+            assert_eq!(streamed.body, compiled.body, "{text:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&streamed.body),
+                r#"{"error":"bad QASM: qasm parse error at line 0: operand out of declared range"}"#
+            );
+        }
     }
 
     #[test]

@@ -432,6 +432,29 @@ fn chunked_bodies_reach_the_streaming_compiler() {
     server.join();
 }
 
+/// An 18-byte body naming qubit 2^32 - 1 once made the stream's
+/// per-qubit tables ask for ~100 GB and abort the process; it is a 422
+/// now, and the server keeps serving.
+#[test]
+fn huge_qubit_index_in_a_stream_is_rejected() {
+    let (server, mut client) = start(quick_config());
+
+    let response = client
+        .post("/v1/compile-stream", b"h q[4294967295];\n")
+        .unwrap();
+    assert_eq!(response.status, 422, "{}", response.text());
+    assert!(
+        response.text().contains("past the streaming limit"),
+        "{}",
+        response.text()
+    );
+    let health = client.get("/healthz").unwrap();
+    assert_eq!(health.status, 200);
+
+    server.shutdown_handle().shutdown();
+    server.join();
+}
+
 /// A handler panic answers 500, the worker pool survives, and the
 /// supervisor keeps the process serving.
 #[test]

@@ -742,7 +742,7 @@ impl Executor {
             if plan.sparse {
                 plan.sparse_snapshot = Some(Snapshot::State(SparseState::from_dense(&state)));
             } else if tail_only {
-                plan.snapshot = Some(Snapshot::Table(ProbTable::of(&state)));
+                plan.snapshot = Some(Snapshot::Table(ProbTable::of(state)));
             } else {
                 plan.snapshot = Some(Snapshot::State(state));
             }
@@ -1084,11 +1084,14 @@ struct ProbTable {
 }
 
 impl ProbTable {
-    fn of(state: &StateVector) -> Self {
-        ProbTable {
-            p: state.amps().iter().map(|a| a.abs2()).collect(),
-            map: (0..state.num_qubits()).map(|q| state.phys_bit(q)).collect(),
-        }
+    /// Takes the state by value: `|a|²` is collected over the amplitudes'
+    /// own allocation and the spare half handed back, so the state and
+    /// its table are never held at once.
+    fn of(state: StateVector) -> Self {
+        let map = (0..state.num_qubits()).map(|q| state.phys_bit(q)).collect();
+        let mut p: Vec<f64> = state.into_amps().into_iter().map(|a| a.abs2()).collect();
+        p.shrink_to_fit();
+        ProbTable { p, map }
     }
 
     /// The physical-bit mask of the logical qubit mask `x`.

@@ -107,6 +107,11 @@ impl StateVector {
         &mut self.amps
     }
 
+    /// The raw physical-order amplitude storage, taken by value.
+    pub(crate) fn into_amps(self) -> Vec<C64> {
+        self.amps
+    }
+
     /// Copies the SWAP-absorbing bit permutation from `src` (the sparse
     /// engine's O(support) fork copies amplitudes itself).
     pub(crate) fn copy_map_from(&mut self, src: &StateVector) {

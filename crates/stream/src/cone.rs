@@ -13,7 +13,8 @@
 //! progress for streaming reuse: their wires are all free again.
 
 /// Union-find over logical qubit indices with per-class retirement
-/// counts. Grows on demand as qubits first appear.
+/// counts. Grows on demand as qubits first appear; fed by the window
+/// scheduler, indices stay below [`crate::MAX_LOGICAL_QUBITS`].
 #[derive(Debug, Default)]
 pub struct ConeTracker {
     /// parent[i] == i for roots.

@@ -58,7 +58,23 @@ pub enum StreamError {
         /// The window size the scheduler was running with.
         window: usize,
     },
+    /// A logical qubit index at or past [`MAX_LOGICAL_QUBITS`]: the
+    /// scheduler keeps state per logical qubit, so it refuses to grow
+    /// that table past the cap.
+    QubitIndexTooLarge {
+        /// The logical (source-program) qubit index.
+        qubit: usize,
+        /// [`MAX_LOGICAL_QUBITS`].
+        limit: usize,
+    },
 }
+
+/// The number of logical qubits a stream may name (indices `0..` this):
+/// 2^20, far above the million-gate benchmark's 19,200. The window
+/// scheduler and the cone tracker grow their per-qubit tables to the
+/// largest index seen, so without a cap an 18-byte `h q[4294967295];`
+/// would ask for tens of gigabytes.
+pub const MAX_LOGICAL_QUBITS: usize = 1 << 20;
 
 impl std::fmt::Display for StreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -68,6 +84,10 @@ impl std::fmt::Display for StreamError {
                 f,
                 "qubit q[{qubit}] reused after retirement: lookahead window \
                  of {window} instructions is too small for this circuit"
+            ),
+            StreamError::QubitIndexTooLarge { qubit, limit } => write!(
+                f,
+                "qubit q[{qubit}] is past the streaming limit of {limit} logical qubits"
             ),
         }
     }

@@ -6,7 +6,7 @@
 //! cannot drift. The only buffered state is the current partial line:
 //! memory is O(longest line), independent of program length.
 
-use caqr_circuit::qasm::{LineParser, ParseQasmError, QasmStmt};
+use caqr_circuit::qasm::{DeclaredRanges, LineParser, ParseQasmError, QasmStmt};
 use caqr_circuit::{Circuit, Instruction};
 
 /// Incremental OpenQASM tokenizer/parser.
@@ -50,29 +50,38 @@ impl StreamingQasmParser {
     /// Consumes a byte chunk, appending every statement completed by it
     /// to `out`.
     ///
+    /// The chunk's complete lines are checked as UTF-8 at once and split
+    /// as text; only the line left open at the chunk's end is copied, to
+    /// be completed by the next feed.
+    ///
     /// # Errors
     ///
     /// [`ParseQasmError`] with the offending line number on malformed
     /// statements, unknown gates, or invalid UTF-8.
     pub fn feed(&mut self, bytes: &[u8], out: &mut Vec<QasmStmt>) -> Result<(), ParseQasmError> {
         let mut rest = bytes;
-        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-            let (line, tail) = rest.split_at(nl);
-            rest = &tail[1..];
-            if self.partial.is_empty() {
-                self.parse_bytes(line, out)?;
-            } else {
-                // Completed in place, then emptied and kept for the next
-                // split line.
-                let mut full = std::mem::take(&mut self.partial);
-                full.extend_from_slice(line);
-                let parsed = self.parse_bytes(&full, out);
-                full.clear();
-                self.partial = full;
-                parsed?;
-            }
+        if !self.partial.is_empty() {
+            let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+                self.partial.extend_from_slice(rest);
+                return Ok(());
+            };
+            // Completed in place, then emptied and kept for the next
+            // split line.
+            let mut full = std::mem::take(&mut self.partial);
+            full.extend_from_slice(&rest[..nl]);
+            let parsed = self.parse_lines(&full, out);
+            full.clear();
+            self.partial = full;
+            parsed?;
+            rest = &rest[nl + 1..];
         }
-        self.partial.extend_from_slice(rest);
+        let open = rest
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |nl| nl + 1);
+        let (lines, tail) = rest.split_at(open);
+        self.parse_lines(lines, out)?;
+        self.partial.extend_from_slice(tail);
         Ok(())
     }
 
@@ -84,20 +93,41 @@ impl StreamingQasmParser {
     pub fn finish(&mut self, out: &mut Vec<QasmStmt>) -> Result<(), ParseQasmError> {
         if !self.partial.is_empty() {
             let full = std::mem::take(&mut self.partial);
-            self.parse_bytes(&full, out)?;
+            self.parse_lines(&full, out)?;
         }
         Ok(())
     }
 
-    fn parse_bytes(&mut self, line: &[u8], out: &mut Vec<QasmStmt>) -> Result<(), ParseQasmError> {
-        // `str::lines` strips one trailing '\r'; match it byte-for-byte.
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        let lineno = self.lineno;
-        self.lineno += 1;
-        let text =
-            std::str::from_utf8(line).map_err(|_| ParseQasmError::new(lineno, "invalid UTF-8"))?;
-        if let Some(stmt) = self.grammar.parse_line(text, lineno)? {
-            out.push(stmt);
+    /// Parses `bytes` as `\n`-separated lines, the last one's newline
+    /// optional. A byte that is not UTF-8 fails its own line, after the
+    /// lines before it have parsed (so an earlier error still wins).
+    fn parse_lines(&mut self, bytes: &[u8], out: &mut Vec<QasmStmt>) -> Result<(), ParseQasmError> {
+        let (text, valid) = match std::str::from_utf8(bytes) {
+            Ok(text) => (text, true),
+            Err(e) => {
+                let valid = &bytes[..e.valid_up_to()];
+                let bad_line = valid
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |nl| nl + 1);
+                // Valid: it ends before the first bad byte.
+                let before = std::str::from_utf8(&valid[..bad_line]).unwrap_or_default();
+                (before, false)
+            }
+        };
+        for line in text.split_terminator('\n') {
+            // `str::lines` strips one trailing '\r'; match it.
+            let line = line.strip_suffix('\r').unwrap_or(line);
+            let lineno = self.lineno;
+            self.lineno += 1;
+            if let Some(stmt) = self.grammar.parse_line(line, lineno)? {
+                out.push(stmt);
+            }
+        }
+        if !valid {
+            let lineno = self.lineno;
+            self.lineno += 1;
+            return Err(ParseQasmError::new(lineno, "invalid UTF-8"));
         }
         Ok(())
     }
@@ -111,8 +141,7 @@ impl StreamingQasmParser {
 pub struct StreamingImporter {
     parser: StreamingQasmParser,
     scratch: Vec<QasmStmt>,
-    num_qubits: usize,
-    num_clbits: usize,
+    ranges: DeclaredRanges,
     instrs: Vec<Instruction>,
 }
 
@@ -144,9 +173,9 @@ impl StreamingImporter {
     pub fn finish(mut self) -> Result<Circuit, ParseQasmError> {
         self.parser.finish(&mut self.scratch)?;
         self.drain();
-        let mut circuit = Circuit::new(self.num_qubits, self.num_clbits);
+        self.ranges.check()?;
+        let mut circuit = Circuit::new(self.ranges.qubits(), self.ranges.clbits());
         for i in self.instrs {
-            caqr_circuit::qasm::validate_ranges(&i, self.num_qubits, self.num_clbits)?;
             circuit.push(i);
         }
         Ok(circuit)
@@ -154,10 +183,9 @@ impl StreamingImporter {
 
     fn drain(&mut self) {
         for stmt in self.scratch.drain(..) {
-            match stmt {
-                QasmStmt::Qreg(n) => self.num_qubits = n,
-                QasmStmt::Creg(n) => self.num_clbits = n,
-                QasmStmt::Instr(i) => self.instrs.push(i),
+            self.ranges.note(&stmt);
+            if let QasmStmt::Instr(i) = stmt {
+                self.instrs.push(i);
             }
         }
     }
@@ -262,6 +290,78 @@ mod tests {
             .expect_err("bad bytes");
         assert_eq!(err.line(), 2);
         assert!(err.to_string().contains("invalid UTF-8"));
+    }
+
+    /// Statements of `text` fed in the given pieces, or the first error.
+    fn feed_pieces(pieces: &[&[u8]]) -> Result<Vec<QasmStmt>, ParseQasmError> {
+        let mut parser = StreamingQasmParser::new();
+        let mut out = Vec::new();
+        for piece in pieces {
+            parser.feed(piece, &mut out)?;
+        }
+        parser.finish(&mut out)?;
+        Ok(out)
+    }
+
+    #[test]
+    fn a_character_split_across_feeds_is_whole_again() {
+        // U+3000 (E3 80 80) trims like a space, so the line parses.
+        let text = "qreg q[1];
+\u{3000}h q[0];\u{3000}\nx q[0];\n"
+            .as_bytes();
+        let batch = from_qasm(std::str::from_utf8(text).unwrap()).expect("batch parse");
+        for cut in [12, 13, 22, 23] {
+            let (a, b) = text.split_at(cut);
+            let stmts = feed_pieces(&[a, b]).expect("split character");
+            assert_eq!(stmts.len(), 3, "cut at {cut}");
+            assert_eq!(
+                stmts[1],
+                QasmStmt::Instr(batch.instructions()[0].clone()),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn crlf_split_between_cr_and_lf() {
+        let text = b"qreg q[2];\r\ncx q[0], q[1];\r\nh q[1];\r\n";
+        let whole = feed_pieces(&[text]).expect("whole");
+        let cuts: Vec<usize> = (1..text.len()).filter(|&i| text[i - 1] == b'\r').collect();
+        assert_eq!(cuts.len(), 3);
+        for cut in cuts {
+            let (a, b) = text.split_at(cut);
+            assert_eq!(feed_pieces(&[a, b]).expect("split CRLF"), whole);
+        }
+        // A lone '\r' left at the end of the input is trimmed too.
+        assert_eq!(feed_pieces(&[b"qreg q[2];\r\nh q[1];\r"]).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn invalid_utf8_fails_its_own_line_after_earlier_lines() {
+        let mut text = b"qreg q[2];\n".to_vec();
+        for _ in 0..5 {
+            text.extend_from_slice(b"h q[0];\ncx q[0], q[1];\n");
+        }
+        // Line 12 holds the bad byte; lines 13 and on are never read.
+        text.extend_from_slice(b"h q[1]; // caf\xe9\nbogus q[0];\nh q[0];\n");
+        let err = feed_pieces(&[&text]).expect_err("bad byte");
+        assert_eq!(err.line(), 12);
+        assert_eq!(
+            err.to_string(),
+            "qasm parse error at line 12: invalid UTF-8"
+        );
+        // An error on an earlier line of the same chunk still wins.
+        let mut early = text.clone();
+        early.splice(11..11, b"bogus q[0];\n".iter().copied());
+        let err = feed_pieces(&[&early]).expect_err("parse error first");
+        assert_eq!(
+            err.to_string(),
+            "qasm parse error at line 2: unknown gate 'bogus'"
+        );
+        // The bad byte in a line completed across feeds, too.
+        let err = feed_pieces(&[&text[..text.len() - 30], &text[text.len() - 30..]])
+            .expect_err("bad byte across feeds");
+        assert_eq!(err.line(), 12);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! produce byte-identical chunk sequences and digests.
 
 use caqr_circuit::optimize::peephole;
-use caqr_circuit::qasm::QasmStmt;
+use caqr_circuit::qasm::{DeclaredRanges, QasmStmt};
 use caqr_circuit::{Circuit, Fingerprint, Instruction};
 
 use crate::digest::StreamDigest;
@@ -145,6 +145,9 @@ pub struct StreamSession<S: ChunkSink> {
     stmts: Vec<QasmStmt>,
     /// Scheduler output awaiting the next chunk flush.
     emitted: Vec<Instruction>,
+    /// Declarations and operands read from source text, checked at
+    /// [`finish`](StreamSession::finish) as `from_qasm` checks them.
+    ranges: DeclaredRanges,
     declared_qubits: usize,
     clbits: usize,
     gates_out: u64,
@@ -162,6 +165,7 @@ impl<S: ChunkSink> StreamSession<S> {
             opts,
             stmts: Vec::new(),
             emitted: Vec::new(),
+            ranges: DeclaredRanges::default(),
             declared_qubits: 0,
             clbits: 0,
             gates_out: 0,
@@ -206,10 +210,14 @@ impl<S: ChunkSink> StreamSession<S> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`feed`](StreamSession::feed).
+    /// Same conditions as [`feed`](StreamSession::feed), and
+    /// [`StreamError::Parse`] with `from_qasm`'s "operand out of declared
+    /// range" (line 0) when an operand read from source text lies past
+    /// the last `qreg`/`creg` declaration.
     pub fn finish(mut self) -> Result<(StreamReport, S), StreamError> {
         self.parser.finish(&mut self.stmts)?;
         self.dispatch()?;
+        self.ranges.check()?;
         self.sched.finish(&mut self.emitted);
         self.flush_chunk();
         let metrics = StreamMetrics {
@@ -237,16 +245,19 @@ impl<S: ChunkSink> StreamSession<S> {
     /// capacity carries over to the next feed.
     fn dispatch(&mut self) -> Result<(), StreamError> {
         let mut stmts = std::mem::take(&mut self.stmts);
-        let result = stmts.drain(..).try_for_each(|stmt| match stmt {
-            QasmStmt::Qreg(n) => {
-                self.declared_qubits = self.declared_qubits.max(n);
-                Ok(())
+        let result = stmts.drain(..).try_for_each(|stmt| {
+            self.ranges.note(&stmt);
+            match stmt {
+                QasmStmt::Qreg(n) => {
+                    self.declared_qubits = self.declared_qubits.max(n);
+                    Ok(())
+                }
+                QasmStmt::Creg(n) => {
+                    self.clbits = self.clbits.max(n);
+                    Ok(())
+                }
+                QasmStmt::Instr(instr) => self.push_instruction(instr),
             }
-            QasmStmt::Creg(n) => {
-                self.clbits = self.clbits.max(n);
-                Ok(())
-            }
-            QasmStmt::Instr(instr) => self.push_instruction(instr),
         });
         self.stmts = stmts;
         result
@@ -426,6 +437,50 @@ mod tests {
         assert!(s.stmts.is_empty());
         s.feed(b"h q[0];\n").expect("feed");
         assert_eq!(s.stmts.capacity(), capacity);
+    }
+
+    /// Operands past the last declarations fail at `finish` with
+    /// `from_qasm`'s error; text that declares late or repeats a
+    /// declaration is judged by the same last-wins rule.
+    #[test]
+    fn text_operands_are_range_checked_as_in_from_qasm() {
+        let session = |text: &str| {
+            let mut s = StreamSession::new(StreamOptions::default(), NullSink);
+            text.as_bytes()
+                .chunks(5)
+                .try_for_each(|piece| s.feed(piece))
+                .and_then(|()| s.finish())
+                .map(|(report, _)| report)
+        };
+        for text in [
+            "qreg q[2];\ncreg c[2];\nh q[1000];\n",
+            "qreg q[2];\ncreg c[2];\nmeasure q[0] -> c[7];\n",
+            "qreg q[2];\ncreg c[1];\nif(c[1]==1) x q[0];\n",
+            "qreg q[8];\nh q[5];\nqreg q[2];\n",
+            "h q[0];\n",
+        ] {
+            let want = from_qasm(text).expect_err("out of range");
+            let got = session(text).expect_err("out of range");
+            assert_eq!(got, StreamError::Parse(want), "{text:?}");
+        }
+        for text in ["h q[3];\nqreg q[4];\n", "qreg q[2];\nh q[1];\nqreg q[9];\n"] {
+            from_qasm(text).expect("in range");
+            session(text).expect("in range");
+        }
+    }
+
+    /// Instructions pushed without text are not range-checked.
+    #[test]
+    fn pushed_instructions_skip_the_text_range_check() {
+        let mut s = StreamSession::new(StreamOptions::default(), NullSink);
+        s.declare(1, 0);
+        s.push_instruction(caqr_circuit::Instruction::gate(
+            caqr_circuit::Gate::H,
+            &[Qubit::new(5)],
+        ))
+        .expect("push");
+        let (report, _) = s.finish().expect("no range check");
+        assert_eq!(report.metrics.gates_in, 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use caqr_circuit::{Gate, Instruction, Operands, Qubit};
 
 use crate::cone::ConeTracker;
-use crate::StreamError;
+use crate::{StreamError, MAX_LOGICAL_QUBITS};
 
 #[derive(Debug, Clone, Copy)]
 struct QubitState {
@@ -87,7 +87,9 @@ impl WindowScheduler {
     /// # Errors
     ///
     /// [`StreamError::WindowTooSmall`] if the instruction touches a
-    /// qubit the scheduler already retired.
+    /// qubit the scheduler already retired,
+    /// [`StreamError::QubitIndexTooLarge`] if it names a qubit at or past
+    /// [`MAX_LOGICAL_QUBITS`].
     pub fn push(
         &mut self,
         instr: Instruction,
@@ -96,6 +98,12 @@ impl WindowScheduler {
         let idx = self.base + self.buffer.len() as u64;
         for q in &instr.qubits {
             let qi = q.index();
+            if qi >= MAX_LOGICAL_QUBITS {
+                return Err(StreamError::QubitIndexTooLarge {
+                    qubit: qi,
+                    limit: MAX_LOGICAL_QUBITS,
+                });
+            }
             if self.qubits.len() <= qi {
                 self.qubits.resize(qi + 1, FRESH);
             }
@@ -348,6 +356,31 @@ mod tests {
         let last = out.last().expect("non-empty");
         assert_eq!(last.gate, Gate::X);
         assert_eq!(last.condition, Some(Clbit::new(0)));
+    }
+
+    /// An index past the cap fails before any per-qubit table grows.
+    #[test]
+    fn qubit_index_past_the_cap_is_typed_error() {
+        let mut s = WindowScheduler::new(4);
+        let mut out = Vec::new();
+        s.push(h(3), &mut out).unwrap();
+        for qubit in [MAX_LOGICAL_QUBITS, u32::MAX as usize] {
+            let err = s.push(h(qubit), &mut out).expect_err("past the cap");
+            assert_eq!(
+                err,
+                StreamError::QubitIndexTooLarge {
+                    qubit,
+                    limit: MAX_LOGICAL_QUBITS
+                }
+            );
+            assert!(err.to_string().contains(&format!("q[{qubit}]")));
+        }
+        let err = s
+            .push(cx(0, MAX_LOGICAL_QUBITS), &mut out)
+            .expect_err("second operand past the cap");
+        assert!(matches!(err, StreamError::QubitIndexTooLarge { .. }));
+        assert_eq!(s.qubits.len(), 4);
+        assert_eq!(s.cones().qubits_seen(), 4);
     }
 
     #[test]
