@@ -1,38 +1,42 @@
 //! Measures the simulator engine's component wins on the Table 3 workload
 //! and writes them to `BENCH_sim.json`.
 //!
-//! Six configurations run the same noisy workload:
+//! Seven configurations of the executor run the same noisy workload, each
+//! turning one more fast path on. Group 0 measures collapse-based on one
+//! thread:
 //!
-//! 1. `pre_pr` — a frozen re-implementation of the executor as it was
-//!    before the parallel/kernel/snapshot work: one shared RNG, per-index
-//!    bit-tested gate loops, and idle/gate/readout probabilities
-//!    recomputed (`exp()` and all) inside every shot. Wall-clock baseline
-//!    only: its shared-stream histograms differ from the per-shot-stream
-//!    executor by design.
-//! 2. `reference` — the current executor with every optimization off
-//!    (sequential, generic gate path, no snapshot, collapse-based
-//!    measurement).
-//! 3. `kernels` — specialized stride kernels + hoisted noise tables.
-//! 4. `kernels_snapshot` — plus noiseless-prefix snapshotting.
-//! 5. `sampling` — plus deferred-measurement sampling (collapse-free
-//!    terminal measurements).
-//! 6. `full` — plus auto worker threads (equal to `sampling` on a
-//!    single-core host).
+//! 1. `reference` — every fast path off (`Executor::reference`): the
+//!    generic per-gate path, no snapshot, dense engine.
+//! 2. `kernels` — compiled stride kernels, hoisted noise tables and
+//!    chunked Pauli-frame forwarding, on the dense engine.
+//! 3. `kernels_snapshot` — plus the noiseless-prefix snapshot.
+//! 4. `kernels_sparse` — plus the support-tracked sparse engine, which
+//!    engages on the low-support Multiply_13 circuit only.
 //!
-//! Configurations 2-4 must produce bit-identical histograms, as must 5-6
-//! (asserted) — including the support-tracked sparse engine, which
-//! engages inside `full` on the low-support Multiply_13 circuit and is
-//! bit-identical to dense by construction (`full_no_sparse` attributes
-//! its win). A separate dynamic Clifford workload (`stab_*` rows) pits
-//! the dense engine against the whole-circuit stabilizer tableau; those
-//! two agree in distribution only, so they are compared by TVD.
+//! Group 1 samples the deferred terminal measurements without collapse:
+//!
+//! 5. `sampling` — one thread, dense engine.
+//! 6. `full_no_sparse` — plus auto worker threads (equal to `sampling` on
+//!    a single-core host).
+//! 7. `full` — plus the sparse engine: the default noisy executor.
+//!
+//! Configurations in one group must produce bit-identical histograms
+//! (asserted): no fast path may change a shot, and the sparse engine is
+//! bit-identical to the dense sweeps by construction. Sampling draws
+//! different quantities, so the groups agree only in distribution. Every
+//! row must also report the dispatch it is meant to run: `scalar` for
+//! the generic path, `wide` for the compiled kernels, and `sparse` for
+//! Multiply_13 wherever the sparse engine is on. A separate dynamic
+//! Clifford workload (`stab_*` rows) pits the dense engine against the
+//! whole-circuit stabilizer tableau; those two agree in distribution
+//! only, so they are compared by per-bit marginals.
 //!
 //! Usage: `bench_sim_baseline [--quick] [--check] [--out PATH]`
 //!
 //! `--quick` shrinks the shot count (CI smoke); `--check` skips writing
-//! the JSON, verifies the cross-configuration histogram equality, and
-//! enforces the `full` throughput floor at the full shot count; `--out`
-//! overrides the output path.
+//! the JSON, verifies the cross-configuration histogram equality and the
+//! dispatches, and enforces the `full` throughput floor at the full shot
+//! count; `--out` overrides the output path.
 
 use caqr::{compile, Strategy};
 use caqr_bench::{mumbai, EXPERIMENT_SEED};
@@ -42,365 +46,80 @@ use caqr_sim::{metrics, Counts, Engine, Executor, KernelDispatch, NoiseModel, Sh
 use std::time::Instant;
 
 /// Shots/s the `full` configuration must sustain on the 2000-shot
-/// Table 3 workload: 3x the frozen pre-PR executor's 8,418 shots/s.
+/// Table 3 workload: 3x the 8,418 shots/s the executor ran at before its
+/// kernel, snapshot and sampling paths existed.
 const FULL_FLOOR_SHOTS_PER_SEC: f64 = 25_255.0;
-
-/// The executor as it stood before this optimization pass, reconstructed
-/// verbatim so the speedup in `BENCH_sim.json` is measured against real
-/// history rather than a de-tuned current build.
-mod pre_pr {
-    use caqr_circuit::depth::Schedule;
-    use caqr_circuit::{Circuit, Gate};
-    use caqr_sim::noise::IdleChannel;
-    use caqr_sim::{Counts, NoiseModel, C64};
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
-
-    struct State {
-        n: usize,
-        amps: Vec<C64>,
-    }
-
-    impl State {
-        fn zero(n: usize) -> Self {
-            let mut amps = vec![C64::ZERO; 1 << n];
-            amps[0] = C64::ONE;
-            State { n, amps }
-        }
-
-        fn apply_1q(&mut self, q: usize, m: [[C64; 2]; 2]) {
-            let bit = 1usize << q;
-            for i in 0..self.amps.len() {
-                if i & bit == 0 {
-                    let j = i | bit;
-                    let (a0, a1) = (self.amps[i], self.amps[j]);
-                    self.amps[i] = m[0][0] * a0 + m[0][1] * a1;
-                    self.amps[j] = m[1][0] * a0 + m[1][1] * a1;
-                }
-            }
-        }
-
-        fn diag_1q(&mut self, q: usize, m0: C64, m1: C64) {
-            let bit = 1usize << q;
-            for (i, a) in self.amps.iter_mut().enumerate() {
-                *a = if i & bit == 0 { m0 } else { m1 } * *a;
-            }
-        }
-
-        fn phase_1q(&mut self, q: usize, phase: C64) {
-            self.diag_1q(q, C64::ONE, phase);
-        }
-
-        fn apply_gate(&mut self, gate: &Gate, qubits: &[usize]) {
-            match *gate {
-                Gate::H => {
-                    let s = std::f64::consts::FRAC_1_SQRT_2;
-                    self.apply_1q(
-                        qubits[0],
-                        [[C64::real(s), C64::real(s)], [C64::real(s), C64::real(-s)]],
-                    );
-                }
-                Gate::X => self.apply_1q(qubits[0], [[C64::ZERO, C64::ONE], [C64::ONE, C64::ZERO]]),
-                Gate::Y => self.apply_1q(qubits[0], [[C64::ZERO, -C64::I], [C64::I, C64::ZERO]]),
-                Gate::Z => self.phase_1q(qubits[0], C64::real(-1.0)),
-                Gate::S => self.phase_1q(qubits[0], C64::I),
-                Gate::Sdg => self.phase_1q(qubits[0], -C64::I),
-                Gate::T => self.phase_1q(qubits[0], C64::cis(std::f64::consts::FRAC_PI_4)),
-                Gate::Tdg => self.phase_1q(qubits[0], C64::cis(-std::f64::consts::FRAC_PI_4)),
-                Gate::Rx(a) => {
-                    let (c, s) = ((a / 2.0).cos(), (a / 2.0).sin());
-                    self.apply_1q(
-                        qubits[0],
-                        [
-                            [C64::real(c), C64::new(0.0, -s)],
-                            [C64::new(0.0, -s), C64::real(c)],
-                        ],
-                    );
-                }
-                Gate::Ry(a) => {
-                    let (c, s) = ((a / 2.0).cos(), (a / 2.0).sin());
-                    self.apply_1q(
-                        qubits[0],
-                        [[C64::real(c), C64::real(-s)], [C64::real(s), C64::real(c)]],
-                    );
-                }
-                Gate::Rz(a) => self.diag_1q(qubits[0], C64::cis(-a / 2.0), C64::cis(a / 2.0)),
-                Gate::Phase(a) => self.phase_1q(qubits[0], C64::cis(a)),
-                Gate::U(theta, phi, lambda) => {
-                    let (c, s) = ((theta / 2.0).cos(), (theta / 2.0).sin());
-                    self.apply_1q(
-                        qubits[0],
-                        [
-                            [C64::real(c), -(C64::cis(lambda).scale(s))],
-                            [C64::cis(phi).scale(s), C64::cis(phi + lambda).scale(c)],
-                        ],
-                    );
-                }
-                Gate::Cx => {
-                    let (cb, tb) = (1usize << qubits[0], 1usize << qubits[1]);
-                    for i in 0..self.amps.len() {
-                        if i & cb != 0 && i & tb == 0 {
-                            self.amps.swap(i, i | tb);
-                        }
-                    }
-                }
-                Gate::Cz => self.cphase(qubits[0], qubits[1], C64::real(-1.0)),
-                Gate::Cp(a) => self.cphase(qubits[0], qubits[1], C64::cis(a)),
-                Gate::Rzz(a) => {
-                    let (ab, bb) = (1usize << qubits[0], 1usize << qubits[1]);
-                    let (even, odd) = (C64::cis(-a / 2.0), C64::cis(a / 2.0));
-                    for (i, amp) in self.amps.iter_mut().enumerate() {
-                        let parity = ((i & ab != 0) as u8) ^ ((i & bb != 0) as u8);
-                        *amp = if parity == 0 { even } else { odd } * *amp;
-                    }
-                }
-                Gate::Swap => {
-                    let (ab, bb) = (1usize << qubits[0], 1usize << qubits[1]);
-                    for i in 0..self.amps.len() {
-                        if i & ab != 0 && i & bb == 0 {
-                            self.amps.swap(i, (i & !ab) | bb);
-                        }
-                    }
-                }
-                Gate::Measure | Gate::Reset => unreachable!("handled by the caller"),
-            }
-        }
-
-        fn cphase(&mut self, a: usize, b: usize, phase: C64) {
-            let (ab, bb) = (1usize << a, 1usize << b);
-            for (i, amp) in self.amps.iter_mut().enumerate() {
-                if i & ab != 0 && i & bb != 0 {
-                    *amp = phase * *amp;
-                }
-            }
-        }
-
-        fn prob_one(&self, q: usize) -> f64 {
-            let bit = 1usize << q;
-            self.amps
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i & bit != 0)
-                .map(|(_, a)| a.abs2())
-                .sum()
-        }
-
-        fn project(&mut self, q: usize, value: bool) {
-            let bit = 1usize << q;
-            let mut keep = 0.0;
-            for (i, a) in self.amps.iter().enumerate() {
-                if ((i & bit != 0) == value) && a.abs2() > 0.0 {
-                    keep += a.abs2();
-                }
-            }
-            let scale = if keep > 0.0 { 1.0 / keep.sqrt() } else { 0.0 };
-            for (i, a) in self.amps.iter_mut().enumerate() {
-                *a = if (i & bit != 0) == value {
-                    a.scale(scale)
-                } else {
-                    C64::ZERO
-                };
-            }
-        }
-
-        fn measure(&mut self, q: usize, rng: &mut impl Rng) -> bool {
-            let p1 = self.prob_one(q);
-            let outcome = rng.gen_bool(p1.clamp(0.0, 1.0));
-            self.project(q, outcome);
-            outcome
-        }
-
-        fn reset(&mut self, q: usize, rng: &mut impl Rng) {
-            if self.measure(q, rng) {
-                self.apply_gate(&Gate::X, &[q]);
-            }
-        }
-
-        fn amplitude_damp(&mut self, q: usize, gamma: f64, rng: &mut impl Rng) {
-            if gamma == 0.0 {
-                return;
-            }
-            let p1 = self.prob_one(q);
-            let p_jump = (gamma * p1).clamp(0.0, 1.0);
-            let bit = 1usize << q;
-            if p_jump > 0.0 && rng.gen_bool(p_jump) {
-                let scale = (gamma / p_jump).sqrt();
-                for i in 0..self.amps.len() {
-                    if i & bit == 0 {
-                        self.amps[i] = self.amps[i | bit].scale(scale);
-                        self.amps[i | bit] = C64::ZERO;
-                    }
-                }
-            } else {
-                let damp = (1.0 - gamma).sqrt();
-                let norm = (1.0 - p_jump).sqrt();
-                for (i, a) in self.amps.iter_mut().enumerate() {
-                    *a = if i & bit == 0 {
-                        a.scale(1.0 / norm)
-                    } else {
-                        a.scale(damp / norm)
-                    };
-                }
-            }
-        }
-
-        fn num_qubits(&self) -> usize {
-            self.n
-        }
-    }
-
-    /// `run_shots` exactly as the previous executor ran it: serial, one
-    /// shared RNG, all noise probabilities recomputed per shot.
-    pub fn run_shots(model: &NoiseModel, circuit: &Circuit, shots: usize, seed: u64) -> Counts {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut counts = Counts::new(circuit.num_clbits());
-        let schedule = Schedule::asap(circuit, &model.device().duration_model());
-        for _ in 0..shots {
-            counts.record(run_single(model, circuit, &schedule, &mut rng));
-        }
-        counts
-    }
-
-    fn run_single(
-        model: &NoiseModel,
-        circuit: &Circuit,
-        schedule: &Schedule,
-        rng: &mut impl Rng,
-    ) -> u64 {
-        let mut state = State::zero(circuit.num_qubits());
-        let mut clreg: u64 = 0;
-        let mut busy_until = vec![0u64; state.num_qubits()];
-
-        for (idx, instr) in circuit.iter().enumerate() {
-            let start = schedule.start(idx);
-            for q in &instr.qubits {
-                let gap = start.saturating_sub(busy_until[q.index()]);
-                match model.idle_channel() {
-                    IdleChannel::PauliTwirl => {
-                        let p = model.idle_error(q.index(), gap);
-                        if p > 0.0 && rng.gen_bool(p) {
-                            state.apply_gate(&NoiseModel::random_pauli(rng), &[q.index()]);
-                        }
-                    }
-                    IdleChannel::ThermalRelaxation => {
-                        let gamma = model.idle_gamma(q.index(), gap);
-                        if gamma > 0.0 {
-                            state.amplitude_damp(q.index(), gamma, rng);
-                        }
-                        let pz = model.idle_dephase(q.index(), gap);
-                        if pz > 0.0 && rng.gen_bool(pz) {
-                            state.apply_gate(&Gate::Z, &[q.index()]);
-                        }
-                    }
-                }
-                busy_until[q.index()] = schedule.finish(idx);
-            }
-
-            if let Some(cond) = instr.condition {
-                if clreg >> cond.index() & 1 == 0 {
-                    continue;
-                }
-            }
-
-            let operands: Vec<usize> = instr.qubits.iter().map(|q| q.index()).collect();
-            match instr.gate {
-                Gate::Measure => {
-                    let q = operands[0];
-                    let mut bit = state.measure(q, rng);
-                    let p = model.readout_error(q);
-                    if p > 0.0 && rng.gen_bool(p) {
-                        bit = !bit;
-                    }
-                    let c = instr.clbit.expect("measure has a clbit").index();
-                    if bit {
-                        clreg |= 1 << c;
-                    } else {
-                        clreg &= !(1 << c);
-                    }
-                }
-                Gate::Reset => state.reset(operands[0], rng),
-                ref gate => {
-                    state.apply_gate(gate, &operands);
-                    let p = model.gate_error(instr);
-                    for &q in &operands {
-                        if p > 0.0 && rng.gen_bool(p) {
-                            state.apply_gate(&NoiseModel::random_pauli(rng), &[q]);
-                        }
-                    }
-                }
-            }
-        }
-        clreg
-    }
-}
 
 struct Config {
     name: &'static str,
     exec: Executor,
     /// Configs in the same group must produce bit-identical histograms.
     group: usize,
+    /// What the row's dense circuits dispatch to: `Scalar` on the generic
+    /// per-gate path, `Wide` on the compiled kernels.
+    dense: KernelDispatch,
+    /// Whether the sparse engine is on, so that it carries Multiply_13.
+    sparse: bool,
+}
+
+impl Config {
+    /// The dispatch this row must report on `circuit`.
+    fn dispatch(&self, circuit: &str) -> KernelDispatch {
+        if self.sparse && circuit.contains("Multiply") {
+            KernelDispatch::Sparse
+        } else {
+            self.dense
+        }
+    }
 }
 
 fn configs() -> Vec<Config> {
-    let model = NoiseModel::from_device(mumbai());
-    vec![
-        Config {
-            name: "reference",
-            exec: Executor::noisy(model.clone()).reference(),
-            group: 0,
-        },
-        Config {
-            name: "scalar_kernels",
-            exec: Executor::noisy(model.clone())
-                .with_threads(1)
-                .with_snapshot(false)
-                .with_sampling(false)
-                .with_wide(false)
-                .with_chunked_fusion(false),
-            group: 0,
-        },
-        Config {
-            name: "wide",
-            exec: Executor::noisy(model.clone())
-                .with_threads(1)
-                .with_snapshot(false)
-                .with_sampling(false)
-                .with_chunked_fusion(false),
-            group: 0,
-        },
-        Config {
-            name: "wide_snapshot",
-            exec: Executor::noisy(model.clone())
-                .with_threads(1)
-                .with_sampling(false)
-                .with_chunked_fusion(false),
-            group: 0,
-        },
-        Config {
-            name: "wide_fused2q",
-            exec: Executor::noisy(model.clone())
-                .with_threads(1)
-                .with_sampling(false),
-            group: 0,
-        },
-        Config {
-            name: "sampling",
-            exec: Executor::noisy(model.clone())
-                .with_threads(1)
-                .with_sparse(false),
-            group: 1,
-        },
-        Config {
-            name: "full_no_sparse",
-            exec: Executor::noisy(model.clone()).with_sparse(false),
-            group: 1,
-        },
-        Config {
-            name: "full",
-            exec: Executor::noisy(model),
-            group: 1,
-        },
+    use KernelDispatch::{Scalar, Wide};
+    let noisy = Executor::noisy(NoiseModel::from_device(mumbai()));
+    let collapsed = noisy.clone().with_threads(1).with_sampling(false);
+    let dense = Engine::Dense;
+    [
+        ("reference", noisy.clone().reference(), 0, Scalar, false),
+        (
+            "kernels",
+            collapsed.clone().with_snapshot(false).with_engine(dense),
+            0,
+            Wide,
+            false,
+        ),
+        (
+            "kernels_snapshot",
+            collapsed.clone().with_engine(dense),
+            0,
+            Wide,
+            false,
+        ),
+        ("kernels_sparse", collapsed, 0, Wide, true),
+        (
+            "sampling",
+            noisy.clone().with_threads(1).with_engine(dense),
+            1,
+            Wide,
+            false,
+        ),
+        (
+            "full_no_sparse",
+            noisy.clone().with_engine(dense),
+            1,
+            Wide,
+            false,
+        ),
+        ("full", noisy, 1, Wide, true),
     ]
+    .into_iter()
+    .map(|(name, exec, group, dense, sparse)| Config {
+        name,
+        exec,
+        group,
+        dense,
+        sparse,
+    })
+    .collect()
 }
 
 /// The Table 3 benchmarks, compiled for Mumbai and compacted to their used
@@ -483,23 +202,6 @@ fn main() {
     let workload = workload();
     let model = NoiseModel::from_device(mumbai());
 
-    // The frozen pre-optimization executor: wall-clock baseline only (its
-    // shared-RNG histograms differ from the per-shot-stream executor by
-    // design, so it is excluded from the equality check below).
-    let pre_started = Instant::now();
-    let mut pre_total = 0u64;
-    for (_, circuit) in &workload {
-        let counts = pre_pr::run_shots(&model, circuit, shots, EXPERIMENT_SEED);
-        pre_total += counts.total() as u64;
-    }
-    let pre_wall = pre_started.elapsed().as_secs_f64();
-    println!(
-        "{:>18}: {:8.3} s  ({:9.0} shots/s)",
-        "pre_pr",
-        pre_wall,
-        pre_total as f64 / pre_wall.max(1e-12)
-    );
-
     let mut measurements = Vec::new();
     for config in configs() {
         let m = measure(&config, &workload, shots);
@@ -521,8 +223,21 @@ fn main() {
             last.deferred_measures,
             detail.join(", ")
         );
+        // Each row must run the engine it attributes. The support bound
+        // must admit Multiply_13 (permutation/phase structure, true
+        // support 32 of 8192) and reject the full-support circuits — the
+        // sparse engine's whole value is engaging exactly where it wins.
+        for ((name, _), report) in workload.iter().zip(&m.reports) {
+            assert_eq!(
+                report.kernel_dispatch,
+                config.dispatch(name),
+                "{} ran {name} on the wrong engine",
+                config.name
+            );
+        }
         measurements.push(m);
     }
+    println!("every configuration ran its circuits on the engine it names");
 
     // Within each group the histograms must be bit-identical — those
     // optimizations are not allowed to change a shot. Deferred sampling
@@ -544,23 +259,8 @@ fn main() {
     println!("histograms bit-identical within each configuration group");
 
     let full = measurements.last().unwrap();
-    // The support bound must admit Multiply_13 (permutation/phase
-    // structure, true support 32 of 8192) and reject the full-support
-    // circuits — the sparse engine's whole value is engaging exactly
-    // where it wins.
-    let multiply = workload
-        .iter()
-        .position(|(name, _)| name.contains("Multiply"))
-        .expect("Table 3 workload contains Multiply_13");
-    assert_eq!(
-        full.reports[multiply].kernel_dispatch,
-        KernelDispatch::Sparse,
-        "the full config must run Multiply_13 on the sparse engine"
-    );
-    let speedup_pre = pre_wall / full.wall_s.max(1e-12);
     let speedup_ref = measurements[0].wall_s / full.wall_s.max(1e-12);
-    println!("end-to-end speedup vs pre-PR executor: {speedup_pre:.2}x");
-    println!("end-to-end speedup vs de-optimized current executor: {speedup_ref:.2}x");
+    println!("end-to-end speedup vs the reference configuration: {speedup_ref:.2}x");
 
     // Dynamic Clifford workload: dense vs whole-circuit stabilizer
     // tableau under the same Pauli-twirl noise. Distribution-level
@@ -628,11 +328,7 @@ fn main() {
         // The quick pass above validated cross-config equality; the
         // throughput floor is only meaningful at the full shot count,
         // where per-run overheads amortize. Re-measure just `full`.
-        let full_cfg = Config {
-            name: "full",
-            exec: Executor::noisy(model),
-            group: 1,
-        };
+        let full_cfg = configs().pop().expect("`full` is the last config");
         let m = measure(&full_cfg, &workload, 2000);
         println!(
             "floor check: full = {:.0} shots/s at 2000 shots (floor {FULL_FLOOR_SHOTS_PER_SEC:.0})",
@@ -661,17 +357,9 @@ fn main() {
         full.reports.last().expect("non-empty workload").threads
     ));
     json.push_str(&format!(
-        "  \"speedup_full_vs_pre_pr\": {speedup_pre:.3},\n"
-    ));
-    json.push_str(&format!(
         "  \"speedup_full_vs_reference\": {speedup_ref:.3},\n"
     ));
     json.push_str("  \"configs\": [\n");
-    json.push_str(&format!(
-        "    {{\"name\": \"pre_pr\", \"wall_s\": {:.4}, \"shots_per_sec\": {:.1}}},\n",
-        pre_wall,
-        pre_total as f64 / pre_wall.max(1e-12)
-    ));
     for m in measurements.iter() {
         let per_circuit: Vec<String> = workload
             .iter()

@@ -41,14 +41,16 @@ pub struct ServerMetrics {
 
 /// Cumulative simulator-engine counters, fed from each run's
 /// [`ShotReport`]. These surface which engine actually carried the shots
-/// — wide/scalar dense sweeps, the stabilizer tableau, or the
-/// support-tracked sparse engine — plus the tableau's absorbed-gate and
-/// handoff-cost totals.
+/// — dense sweeps through the compiled kernels or the generic per-gate
+/// path, the stabilizer tableau, or the support-tracked sparse engine —
+/// plus the tableau's absorbed-gate and handoff-cost totals.
 #[derive(Debug, Default)]
 pub struct SimMetrics {
-    /// Simulation runs whose dense sweeps used the wide kernel bodies.
+    /// Runs whose dense sweeps went through the compiled kernels
+    /// ([`KernelDispatch::Wide`]; every dense run the server makes).
     pub dispatch_wide: AtomicU64,
-    /// Runs on the scalar fallback bodies.
+    /// Runs whose dense sweeps went through the generic per-gate
+    /// reference path ([`KernelDispatch::Scalar`]).
     pub dispatch_scalar: AtomicU64,
     /// Runs carried entirely by the stabilizer tableau.
     pub dispatch_tableau: AtomicU64,
@@ -59,8 +61,9 @@ pub struct SimMetrics {
     /// Microseconds spent converting tableaux to dense snapshots, summed
     /// over runs.
     pub tableau_to_dense_us: AtomicU64,
-    /// Dispatch of the most recent run, as 1 + the
-    /// wide/scalar/tableau/sparse index (0 = no run yet).
+    /// Dispatch of the most recent run, as 1 + its index in
+    /// `dispatch_wide`, `dispatch_scalar`, `dispatch_tableau`,
+    /// `dispatch_sparse` (0 = no run yet).
     last_dispatch: AtomicU64,
 }
 

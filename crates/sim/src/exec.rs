@@ -2,7 +2,7 @@
 //!
 //! This is the hot path behind every "real machine" number in the
 //! reproduction (Table 3, Figs. 15/16, mirror fidelity), so the executor
-//! is built around three optimizations — all invisible in the results:
+//! is built as a stack of optimizations, all invisible in the results:
 //!
 //! 1. **Deterministic shot parallelism** — each shot draws from its own
 //!    ChaCha8 stream keyed by `(seed, shot_index)`
@@ -66,7 +66,19 @@
 //!    draw no random numbers); [`Engine::Stabilizer`] extends it to
 //!    Pauli-twirl noise (errors are Paulis, hence Clifford) and, on
 //!    non-Clifford circuits, seeds the prefix snapshot from a tableau
-//!    simulation of the maximal Clifford prefix.
+//!    simulation of the maximal Clifford prefix. Chunked plans whose
+//!    plan-time support bound stays under 1/64th of the basis run on the
+//!    support-tracked sparse engine (`crate::sparse`) unless the engine
+//!    is [`Engine::Dense`]; it is bit-identical to the dense sweeps.
+//!
+//! Chunking (item 5) is not a switch: it follows from the plan. Compiled
+//! kernels under Pauli-twirl noise run chunked; ideal and
+//! thermal-relaxation runs, and the generic per-gate path, apply one op
+//! at a time. Five switches turn the other fast paths off, for property
+//! tests and attribution rows: [`Executor::with_threads`],
+//! [`Executor::with_kernels`], [`Executor::with_snapshot`],
+//! [`Executor::with_sampling`] and [`Executor::with_engine`].
+//! [`Executor::reference`] turns them all off.
 //!
 //! Each noisy shot is one Monte-Carlo trajectory: stochastic Pauli errors
 //! are inserted according to the [`NoiseModel`], so averaging over shots
@@ -117,14 +129,18 @@ const CANCEL_CHUNK: usize = 32;
 /// streams as the dense engine but consumes them differently (a
 /// deterministic tableau measurement burns no randomness, a dense one
 /// always burns one draw), so the two engines agree in distribution, not
-/// bit for bit.
+/// bit for bit. The sparse engine, by contrast, is bit-identical to the
+/// dense one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Dense state vector, except noiseless fully-Clifford circuits run
-    /// on the stabilizer tableau. The default.
+    /// Dense state vector, except that noiseless fully-Clifford circuits
+    /// run on the stabilizer tableau, and circuits under Pauli-twirl
+    /// noise that the plan proves low-support (see `crate::sparse`) run
+    /// on the sparse engine. The default.
     #[default]
     Auto,
-    /// Dense state vector always.
+    /// Dense state vector always: never the tableau, never the sparse
+    /// engine.
     Dense,
     /// Stabilizer tableau wherever legal: whole-circuit for Clifford
     /// circuits (ideal or Pauli-twirl noise — stochastic Paulis are
@@ -167,15 +183,19 @@ impl fmt::Display for Engine {
     }
 }
 
-/// Which kernel bodies a run's state-vector sweeps dispatched to (see
-/// `crate::wide`). Purely observational — the wide and scalar bodies
-/// are bit-identical by contract.
+/// Which engine carried a run's shots. Purely observational.
+///
+/// `Wide` and `Scalar` both name the dense state vector, whose kernel
+/// bodies are the same either way; the two names tell the compiled
+/// kernels from the generic per-gate reference path, and stay the names
+/// of `caqr-serve`'s `/metrics` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelDispatch {
-    /// Lane-parallel wide bodies (the default).
+    /// Dense sweeps through the compiled kernels (the default).
     #[default]
     Wide,
-    /// Scalar fallback bodies ([`Executor::with_wide`]`(false)`).
+    /// Dense sweeps through the generic per-gate reference path
+    /// ([`Executor::with_kernels`]`(false)`).
     Scalar,
     /// No dense sweeps ran: the stabilizer tableau carried the circuit.
     Tableau,
@@ -205,6 +225,15 @@ impl fmt::Display for KernelDispatch {
 
 /// Executes circuits shot by shot, with optional calibration-driven noise.
 ///
+/// Every fast path is on by default. Five switches turn them off, for
+/// property tests and attribution rows — [`Executor::with_threads`],
+/// [`Executor::with_kernels`], [`Executor::with_snapshot`],
+/// [`Executor::with_sampling`] and [`Executor::with_engine`] — and
+/// [`Executor::reference`] turns them all off at once. Threads, the
+/// snapshot and, on noisy runs, the kernels leave every histogram bit for
+/// bit as it is; sampling and the tableau draw differently, and agree
+/// with the rest in distribution.
+///
 /// # Examples
 ///
 /// ```
@@ -229,15 +258,8 @@ pub struct Executor {
     snapshot: bool,
     /// Collapse-free sampling of deferred terminal measurements.
     sampling: bool,
-    /// Engine selection (dense vs stabilizer tableau).
+    /// Engine selection (see [`Engine`]).
     engine: Engine,
-    /// Lane-parallel wide kernel bodies (bit-identical to scalar).
-    wide: bool,
-    /// Chunked fusion of noisy bodies under the Pauli-twirl channel.
-    chunked: bool,
-    /// Support-tracked sparse sweeps on provably low-support circuits
-    /// (bit-identical to dense).
-    sparse: bool,
 }
 
 /// Instrumentation from one [`Executor::run_shots_traced`] call.
@@ -260,8 +282,9 @@ pub struct ShotReport {
     /// Measurements deferred to the program tail and sampled without
     /// collapse (0 = sampling disabled or inapplicable).
     pub deferred_measures: usize,
-    /// Which kernel bodies the dense sweeps dispatched to, or
-    /// [`KernelDispatch::Tableau`] when no dense sweep ran.
+    /// Which engine carried the shots: the dense state vector through
+    /// the compiled kernels (`Wide`) or the generic per-gate path
+    /// (`Scalar`), the stabilizer tableau, or the sparse engine.
     pub kernel_dispatch: KernelDispatch,
     /// Unitary gates absorbed by the stabilizer tableau: every gate on
     /// whole-circuit tableau runs, the Clifford prefix length under
@@ -292,9 +315,6 @@ impl Executor {
             snapshot: true,
             sampling: true,
             engine: Engine::Auto,
-            wide: true,
-            chunked: true,
-            sparse: true,
         }
     }
 
@@ -320,8 +340,10 @@ impl Executor {
     }
 
     /// Enables or disables the specialized/fused kernel path. Disabled,
-    /// every gate goes through the generic dense matrix product — the
-    /// reference the kernel path is property-tested against.
+    /// every gate goes through the generic per-gate path
+    /// ([`StateVector::apply_gate`]), one op at a time, with no fusion, no
+    /// chunking and no sparse engine — the reference the kernel path is
+    /// property-tested against.
     pub fn with_kernels(mut self, on: bool) -> Self {
         self.kernels = on;
         self
@@ -344,54 +366,24 @@ impl Executor {
 
     /// Selects the simulation engine (see [`Engine`]). [`Engine::Dense`]
     /// pins the dense state vector; [`Engine::Stabilizer`] uses the
-    /// tableau wherever legal. Engine choice changes how randomness is
-    /// consumed, so histograms agree across engines in distribution, not
-    /// bit for bit.
+    /// tableau wherever legal. The tableau consumes randomness
+    /// differently, so histograms agree across engines in distribution,
+    /// not bit for bit — except that `Dense` and `Auto` agree bit for bit
+    /// on noisy runs, where they differ only in the sparse engine.
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
     }
 
-    /// Enables or disables the lane-parallel wide kernel bodies. Both
-    /// settings produce bit-identical histograms (see `crate::wide`);
-    /// the flag exists for benchmarking attribution.
-    pub fn with_wide(mut self, on: bool) -> Self {
-        self.wide = on;
-        self
-    }
-
-    /// Enables or disables chunked fusion of noisy bodies under the
-    /// Pauli-twirl channel. Disabled, noisy shots apply gates one
-    /// kernel at a time with draws interleaved. Both settings walk the
-    /// same draw sequence; they differ only in floating-point evaluation
-    /// order inside event-free chunks.
-    pub fn with_chunked_fusion(mut self, on: bool) -> Self {
-        self.chunked = on;
-        self
-    }
-
-    /// Enables or disables the support-tracked sparse engine. It engages
-    /// only on circuits whose plan-time support bound proves the state
-    /// stays on a tiny fraction of the basis (see `crate::sparse`),
-    /// and it is bit-identical to the dense engine on every observable,
-    /// so the flag exists for benchmarking attribution.
-    pub fn with_sparse(mut self, on: bool) -> Self {
-        self.sparse = on;
-        self
-    }
-
     /// The reference configuration: sequential, generic gate application,
-    /// no snapshotting, collapse-based measurement, dense engine, scalar
-    /// kernel bodies. Same per-shot streams, none of the fast paths.
+    /// no snapshotting, collapse-based measurement, dense engine. Same
+    /// per-shot streams, none of the fast paths.
     pub fn reference(self) -> Self {
         self.with_threads(1)
             .with_kernels(false)
             .with_snapshot(false)
             .with_sampling(false)
             .with_engine(Engine::Dense)
-            .with_wide(false)
-            .with_chunked_fusion(false)
-            .with_sparse(false)
     }
 
     /// Runs `shots` shots and histograms the classical register.
@@ -455,36 +447,37 @@ impl Executor {
         should_stop: &(dyn Fn() -> bool + Sync),
     ) -> Result<(Counts, ShotReport), Interrupted> {
         let started = Instant::now();
-        if let Some(tplan) = self.tableau_plan(circuit) {
-            return self.run_shots_tableau(&tplan, shots, seed, should_stop, started);
+        if let Some(plan) = self.tableau_plan(circuit) {
+            let (counts, _, workers) = self.run_sharded(
+                circuit,
+                shots,
+                should_stop,
+                || Tableau::new(circuit.num_qubits()),
+                |tab, shot| (plan.run_shot(tab, seed, shot), false),
+            )?;
+            let report = ShotReport {
+                shots,
+                threads: workers,
+                gates_in: plan.gates,
+                kernels_out: plan.gates,
+                prefix_ops: 0,
+                snapshot_forks: 0,
+                deferred_measures: 0,
+                kernel_dispatch: KernelDispatch::Tableau,
+                stabilizer_prefix_gates: plan.gates,
+                tableau_to_dense_us: 0,
+                wall: started.elapsed(),
+            };
+            return Ok((counts, report));
         }
         let plan = self.plan(circuit);
-        let workers = parallel::effective_workers(self.threads, shots);
-        let stopped = AtomicBool::new(false);
-        let shards = parallel::run_shards(workers, shots, |range| {
-            let mut counts = Counts::new(circuit.num_clbits());
-            let mut scratch = ShotScratch::new();
-            let mut forks = 0usize;
-            for (done, shot) in range.enumerate() {
-                if done % CANCEL_CHUNK == 0 && (stopped.load(Ordering::Relaxed) || should_stop()) {
-                    stopped.store(true, Ordering::Relaxed);
-                    break;
-                }
-                let (value, forked) = plan.run_shot(seed, shot as u64, &mut scratch);
-                counts.record(value);
-                forks += usize::from(forked);
-            }
-            (counts, forks)
-        });
-        if stopped.load(Ordering::Relaxed) {
-            return Err(Interrupted);
-        }
-        let mut counts = Counts::new(circuit.num_clbits());
-        let mut forks = 0;
-        for (shard, shard_forks) in &shards {
-            counts.merge(shard);
-            forks += shard_forks;
-        }
+        let (counts, forks, workers) = self.run_sharded(
+            circuit,
+            shots,
+            should_stop,
+            ShotScratch::new,
+            |scratch, shot| plan.run_shot(seed, shot, scratch),
+        )?;
         let stats = plan.program.stats();
         let report = ShotReport {
             shots,
@@ -500,7 +493,7 @@ impl Executor {
             deferred_measures: plan.tail.tail_len,
             kernel_dispatch: if plan.sparse {
                 KernelDispatch::Sparse
-            } else if self.wide {
+            } else if self.kernels {
                 KernelDispatch::Wide
             } else {
                 KernelDispatch::Scalar
@@ -510,6 +503,49 @@ impl Executor {
             wall: started.elapsed(),
         };
         Ok((counts, report))
+    }
+
+    /// The sharded shot loop of every engine: shots split into contiguous
+    /// shards over `threads` workers, each shard with its own scratch
+    /// made by `scratch`, a stop check every `CANCEL_CHUNK` shots, and
+    /// the shard histograms merged. `shot` runs one shot and returns its
+    /// classical register and whether it forked from a snapshot. Returns
+    /// the histogram, the forked shots and the worker count.
+    fn run_sharded<S>(
+        &self,
+        circuit: &Circuit,
+        shots: usize,
+        should_stop: &(dyn Fn() -> bool + Sync),
+        scratch: impl Fn() -> S + Sync,
+        shot: impl Fn(&mut S, u64) -> (u64, bool) + Sync,
+    ) -> Result<(Counts, usize, usize), Interrupted> {
+        let workers = parallel::effective_workers(self.threads, shots);
+        let stopped = AtomicBool::new(false);
+        let shards = parallel::run_shards(workers, shots, |range| {
+            let mut counts = Counts::new(circuit.num_clbits());
+            let mut state = scratch();
+            let mut forks = 0usize;
+            for (done, index) in range.enumerate() {
+                if done % CANCEL_CHUNK == 0 && (stopped.load(Ordering::Relaxed) || should_stop()) {
+                    stopped.store(true, Ordering::Relaxed);
+                    break;
+                }
+                let (value, forked) = shot(&mut state, index as u64);
+                counts.record(value);
+                forks += usize::from(forked);
+            }
+            (counts, forks)
+        });
+        if stopped.load(Ordering::Relaxed) {
+            return Err(Interrupted);
+        }
+        let mut counts = Counts::new(circuit.num_clbits());
+        let mut forks = 0;
+        for (shard, shard_forks) in &shards {
+            counts.merge(shard);
+            forks += shard_forks;
+        }
+        Ok((counts, forks, workers))
     }
 
     /// Runs one shot and returns the final classical register value.
@@ -577,54 +613,6 @@ impl Executor {
             prefix,
             prefix_len,
         })
-    }
-
-    /// The sharded shot loop of the whole-circuit tableau engine; same
-    /// determinism and cancellation contracts as the dense loop.
-    fn run_shots_tableau(
-        &self,
-        plan: &TableauPlan<'_>,
-        shots: usize,
-        seed: u64,
-        should_stop: &(dyn Fn() -> bool + Sync),
-        started: Instant,
-    ) -> Result<(Counts, ShotReport), Interrupted> {
-        let circuit = plan.circuit;
-        let workers = parallel::effective_workers(self.threads, shots);
-        let stopped = AtomicBool::new(false);
-        let shards = parallel::run_shards(workers, shots, |range| {
-            let mut counts = Counts::new(circuit.num_clbits());
-            let mut tab = Tableau::new(circuit.num_qubits());
-            for (done, shot) in range.enumerate() {
-                if done % CANCEL_CHUNK == 0 && (stopped.load(Ordering::Relaxed) || should_stop()) {
-                    stopped.store(true, Ordering::Relaxed);
-                    break;
-                }
-                counts.record(plan.run_shot(&mut tab, seed, shot as u64));
-            }
-            counts
-        });
-        if stopped.load(Ordering::Relaxed) {
-            return Err(Interrupted);
-        }
-        let mut counts = Counts::new(circuit.num_clbits());
-        for shard in &shards {
-            counts.merge(shard);
-        }
-        let report = ShotReport {
-            shots,
-            threads: workers,
-            gates_in: plan.gates,
-            kernels_out: plan.gates,
-            prefix_ops: 0,
-            snapshot_forks: 0,
-            deferred_measures: 0,
-            kernel_dispatch: KernelDispatch::Tableau,
-            stabilizer_prefix_gates: plan.gates,
-            tableau_to_dense_us: 0,
-            wall: started.elapsed(),
-        };
-        Ok((counts, report))
     }
 
     /// Builds the per-circuit execution plan: compiled kernels, hoisted
@@ -695,7 +683,6 @@ impl Executor {
             tables,
             program,
             kernels: self.kernels,
-            wide: self.wide,
             tail,
             boundary_op,
             boundary_pos,
@@ -709,9 +696,9 @@ impl Executor {
         };
         // Chunked frame forwarding: legal exactly when the Pauli-twirl
         // channel makes every draw state-independent, so a chunk's draws
-        // can be walked before its state work.
+        // can be walked before its state work. It needs the compiled
+        // kernels, whose Clifford conjugation carries the frame.
         let chunkable = self.kernels
-            && self.chunked
             && match &plan.tables {
                 None => false,
                 Some(t) => matches!(t.channel, crate::noise::IdleChannel::PauliTwirl),
@@ -728,8 +715,7 @@ impl Executor {
             // every stochastic Pauli pattern, so it is per-circuit, not
             // per-shot.
             let cap = (1usize << circuit.num_qubits()) >> 6;
-            plan.sparse = self.sparse
-                && self.engine != Engine::Dense
+            plan.sparse = self.engine != Engine::Dense
                 && cap > 0
                 && support_bound(&plan.program, cap).is_some();
         }
@@ -772,7 +758,6 @@ impl Executor {
             if rest > 0 {
                 let handoff = Instant::now();
                 let mut state = tab.to_state_vector();
-                state.set_wide(self.wide);
                 plan.tableau_to_dense_us = handoff.elapsed().as_micros() as u64;
                 plan.stabilizer_prefix_gates = rest;
                 // The remaining prefix instructions apply through the
@@ -789,7 +774,6 @@ impl Executor {
             }
         }
         let mut state = StateVector::zero(circuit.num_qubits());
-        state.set_wide(self.wide);
         // The classical register is still all-zero before the first
         // measurement, so conditioned prefix gates never execute.
         for op in &plan.program.ops()[..plan.boundary_op] {
@@ -1303,8 +1287,6 @@ struct ShotPlan<'c> {
     tables: Option<NoiseTables>,
     program: CompiledCircuit,
     kernels: bool,
-    /// Wide-kernel setting of the states shots run on.
-    wide: bool,
     /// Execution order plus deferred-tail sampling bookkeeping.
     tail: DeferredTail,
     /// Ops before the first measurement/reset.
@@ -1374,7 +1356,7 @@ impl ShotPlan<'_> {
 
     /// The state in `slot`, made on first use.
     fn state_in<'s, S: SimState>(&self, slot: &'s mut Option<S>) -> &'s mut S {
-        slot.get_or_insert_with(|| S::zero(self.circuit.num_qubits(), self.wide))
+        slot.get_or_insert_with(|| S::zero(self.circuit.num_qubits()))
     }
 
     /// Samples a tail-only fork's deferred tail from the prefix table,
@@ -2341,39 +2323,73 @@ mod tests {
         assert_eq!(counts.get(single), 1);
     }
 
+    /// A noiseless dynamic Clifford circuit (mid-circuit measurement,
+    /// feed-forward and reset), which the default executor runs on the
+    /// stabilizer tableau.
+    fn clifford_circuit() -> Circuit {
+        let mut circ = Circuit::new(3, 3);
+        circ.h(q(0));
+        circ.cx(q(0), q(1));
+        circ.measure(q(0), c(0));
+        circ.cond_x(q(2), c(0));
+        circ.reset(q(0));
+        circ.h(q(0));
+        circ.cx(q(1), q(2));
+        circ.measure(q(0), c(0));
+        circ.measure(q(1), c(1));
+        circ.measure(q(2), c(2));
+        circ
+    }
+
+    /// The cancellation tests' circuits, each with the engine that carries
+    /// it: the dense kernels and the tableau share one sharded loop, and
+    /// both must stop through it.
+    fn cancellation_cases() -> [(Circuit, KernelDispatch); 2] {
+        [
+            (stress_circuit(), KernelDispatch::Wide),
+            (clifford_circuit(), KernelDispatch::Tableau),
+        ]
+    }
+
     #[test]
     fn cancellable_run_matches_uncancelled() {
-        let circ = stress_circuit();
         let exec = Executor::ideal();
-        let (cancellable, _) = exec
-            .run_shots_cancellable(&circ, 300, 11, &|| false)
-            .expect("never-stopping");
-        assert_eq!(cancellable, exec.run_shots(&circ, 300, 11));
+        for (circ, dispatch) in cancellation_cases() {
+            let (cancellable, report) = exec
+                .run_shots_cancellable(&circ, 300, 11, &|| false)
+                .expect("never-stopping");
+            assert_eq!(report.kernel_dispatch, dispatch);
+            assert_eq!(cancellable, exec.run_shots(&circ, 300, 11));
+        }
     }
 
     #[test]
     fn tripped_stop_callback_interrupts() {
-        let circ = stress_circuit();
-        let err = Executor::ideal()
-            .run_shots_cancellable(&circ, 10_000, 13, &|| true)
-            .unwrap_err();
-        assert_eq!(err, Interrupted);
-        assert!(err.to_string().contains("interrupted"));
+        for (circ, dispatch) in cancellation_cases() {
+            let (_, report) = Executor::ideal().run_shots_traced(&circ, 1, 13);
+            assert_eq!(report.kernel_dispatch, dispatch);
+            let err = Executor::ideal()
+                .run_shots_cancellable(&circ, 10_000, 13, &|| true)
+                .unwrap_err();
+            assert_eq!(err, Interrupted);
+            assert!(err.to_string().contains("interrupted"));
+        }
     }
 
     #[test]
     fn mid_run_stop_interrupts_all_shards() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let circ = stress_circuit();
-        let calls = AtomicUsize::new(0);
-        // Fire after a few checkpoints so some shots have already run.
-        let result =
-            Executor::ideal()
-                .with_threads(4)
-                .run_shots_cancellable(&circ, 50_000, 17, &|| {
-                    calls.fetch_add(1, Ordering::Relaxed) >= 4
-                });
-        assert_eq!(result.unwrap_err(), Interrupted);
+        for (circ, dispatch) in cancellation_cases() {
+            let exec = Executor::ideal().with_threads(4);
+            let (_, report) = exec.run_shots_traced(&circ, 4, 17);
+            assert_eq!(report.kernel_dispatch, dispatch);
+            let calls = AtomicUsize::new(0);
+            // Fire after a few checkpoints so some shots have already run.
+            let result = exec.run_shots_cancellable(&circ, 50_000, 17, &|| {
+                calls.fetch_add(1, Ordering::Relaxed) >= 4
+            });
+            assert_eq!(result.unwrap_err(), Interrupted);
+        }
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod parallel;
 mod sparse;
 pub mod state;
 pub mod tableau;
-mod wide;
 
 pub use complex::C64;
 pub use counts::Counts;

@@ -12,7 +12,7 @@
 //! # Bit-exactness contract
 //!
 //! The sparse bodies perform, per visited amplitude, exactly the
-//! floating-point operations of the scalar dense bodies, in the same
+//! floating-point operations of the dense bodies, in the same
 //! order — and every skipped amplitude is exactly zero, whose dense
 //! contribution is the FP identity (`x + 0.0 == x` for the probability
 //! accumulations, multiplication maps zeros to zeros). Probabilities,
@@ -47,7 +47,7 @@ use rand_chacha::ChaCha8Rng;
 /// of replay/fork/sampling logic serves both engines.
 pub(crate) trait SimState: Sized {
     /// The all-zeros state |0...0> of `num_qubits` qubits.
-    fn zero(num_qubits: usize, wide: bool) -> Self;
+    fn zero(num_qubits: usize) -> Self;
     /// Overwrites this state with a copy of `src`.
     fn load(&mut self, src: &Self);
     /// Resets to |0...0> with an identity bit permutation.
@@ -72,10 +72,8 @@ pub(crate) trait SimState: Sized {
 }
 
 impl SimState for StateVector {
-    fn zero(num_qubits: usize, wide: bool) -> Self {
-        let mut state = StateVector::zero(num_qubits);
-        state.set_wide(wide);
-        state
+    fn zero(num_qubits: usize) -> Self {
+        StateVector::zero(num_qubits)
     }
 
     fn load(&mut self, src: &Self) {
@@ -145,11 +143,9 @@ pub(crate) struct SparseState {
 
 impl SparseState {
     /// The all-zeros state |0...0>.
-    pub(crate) fn new(n: usize, wide: bool) -> Self {
-        let mut inner = StateVector::zero(n);
-        inner.set_wide(wide);
+    pub(crate) fn new(n: usize) -> Self {
         SparseState {
-            inner,
+            inner: StateVector::zero(n),
             supp: vec![0],
             bases: Vec::new(),
             stash: Vec::new(),
@@ -275,7 +271,7 @@ impl SparseState {
     /// Applies a full 4x4 on the physical bit pair `(bs, bl)` (small and
     /// large bit, matching the dense quad layout): every support-touching
     /// quad is visited once, all four outputs are written with exactly
-    /// the dense scalar sweep's accumulation order, and the
+    /// the dense sweep's accumulation order, and the
     /// exactly-nonzero outputs become the new support. `pm` is already
     /// permuted to physical quad order (`s + 2*l`).
     fn mix_support_quads(&mut self, bs: usize, bl: usize, pm: &[[C64; 4]; 4]) {
@@ -508,8 +504,8 @@ impl SparseState {
 }
 
 impl SimState for SparseState {
-    fn zero(num_qubits: usize, wide: bool) -> Self {
-        SparseState::new(num_qubits, wide)
+    fn zero(num_qubits: usize) -> Self {
+        SparseState::new(num_qubits)
     }
 
     fn load(&mut self, src: &Self) {
@@ -786,7 +782,7 @@ mod tests {
         let program = CompiledCircuit::compile(circuit);
         let n = circuit.num_qubits();
         let mut dense = StateVector::zero(n);
-        let mut sparse = SparseState::new(n, true);
+        let mut sparse = SparseState::new(n);
         for op in program.ops() {
             let Op::Unitary { kernel, .. } = op else {
                 continue;
@@ -851,7 +847,7 @@ mod tests {
         assert!(has(|k| matches!(k, Kernel::U2 { .. })), "fusion makes a U2");
         assert!(has(|k| matches!(k, Kernel::C2 { .. })), "fusion makes a C2");
         let mut dense = StateVector::zero(5);
-        let mut sparse = SparseState::new(5, true);
+        let mut sparse = SparseState::new(5);
         for op in program.ops() {
             let Op::Unitary { kernel, .. } = op else {
                 continue;
@@ -875,7 +871,7 @@ mod tests {
         // A lone CX fused with a control-side phase leaves the c=0 half
         // exactly identity; the sparse body must skip it untouched, the
         // dense `do0`/`do1` convention.
-        let mut sparse = SparseState::new(3, true);
+        let mut sparse = SparseState::new(3);
         let mut dense = StateVector::zero(3);
         const ID2: [[C64; 2]; 2] = [[C64::ONE, C64::ZERO], [C64::ZERO, C64::ONE]];
         let flip: [[C64; 2]; 2] = [[C64::ZERO, C64::ONE], [C64::ONE, C64::ZERO]];
@@ -911,7 +907,7 @@ mod tests {
         c.cx(q(0), q(2));
         c.h(q(0));
         let program = CompiledCircuit::compile(&c);
-        let mut sparse = SparseState::new(4, true);
+        let mut sparse = SparseState::new(4);
         for op in program.ops() {
             if let Op::Unitary { kernel, .. } = op {
                 sparse.apply_kernel(kernel);
@@ -925,7 +921,7 @@ mod tests {
         // Same seed, same draw sequence, same collapse: outcomes and
         // post-measurement amplitudes agree bit for bit.
         let mut dense = StateVector::zero(3);
-        let mut sparse = SparseState::new(3, true);
+        let mut sparse = SparseState::new(3);
         let ops = [
             Kernel::Had { q: 0 },
             Kernel::Cx { c: 0, t: 1 },
@@ -956,7 +952,7 @@ mod tests {
     #[test]
     fn masked_sum_matches_dense_order() {
         let mut dense = StateVector::zero(4);
-        let mut sparse = SparseState::new(4, true);
+        let mut sparse = SparseState::new(4);
         for k in [
             Kernel::Had { q: 0 },
             Kernel::Cx { c: 0, t: 2 },
@@ -988,7 +984,7 @@ mod tests {
     #[test]
     fn pauli_masks_match_dense() {
         let mut dense = StateVector::zero(3);
-        let mut sparse = SparseState::new(3, true);
+        let mut sparse = SparseState::new(3);
         for k in [Kernel::Had { q: 1 }, Kernel::Cx { c: 1, t: 2 }] {
             k.apply(&mut dense);
             sparse.apply_kernel(&k);
@@ -1006,11 +1002,11 @@ mod tests {
         // load() from a sparse snapshot must reproduce the snapshot's
         // observable state even when the destination held a wider
         // support (stale crumbs must be zeroed).
-        let mut snap = SparseState::new(3, true);
+        let mut snap = SparseState::new(3);
         for k in [Kernel::Had { q: 0 }, Kernel::Cx { c: 0, t: 1 }] {
             snap.apply_kernel(&k);
         }
-        let mut scratch = SparseState::new(3, true);
+        let mut scratch = SparseState::new(3);
         for k in [
             Kernel::Had { q: 0 },
             Kernel::Had { q: 1 },
@@ -1052,7 +1048,7 @@ mod tests {
 
     #[test]
     fn unspecialized_gate_falls_back_dense() {
-        let mut sparse = SparseState::new(3, true);
+        let mut sparse = SparseState::new(3);
         sparse.apply_kernel(&Kernel::Had { q: 0 });
         sparse.apply_gate(&Gate::Rx(0.7), &[1]);
         assert!(sparse.is_dense());
@@ -1117,7 +1113,7 @@ mod tests {
             }
             let program = CompiledCircuit::compile_fused(&c);
             let mut dense = StateVector::zero(n);
-            let mut sparse = SparseState::new(n, true);
+            let mut sparse = SparseState::new(n);
             for op in program.ops() {
                 let Op::Unitary { kernel, .. } = op else { continue };
                 kernel.apply(&mut dense);

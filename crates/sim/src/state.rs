@@ -1,7 +1,6 @@
 //! Dense state-vector representation and gate application.
 
 use crate::complex::C64;
-use crate::wide;
 use caqr_circuit::Gate;
 use rand::Rng;
 
@@ -39,10 +38,6 @@ pub struct StateVector {
     amps: Vec<C64>,
     /// `map[q]` = physical bit position of logical qubit `q`.
     map: Vec<usize>,
-    /// Route eligible runs through the lane-parallel kernel bodies
-    /// ([`crate::wide`]). Bit-identical to the scalar bodies; only
-    /// throughput changes.
-    wide: bool,
 }
 
 impl StateVector {
@@ -59,15 +54,7 @@ impl StateVector {
             n,
             amps,
             map: (0..n).collect(),
-            wide: true,
         }
-    }
-
-    /// Selects the wide (lane-parallel) or scalar kernel bodies for this
-    /// state. Both produce bit-identical amplitudes; the executor threads
-    /// its `kernel_dispatch` setting through here.
-    pub fn set_wide(&mut self, on: bool) {
-        self.wide = on;
     }
 
     /// The number of qubits.
@@ -85,7 +72,6 @@ impl StateVector {
             n,
             amps,
             map: (0..n).collect(),
-            wide: true,
         }
     }
 
@@ -282,7 +268,7 @@ impl StateVector {
         }
         for block in self.amps.chunks_exact_mut(bit << 1) {
             let (lo, hi) = block.split_at_mut(bit);
-            wide::mix_pairs(lo, hi, &m, self.wide);
+            mix_pairs(lo, hi, &m);
         }
     }
 
@@ -297,7 +283,7 @@ impl StateVector {
             return;
         }
         for block in self.amps.chunks_exact_mut(bit << 1) {
-            wide::scale_run(&mut block[bit..], phase, self.wide);
+            scale_run(&mut block[bit..], phase);
         }
     }
 
@@ -316,7 +302,7 @@ impl StateVector {
         }
         for block in self.amps.chunks_exact_mut(bit << 1) {
             let (lo, hi) = block.split_at_mut(bit);
-            wide::had_pairs(lo, hi, self.wide);
+            had_pairs(lo, hi);
         }
     }
 
@@ -355,8 +341,8 @@ impl StateVector {
         }
         for block in self.amps.chunks_exact_mut(bit << 1) {
             let (lo, hi) = block.split_at_mut(bit);
-            wide::scale_run(lo, m0, self.wide);
-            wide::scale_run(hi, m1, self.wide);
+            scale_run(lo, m0);
+            scale_run(hi, m1);
         }
     }
 
@@ -434,7 +420,7 @@ impl StateVector {
                 }
             } else {
                 for run in upper.chunks_exact_mut(small << 1) {
-                    wide::scale_run(&mut run[small..], phase, self.wide);
+                    scale_run(&mut run[small..], phase);
                 }
             }
         }
@@ -444,20 +430,19 @@ impl StateVector {
     /// sweep: each larger-bit half scales its smaller-bit halves by the
     /// matching parity factor (the factor pair flips between halves).
     pub(crate) fn apply_rzz_factors(&mut self, a: usize, b: usize, even: C64, odd: C64) {
-        fn scale_halves(half: &mut [C64], small: usize, f0: C64, f1: C64, w: bool) {
+        fn scale_halves(half: &mut [C64], small: usize, f0: C64, f1: C64) {
             for run in half.chunks_exact_mut(small << 1) {
                 let (lo, hi) = run.split_at_mut(small);
-                wide::scale_run(lo, f0, w);
-                wide::scale_run(hi, f1, w);
+                scale_run(lo, f0);
+                scale_run(hi, f1);
             }
         }
         let (ab, bb) = (1usize << self.map[a], 1usize << self.map[b]);
         let (small, large) = (ab.min(bb), ab.max(bb));
-        let w = self.wide;
         for block in self.amps.chunks_exact_mut(large << 1) {
             let (lo, hi) = block.split_at_mut(large);
-            scale_halves(lo, small, even, odd, w);
-            scale_halves(hi, small, odd, even, w);
+            scale_halves(lo, small, even, odd);
+            scale_halves(hi, small, odd, even);
         }
     }
 
@@ -493,7 +478,6 @@ impl StateVector {
                 pm[pr][pc] = m[*r][*c];
             }
         }
-        let w = self.wide;
         for block in self.amps.chunks_exact_mut(large << 1) {
             let (l0, l1) = block.split_at_mut(large);
             if small == 1 {
@@ -522,7 +506,7 @@ impl StateVector {
                 {
                     let (r00, r01) = c0.split_at_mut(small);
                     let (r10, r11) = c1.split_at_mut(small);
-                    wide::mix_quads([r00, r01, r10, r11], &pm, w);
+                    mix_quads([r00, r01, r10, r11], &pm);
                 }
             }
         }
@@ -537,17 +521,16 @@ impl StateVector {
         let (js, jl) = if pa < pb { (1usize, 2) } else { (2usize, 1) };
         // pd[s + 2*l] = logical entry for that physical quad.
         let pd = [d[0], d[js], d[jl], d[js + jl]];
-        let w = self.wide;
         for block in self.amps.chunks_exact_mut(large << 1) {
             let (l0, l1) = block.split_at_mut(large);
             for (half, fs) in [(l0, [pd[0], pd[1]]), (l1, [pd[2], pd[3]])] {
                 for run in half.chunks_exact_mut(small << 1) {
                     let (lo, hi) = run.split_at_mut(small);
                     if fs[0] != C64::ONE {
-                        wide::scale_run(lo, fs[0], w);
+                        scale_run(lo, fs[0]);
                     }
                     if fs[1] != C64::ONE {
-                        wide::scale_run(hi, fs[1], w);
+                        scale_run(hi, fs[1]);
                     }
                 }
             }
@@ -570,7 +553,7 @@ impl StateVector {
         // A half-space whose matrix is exactly the identity needs no sweep
         // (common: a lone CX fused with diagonals on its control).
         let (do0, do1) = (*m0 != ID2, *m1 != ID2);
-        fn oneq_in(amps: &mut [C64], bit: usize, m: &[[C64; 2]; 2], w: bool) {
+        fn oneq_in(amps: &mut [C64], bit: usize, m: &[[C64; 2]; 2]) {
             if bit == 1 {
                 for pair in amps.chunks_exact_mut(2) {
                     let (a0, a1) = (pair[0], pair[1]);
@@ -581,21 +564,20 @@ impl StateVector {
             }
             for block in amps.chunks_exact_mut(bit << 1) {
                 let (lo, hi) = block.split_at_mut(bit);
-                wide::mix_pairs(lo, hi, m, w);
+                mix_pairs(lo, hi, m);
             }
         }
         let (cb, tb) = (1usize << self.map[control], 1usize << self.map[target]);
-        let w = self.wide;
         if cb > tb {
             // Control is the outer bit: each control half is a contiguous
             // sub-space; run the plain 1q walk on the target inside it.
             for block in self.amps.chunks_exact_mut(cb << 1) {
                 let (c0, c1) = block.split_at_mut(cb);
                 if do0 {
-                    oneq_in(c0, tb, m0, w);
+                    oneq_in(c0, tb, m0);
                 }
                 if do1 {
-                    oneq_in(c1, tb, m1, w);
+                    oneq_in(c1, tb, m1);
                 }
             }
         } else {
@@ -624,10 +606,10 @@ impl StateVector {
                         let (r0c0, r0c1) = r0.split_at_mut(cb);
                         let (r1c0, r1c1) = r1.split_at_mut(cb);
                         if do0 {
-                            wide::mix_pairs(r0c0, r1c0, m0, w);
+                            mix_pairs(r0c0, r1c0, m0);
                         }
                         if do1 {
-                            wide::mix_pairs(r0c1, r1c1, m1, w);
+                            mix_pairs(r0c1, r1c1, m1);
                         }
                     }
                 }
@@ -818,6 +800,57 @@ impl StateVector {
                 base += bit << 1;
             }
         }
+    }
+}
+
+/// Applies a 2x2 matrix to amplitude pairs `(lo[i], hi[i])`.
+fn mix_pairs(lo: &mut [C64], hi: &mut [C64], m: &[[C64; 2]; 2]) {
+    debug_assert_eq!(lo.len(), hi.len());
+    for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+        let (a0, a1) = (*x, *y);
+        *x = m[0][0] * a0 + m[0][1] * a1;
+        *y = m[1][0] * a0 + m[1][1] * a1;
+    }
+}
+
+/// Hadamard body: sums, differences and one real scale.
+fn had_pairs(lo: &mut [C64], hi: &mut [C64]) {
+    let s = std::f64::consts::FRAC_1_SQRT_2;
+    debug_assert_eq!(lo.len(), hi.len());
+    for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+        let (a0, a1) = (*x, *y);
+        *x = (a0 + a1).scale(s);
+        *y = (a0 - a1).scale(s);
+    }
+}
+
+/// Multiplies every amplitude in `run` by `f` (diagonal/phase body).
+fn scale_run(run: &mut [C64], f: C64) {
+    for a in run {
+        *a = f * *a;
+    }
+}
+
+/// Applies a 4x4 matrix to amplitude quads gathered from four equal-length
+/// runs. `rows[j][i]` holds the amplitude whose 2-bit basis value is `j`
+/// (in the matrix's qubit convention) at position `i`.
+fn mix_quads(rows: [&mut [C64]; 4], m: &[[C64; 4]; 4]) {
+    let [r0, r1, r2, r3] = rows;
+    debug_assert!(r0.len() == r1.len() && r1.len() == r2.len() && r2.len() == r3.len());
+    for i in 0..r0.len() {
+        let v = [r0[i], r1[i], r2[i], r3[i]];
+        let mut out = [C64::ZERO; 4];
+        for (row, o) in m.iter().zip(out.iter_mut()) {
+            let mut acc = C64::ZERO;
+            for (c, a) in row.iter().zip(v.iter()) {
+                acc += C64::new(c.re * a.re - c.im * a.im, c.re * a.im + c.im * a.re);
+            }
+            *o = acc;
+        }
+        r0[i] = out[0];
+        r1[i] = out[1];
+        r2[i] = out[2];
+        r3[i] = out[3];
     }
 }
 

@@ -1,12 +1,15 @@
 //! Property tests pinning the fast simulator paths to naive references.
 //!
-//! Four contracts are exercised on randomly generated circuits:
+//! These contracts are exercised on randomly generated circuits:
 //!
 //! * The specialized/fused kernel pipeline produces the same amplitudes as
 //!   an independent textbook dense-matrix simulator (within 1e-10 — fusion
 //!   reorders floating-point products, so exact equality is not expected).
 //! * `run_shots` histograms are bit-identical across thread counts, for
 //!   both ideal and noisy executors.
+//! * Noisy shots on the chunked, frame-forwarded kernel path are
+//!   bit-identical to the generic per-gate path on random dynamic
+//!   circuits, with and without deferred sampling.
 //! * The stabilizer-tableau engine agrees with the dense engine in
 //!   distribution on random dynamic Clifford circuits (mid-circuit
 //!   measurement, reset, and feed-forward included).
@@ -32,39 +35,67 @@ type OpSpec = (u8, u32, u32);
 /// covering every unitary `Gate` variant.
 fn unitary_circuit(n: usize, clbits: usize, specs: &[OpSpec]) -> Circuit {
     let mut c = Circuit::new(n, clbits);
+    for &spec in specs {
+        push_unitary(&mut c, spec);
+    }
+    c
+}
+
+/// Appends the unitary gate `spec` decodes to (one of all 18 variants),
+/// or nothing when a two-qubit gate's operands coincide.
+fn push_unitary(c: &mut Circuit, (op, qsel, amil): OpSpec) {
+    let n = c.num_qubits();
+    let q0 = qsel as usize % n;
+    let q1 = (qsel as usize / n) % n;
+    let a = f64::from(amil) * 0.006_283;
+    let gate = match op % 18 {
+        0 => Gate::H,
+        1 => Gate::X,
+        2 => Gate::Y,
+        3 => Gate::Z,
+        4 => Gate::S,
+        5 => Gate::Sdg,
+        6 => Gate::T,
+        7 => Gate::Tdg,
+        8 => Gate::Rx(a),
+        9 => Gate::Ry(a),
+        10 => Gate::Rz(a),
+        11 => Gate::Phase(a),
+        12 => Gate::U(a, 0.7 * a, 1.3 * a),
+        13 => Gate::Cx,
+        14 => Gate::Cz,
+        15 => Gate::Cp(a),
+        16 => Gate::Rzz(a),
+        _ => Gate::Swap,
+    };
+    let qubits = if gate.num_qubits() == 2 {
+        if q0 == q1 {
+            return; // degenerate selector: skip this spec
+        }
+        vec![Qubit::new(q0), Qubit::new(q1)]
+    } else {
+        vec![Qubit::new(q0)]
+    };
+    c.push(caqr_circuit::Instruction::gate(gate, &qubits));
+}
+
+/// Decodes a spec into a dynamic circuit on `n` qubits and `n` classical
+/// bits: every unitary gate of [`unitary_circuit`] plus mid-circuit
+/// measurement, reset and a classically-conditioned X, then a terminal
+/// measurement of every qubit.
+fn dynamic_circuit(n: usize, specs: &[OpSpec]) -> Circuit {
+    let mut c = Circuit::new(n, n);
     for &(op, qsel, amil) in specs {
-        let q0 = qsel as usize % n;
-        let q1 = (qsel as usize / n) % n;
-        let a = f64::from(amil) * 0.006_283;
-        let gate = match op % 18 {
-            0 => Gate::H,
-            1 => Gate::X,
-            2 => Gate::Y,
-            3 => Gate::Z,
-            4 => Gate::S,
-            5 => Gate::Sdg,
-            6 => Gate::T,
-            7 => Gate::Tdg,
-            8 => Gate::Rx(a),
-            9 => Gate::Ry(a),
-            10 => Gate::Rz(a),
-            11 => Gate::Phase(a),
-            12 => Gate::U(a, 0.7 * a, 1.3 * a),
-            13 => Gate::Cx,
-            14 => Gate::Cz,
-            15 => Gate::Cp(a),
-            16 => Gate::Rzz(a),
-            _ => Gate::Swap,
-        };
-        let qubits = if gate.num_qubits() == 2 {
-            if q0 == q1 {
-                continue; // degenerate selector: skip this spec
-            }
-            vec![Qubit::new(q0), Qubit::new(q1)]
-        } else {
-            vec![Qubit::new(q0)]
-        };
-        c.push(caqr_circuit::Instruction::gate(gate, &qubits));
+        let q0 = Qubit::new(qsel as usize % n);
+        match op % 21 {
+            18 => c.measure(q0, Clbit::new(q0.index())),
+            19 => c.reset(q0),
+            20 => c.cond_x(q0, Clbit::new((qsel as usize / n) % n)),
+            _ => push_unitary(&mut c, (op, qsel, amil)),
+        }
+    }
+    for q in 0..n {
+        c.measure(Qubit::new(q), Clbit::new(q));
     }
     c
 }
@@ -337,6 +368,29 @@ proptest! {
     }
 
     #[test]
+    fn chunked_noisy_shots_match_the_generic_path(
+        n in 2usize..=7,
+        specs in collection::vec((0u8..=255, 0u32..10_000, 0u32..1000), 1..30),
+        scale in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        // The default noisy executor pre-walks each chunk's draws, forks
+        // from the snapshot under a forwarded Pauli frame and may run the
+        // sparse engine; the generic per-gate path applies each op and
+        // each fired Pauli in place. Both must make the same draws and
+        // read the same probabilities.
+        let circuit = dynamic_circuit(n, &specs);
+        let scale = [1.0, 4.0, 10.0][scale];
+        let noisy = Executor::noisy(NoiseModel::from_device(Device::mumbai(0)).with_scale(scale));
+        let chunked = noisy.run_shots(&circuit, 96, seed);
+        let generic = noisy.clone().with_kernels(false).run_shots(&circuit, 96, seed);
+        prop_assert_eq!(&chunked, &generic);
+        let collapsed = noisy.clone().with_sampling(false).run_shots(&circuit, 96, seed);
+        let reference = noisy.reference().run_shots(&circuit, 96, seed);
+        prop_assert_eq!(&collapsed, &reference);
+    }
+
+    #[test]
     fn tableau_matches_dense_on_dynamic_clifford_circuits(
         n in 2usize..=5,
         specs in collection::vec((0u8..=255, 0u32..10_000, 0u32..1000), 1..30),
@@ -404,15 +458,14 @@ proptest! {
         for q in 0..n {
             circuit.measure(Qubit::new(q), Clbit::new(q));
         }
-        let noisy = NoiseModel::from_device(Device::mumbai(0)).with_scale(3.0);
-        for exec in [Executor::ideal(), Executor::noisy(noisy.clone())] {
-            let reference = exec
-                .clone()
-                .with_sparse(false)
-                .run_shots(&circuit, 96, seed);
-            let counts = exec.clone().run_shots(&circuit, 96, seed);
-            prop_assert_eq!(&counts, &reference);
-        }
+        // Only noisy plans chunk, so only they can engage the sparse engine.
+        let noisy = Executor::noisy(NoiseModel::from_device(Device::mumbai(0)).with_scale(3.0));
+        let reference = noisy
+            .clone()
+            .with_engine(Engine::Dense)
+            .run_shots(&circuit, 96, seed);
+        let counts = noisy.run_shots(&circuit, 96, seed);
+        prop_assert_eq!(&counts, &reference);
     }
 }
 
@@ -437,7 +490,7 @@ fn sparse_dispatch_engages_on_low_support_circuit() {
     let (counts, report) = Executor::noisy(noisy.clone()).run_shots_traced(&circuit, 256, 17);
     assert_eq!(report.kernel_dispatch, KernelDispatch::Sparse);
     let (dense, dense_report) = Executor::noisy(noisy)
-        .with_sparse(false)
+        .with_engine(Engine::Dense)
         .run_shots_traced(&circuit, 256, 17);
     assert_eq!(dense_report.kernel_dispatch, KernelDispatch::Wide);
     assert_eq!(counts, dense);

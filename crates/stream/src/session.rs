@@ -45,9 +45,10 @@ impl Default for StreamOptions {
 /// Receives each compiled chunk. Implementations must not assume
 /// anything about chunk sizes beyond "bounded".
 pub trait ChunkSink {
-    /// Called once per chunk, in program order. The chunk's declared
-    /// width/clbits are the widths known so far (monotonically
-    /// non-decreasing across chunks).
+    /// Called once per chunk, in program order. The chunk's width is the
+    /// scheduler's wire count so far, and its clbits are those of the last
+    /// `creg` declaration so far, or more if an instruction already named
+    /// a higher bit.
     fn accept(&mut self, chunk: &Circuit);
 }
 
@@ -146,10 +147,11 @@ pub struct StreamSession<S: ChunkSink> {
     /// Scheduler output awaiting the next chunk flush.
     emitted: Vec<Instruction>,
     /// Declarations and operands read from source text, checked at
-    /// [`finish`](StreamSession::finish) as `from_qasm` checks them.
+    /// [`finish`](StreamSession::finish) as `from_qasm` checks them. The
+    /// last declarations are the register widths, as in `from_qasm`.
     ranges: DeclaredRanges,
-    declared_qubits: usize,
-    clbits: usize,
+    /// One past the largest clbit any instruction names.
+    used_clbits: usize,
     gates_out: u64,
     chunks: u64,
 }
@@ -166,8 +168,7 @@ impl<S: ChunkSink> StreamSession<S> {
             stmts: Vec::new(),
             emitted: Vec::new(),
             ranges: DeclaredRanges::default(),
-            declared_qubits: 0,
-            clbits: 0,
+            used_clbits: 0,
             gates_out: 0,
             chunks: 0,
         }
@@ -199,10 +200,12 @@ impl<S: ChunkSink> StreamSession<S> {
         Ok(())
     }
 
-    /// Records a register declaration without going through the parser.
+    /// Records a register declaration without going through the parser:
+    /// a `qreg` of `qubits` and a `creg` of `clbits`, which replace any
+    /// earlier declaration.
     pub fn declare(&mut self, qubits: usize, clbits: usize) {
-        self.declared_qubits = self.declared_qubits.max(qubits);
-        self.clbits = self.clbits.max(clbits);
+        self.ranges.note(&QasmStmt::Qreg(qubits));
+        self.ranges.note(&QasmStmt::Creg(clbits));
     }
 
     /// Ends the input: flushes the parser, drains the window, sinks the
@@ -221,9 +224,9 @@ impl<S: ChunkSink> StreamSession<S> {
         self.sched.finish(&mut self.emitted);
         self.flush_chunk();
         let metrics = StreamMetrics {
-            declared_qubits: self.declared_qubits,
+            declared_qubits: self.ranges.qubits(),
             wires: self.sched.width(),
-            clbits: self.clbits,
+            clbits: self.clbits(),
             gates_in: self.sched.gates_in(),
             gates_out: self.gates_out,
             resets_inserted: self.sched.resets_inserted(),
@@ -248,14 +251,7 @@ impl<S: ChunkSink> StreamSession<S> {
         let result = stmts.drain(..).try_for_each(|stmt| {
             self.ranges.note(&stmt);
             match stmt {
-                QasmStmt::Qreg(n) => {
-                    self.declared_qubits = self.declared_qubits.max(n);
-                    Ok(())
-                }
-                QasmStmt::Creg(n) => {
-                    self.clbits = self.clbits.max(n);
-                    Ok(())
-                }
+                QasmStmt::Qreg(_) | QasmStmt::Creg(_) => Ok(()),
                 QasmStmt::Instr(instr) => self.push_instruction(instr),
             }
         });
@@ -265,15 +261,22 @@ impl<S: ChunkSink> StreamSession<S> {
 
     fn note_clbits(&mut self, instr: &Instruction) {
         for c in instr.clbit.iter().chain(instr.condition.iter()) {
-            self.clbits = self.clbits.max(c.index() + 1);
+            self.used_clbits = self.used_clbits.max(c.index() + 1);
         }
+    }
+
+    /// The classical register width so far: the last `creg` declaration,
+    /// widened to every clbit an instruction has named (pushed
+    /// instructions are not range-checked).
+    fn clbits(&self) -> usize {
+        self.ranges.clbits().max(self.used_clbits)
     }
 
     fn flush_chunk(&mut self) {
         if self.emitted.is_empty() {
             return;
         }
-        let mut chunk = Circuit::new(self.sched.width(), self.clbits);
+        let mut chunk = Circuit::new(self.sched.width(), self.clbits());
         for i in self.emitted.drain(..) {
             chunk.push(i);
         }
@@ -467,6 +470,24 @@ mod tests {
             from_qasm(text).expect("in range");
             session(text).expect("in range");
         }
+    }
+
+    /// A later declaration replaces an earlier one, as in `from_qasm`: the
+    /// session reports the last `qreg` and `creg` widths, and its report
+    /// and digest equal the batch twin's.
+    #[test]
+    fn redeclared_registers_take_the_last_width() {
+        let text =
+            "qreg q[8];\nqreg q[2];\ncreg c[8];\ncreg c[2];\nh q[0];\nmeasure q[0] -> c[0];\n";
+        let batch = from_qasm(text).expect("parse");
+        assert_eq!((batch.num_qubits(), batch.num_clbits()), (2, 2));
+        let (batch_report, _) =
+            schedule_circuit(&batch, StreamOptions::default(), NullSink).expect("batch twin");
+        let (report, out) = stream_text(text, StreamOptions::default(), 3);
+        assert_eq!(report.metrics.declared_qubits, 2);
+        assert_eq!(report.metrics.clbits, 2);
+        assert_eq!(out.num_clbits(), 2);
+        assert_eq!(report, batch_report);
     }
 
     /// Instructions pushed without text are not range-checked.

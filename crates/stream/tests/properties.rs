@@ -28,10 +28,19 @@ const ANGLES: [&str; 8] = [
 
 /// Decodes specs into a well-formed program on `n` qubits: every
 /// statement kind the streaming parser handles, with all operand indices
-/// in range and two-qubit operands distinct.
-fn program_text(n: usize, specs: &[StmtSpec]) -> String {
+/// in range and two-qubit operands distinct. Bit 0 of `widen` declares a
+/// wider `qreg` first, bit 1 a wider `creg`; the real declarations
+/// replace them before the body, since the last declaration wins.
+fn program_text(n: usize, widen: u8, specs: &[StmtSpec]) -> String {
     use std::fmt::Write as _;
-    let mut out = format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{n}];\ncreg c[{n}];\n");
+    let mut out = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n");
+    if widen & 1 != 0 {
+        writeln!(out, "qreg q[{}];", n + 3).expect("write to String");
+    }
+    if widen & 2 != 0 {
+        writeln!(out, "creg c[{}];", n + 5).expect("write to String");
+    }
+    writeln!(out, "qreg q[{n}];\ncreg c[{n}];").expect("write to String");
     for &(op, sel, asel) in specs {
         let q0 = sel as usize % n;
         let q1 = (sel as usize / n) % n;
@@ -86,8 +95,9 @@ proptest! {
         n in 1usize..6,
         specs in collection::vec((0u8..=255, 0u32..1024, 0u8..=255), 0..60),
         cuts in collection::vec(0u32..4096, 0..12),
+        widen in 0u8..4,
     ) {
-        let text = program_text(n, &specs);
+        let text = program_text(n, widen, &specs);
         let batch = from_qasm(&text).expect("generated program parses");
         let mut importer = StreamingImporter::new();
         for chunk in byte_splits(&text, &cuts) {
@@ -106,8 +116,9 @@ proptest! {
         n in 1usize..6,
         specs in collection::vec((0u8..=255, 0u32..1024, 0u8..=255), 0..60),
         cuts in collection::vec(0u32..4096, 0..12),
+        widen in 0u8..4,
     ) {
-        let text = program_text(n, &specs);
+        let text = program_text(n, widen, &specs);
         // Window larger than any generated program: retirement can only
         // happen at finish-time emission, so WindowTooSmall is impossible
         // and the comparison is purely about split independence.
@@ -136,7 +147,7 @@ proptest! {
         specs in collection::vec((0u8..=255, 0u32..1024, 0u8..=255), 0..12),
         bad_line in 0usize..16,
     ) {
-        let mut text = program_text(n, &specs);
+        let mut text = program_text(n, 0, &specs);
         // Corrupt one line past the prelude (or append when the program
         // is shorter than the chosen position).
         let lines: Vec<&str> = text.lines().collect();
