@@ -10,8 +10,9 @@
 //! the *parametric template* exactly once; every optimizer evaluation
 //! binds the candidate `(gamma, beta)` into the routed artifact — an
 //! O(gates) stamp, no recompilation. The run reports the resulting
-//! compile / bind / simulate wall-time split: with one compile amortized
-//! over all evaluations, compile time drops out of the optimizer loop.
+//! compile / bind / simulate wall-time split on stderr (stdout reproduces
+//! byte for byte): with one compile amortized over all evaluations,
+//! compile time drops out of the optimizer loop.
 
 use caqr::manager::NoopObserver;
 use caqr::{CancelToken, CompileCtx, PassManager, Strategy};
@@ -37,10 +38,11 @@ struct TimeSplit {
 }
 
 impl TimeSplit {
-    fn print(&self, label: &str) {
+    /// Prints the split to stderr, so stdout reproduces byte for byte.
+    fn eprint(&self, label: &str) {
         let total = self.compile + self.bind + self.simulate;
         let share = |d: Duration| 100.0 * d.as_secs_f64() / total.as_secs_f64().max(1e-12);
-        println!(
+        eprintln!(
             "{label}: compile {:.1} ms once ({:.2}% of loop), bind {:.3} ms over {} evals \
              ({:.2}%), simulate {:.1} ms ({:.2}%)",
             self.compile.as_secs_f64() * 1e3,
@@ -130,8 +132,8 @@ fn run(density: f64, args: SimArgs) {
     let (base_hist, base_q, base_split) = converge(&graph, &device, Strategy::Baseline, args);
     let (sr_hist, sr_q, sr_split) = converge(&graph, &device, Strategy::Sr, args);
     println!("baseline uses {base_q} qubits; SR-CaQR uses {sr_q} qubits");
-    base_split.print("baseline time split");
-    sr_split.print("SR-CaQR  time split");
+    base_split.eprint("baseline time split");
+    sr_split.eprint("SR-CaQR  time split");
     let mut t = Table::new(&["round", "baseline -<cut>", "SR-CaQR -<cut>"]);
     let len = base_hist.len().max(sr_hist.len());
     let pick = |h: &[f64], i: usize| {

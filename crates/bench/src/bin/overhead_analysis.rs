@@ -1,6 +1,13 @@
 //! §3.4 overhead analysis: wall-clock cost of each compiler pass as the
 //! instance grows, confirming the polynomial scaling the paper derives
 //! (`O(k n^3)` for general circuits; matching-dominated for QAOA).
+//!
+//! The instance sizes go to stdout and the wall-clock tables to stderr,
+//! so stdout reproduces byte for byte:
+//!
+//! ```text
+//! cargo run --release -p caqr-bench --bin overhead_analysis 2> timings.txt
+//! ```
 
 use caqr::commuting::{schedule, CommutingSpec, Matcher};
 use caqr::router::{self, RouterOptions};
@@ -19,14 +26,8 @@ fn main() {
     println!("§3.4 — pass overheads (wall clock, release build)\n");
 
     println!("regular path (BV_n):");
-    let mut t = Table::new(&[
-        "n",
-        "gates",
-        "analysis ms",
-        "qs sweep ms",
-        "sr ms",
-        "baseline ms",
-    ]);
+    let mut sizes = Table::new(&["n", "gates"]);
+    let mut times = Table::new(&["n", "analysis ms", "qs sweep ms", "sr ms", "baseline ms"]);
     for n in [8usize, 12, 16, 20] {
         let bench = bv::bv_all_ones(n);
         let device = device_for(n);
@@ -43,21 +44,17 @@ fn main() {
         let s = Instant::now();
         let _ = baseline::compile(&bench.circuit, &device);
         let t_base = ms(s);
-        t.row(&[
-            n.to_string(),
-            bench.circuit.len().to_string(),
-            t_analysis,
-            t_sweep,
-            t_sr,
-            t_base,
-        ]);
+        sizes.row(&[n.to_string(), bench.circuit.len().to_string()]);
+        times.row(&[n.to_string(), t_analysis, t_sweep, t_sr, t_base]);
     }
-    t.print();
+    sizes.print();
+    eprintln!("regular path (BV_n), wall clock:");
+    times.eprint();
 
     println!("\ncommuting path (QAOA-n, density 0.3):");
-    let mut t = Table::new(&[
+    let mut sizes = Table::new(&["n", "edges"]);
+    let mut times = Table::new(&[
         "n",
-        "edges",
         "blossom schedule ms",
         "greedy schedule ms",
         "full sweep ms",
@@ -75,15 +72,12 @@ fn main() {
         let s = Instant::now();
         let _ = qs::commuting::sweep(&spec, sr::default_matcher(&spec));
         let t_sweep = ms(s);
-        t.row(&[
-            n.to_string(),
-            graph.num_edges().to_string(),
-            t_blossom,
-            t_greedy,
-            t_sweep,
-        ]);
+        sizes.row(&[n.to_string(), graph.num_edges().to_string()]);
+        times.row(&[n.to_string(), t_blossom, t_greedy, t_sweep]);
     }
-    t.print();
+    sizes.print();
+    eprintln!("\ncommuting path (QAOA-n, density 0.3), wall clock:");
+    times.eprint();
 
     let _ = Device::mumbai(0); // keep the device path linked
     println!("\nexpected: every column grows polynomially; greedy matching is ~10x blossom.");

@@ -218,6 +218,12 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
+
+    /// Prints to stderr: where the regenerators put wall-clock tables, so
+    /// that their stdout reproduces byte for byte.
+    pub fn eprint(&self) {
+        eprint!("{}", self.render());
+    }
 }
 
 /// The process's peak resident-set size (`VmHWM`) in kilobytes, read

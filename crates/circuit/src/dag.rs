@@ -6,7 +6,7 @@
 //! that wrote its condition bit, which is exactly how the paper's dummy
 //! measurement node `D` enforces reuse ordering (Fig. 9).
 
-use crate::circuit::{Circuit, Qubit};
+use crate::circuit::Circuit;
 use caqr_graph::closure::TransitiveClosure;
 use caqr_graph::DiGraph;
 
@@ -143,28 +143,12 @@ impl CircuitDag {
     pub fn closure(&self) -> TransitiveClosure {
         TransitiveClosure::of(&self.graph).expect("circuit DAG is acyclic by construction")
     }
-
-    /// Tests the paper's Condition 2 for the reuse pair `(q_i -> q_j)` on
-    /// `circuit`: no gate on `q_i` may (transitively) depend on a gate on
-    /// `q_j`. Equivalently, inserting the dummy measure node `D` with edges
-    /// `gates(q_i) -> D -> gates(q_j)` must not create a cycle (Fig. 7).
-    pub fn reuse_respects_dependencies(
-        &self,
-        circuit: &Circuit,
-        closure: &TransitiveClosure,
-        q_i: Qubit,
-        q_j: Qubit,
-    ) -> bool {
-        let gates_i = circuit.gates_on_qubit(q_i);
-        let gates_j = circuit.gates_on_qubit(q_j);
-        !closure.any_reaches(&gates_j, &gates_i)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::Clbit;
+    use crate::circuit::{Clbit, Qubit};
 
     fn q(i: usize) -> Qubit {
         Qubit::new(i)
@@ -223,38 +207,6 @@ mod tests {
         let dag = CircuitDag::of(&c);
         let marks = dag.on_critical_path(&[1, 1, 1, 1]);
         assert_eq!(marks, vec![true, true, false, true]);
-    }
-
-    #[test]
-    fn paper_fig7_condition2_violation() {
-        // Fig. 7: gates g(q4,q2), g(q2,q3), g(q3,q1). Reusing q1 for q4 is
-        // invalid: g(q3,q1) transitively depends on g(q4,q2).
-        let mut c = Circuit::new(4, 0); // q1=0, q2=1, q3=2, q4=3
-        c.cx(q(3), q(1)); // g(q4, q2)
-        c.cx(q(1), q(2)); // g(q2, q3)
-        c.cx(q(2), q(0)); // g(q3, q1)
-        let dag = CircuitDag::of(&c);
-        let closure = dag.closure();
-        // q1 (=0) reused by q4 (=3): gates on q4 reach gates on q1 -> invalid.
-        assert!(!dag.reuse_respects_dependencies(&c, &closure, q(0), q(3)));
-        // The reverse direction (q4 reused by q1) is fine dependence-wise.
-        assert!(dag.reuse_respects_dependencies(&c, &closure, q(3), q(0)));
-    }
-
-    #[test]
-    fn bv_reuse_is_valid_forward_only() {
-        // BV: data qubits only interact with the target, so a *later* data
-        // qubit may reuse an earlier one. The reverse direction is blocked
-        // because the CXs to the shared target are ordered: gate(q1) already
-        // depends on gate(q0), so requiring q1's gates to finish first would
-        // create a cycle.
-        let mut c = Circuit::new(3, 0);
-        c.cx(q(0), q(2));
-        c.cx(q(1), q(2));
-        let dag = CircuitDag::of(&c);
-        let closure = dag.closure();
-        assert!(dag.reuse_respects_dependencies(&c, &closure, q(0), q(1)));
-        assert!(!dag.reuse_respects_dependencies(&c, &closure, q(1), q(0)));
     }
 
     #[test]

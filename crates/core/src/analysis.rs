@@ -93,12 +93,23 @@ impl ReuseAnalysis {
     }
 
     /// Condition 2: no gate on the donor depends (transitively) on a gate
-    /// on the receiver.
+    /// on the receiver. A qubit's gates form a path in the DAG, so this is
+    /// one closure probe: the receiver's first gate must not reach the
+    /// donor's last.
     pub fn condition2(&self, pair: ReusePair) -> bool {
-        !self.closure.any_reaches(
-            &self.gates_on[pair.receiver.index()],
-            &self.gates_on[pair.donor.index()],
-        )
+        match (
+            self.gates_on[pair.receiver.index()].first(),
+            self.gates_on[pair.donor.index()].last(),
+        ) {
+            (Some(&first), Some(&last)) => !self.closure.reachable(first, last),
+            _ => true,
+        }
+    }
+
+    /// Whether instruction `v` depends (transitively) on instruction `u`,
+    /// or is `u`.
+    pub(crate) fn reaches(&self, u: usize, v: usize) -> bool {
+        self.closure.reachable(u, v)
     }
 
     /// Returns `true` when both conditions hold and both qubits are active

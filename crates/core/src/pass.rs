@@ -360,18 +360,10 @@ impl Pass for QsSweepPass {
             pass: "qs-sweep",
             artifact: "commuting analysis",
         })?;
-        let sweep = match spec {
-            Ok(spec) => LogicalSweep {
-                input: Some(ctx.circuit().clone()),
-                points: crate::qs::commuting::sweep(spec, crate::sr::default_matcher(spec)),
-            },
-            Err(_) => LogicalSweep {
-                input: None,
-                points: crate::qs::regular::sweep(
-                    ctx.circuit(),
-                    &ctx.device().logical_duration_model(),
-                ),
-            },
+        let spec = spec.as_ref().ok();
+        let sweep = LogicalSweep {
+            input: spec.map(|_| ctx.circuit().clone()),
+            points: crate::qs::sweep(ctx.circuit(), spec, ctx.device()),
         };
         ctx.sweep = Some(Arc::new(sweep));
         Ok(())

@@ -6,11 +6,25 @@
 //! remains). [`regular`] handles fixed-order circuits; [`commuting`]
 //! handles QAOA-style circuits, where a graph coloring bounds the minimum
 //! qubit count and the matching scheduler evaluates each candidate.
+//! [`sweep`] picks between the two the way the compiler does.
+//!
+//! The regular search scores a pair without building the circuit it would
+//! produce. Applying `d -> r` adds one path to the dependence DAG: `d`'s
+//! last gate, a fresh measure (unless that gate already measures), the
+//! conditional X, then `r`'s first gate. So the child's critical path is
+//! the parent's or the longest path through that new chain, and its
+//! reuse opportunities follow from the parent's closure plus that one
+//! path. The exception is a donor whose last gate measures into a clbit
+//! that a later instruction also uses: the conditional X then joins that
+//! clbit's chain at a place only the built circuit fixes, so such a child
+//! is built and scored directly.
 
 use crate::analysis::{ReuseAnalysis, ReusePair};
+use crate::commuting::CommutingSpec;
 use crate::transform::{self, ReusePlan};
+use caqr_arch::Device;
 use caqr_circuit::depth::{DurationModel, Schedule};
-use caqr_circuit::Circuit;
+use caqr_circuit::{Circuit, Clbit, Gate, Qubit};
 
 /// One point on the qubit-count/depth trade-off curve.
 #[derive(Debug, Clone)]
@@ -32,6 +46,17 @@ impl SweepPoint {
     /// Duration under a duration model.
     pub fn duration(&self, durations: &impl DurationModel) -> u64 {
         caqr_circuit::depth::duration_dt(&self.circuit, durations)
+    }
+}
+
+/// The QS-CaQR sweep the compiler selects from: the matching scheduler's
+/// for a commuting circuit (`spec`, from
+/// [`CommutingSpec::from_circuit`]), otherwise the backtracking search
+/// under `device`'s logical durations.
+pub fn sweep(circuit: &Circuit, spec: Option<&CommutingSpec>, device: &Device) -> Vec<SweepPoint> {
+    match spec {
+        Some(spec) => commuting::sweep(spec, crate::sr::default_matcher(spec)),
+        None => regular::sweep(circuit, &device.logical_duration_model()),
     }
 }
 
@@ -67,31 +92,213 @@ pub mod regular {
         Feasibility,
     }
 
-    /// All single-pair reductions of `circuit`, ordered per `order`.
+    /// A candidate reduction of a search state, scored. Its child circuit
+    /// is built when the search reaches it, unless scoring needed it.
+    struct Reduction {
+        pair: ReusePair,
+        makespan: u64,
+        /// The child's candidate-pair count (0 under [`PairOrder::Quality`]).
+        surviving: usize,
+        child: Option<Circuit>,
+    }
+
+    impl Reduction {
+        /// The child circuit: `parent` with this pair applied.
+        fn build(self, parent: &Circuit) -> Option<Circuit> {
+            self.child.or_else(|| child(parent, self.pair))
+        }
+    }
+
+    fn child(parent: &Circuit, pair: ReusePair) -> Option<Circuit> {
+        transform::apply(parent, &ReusePlan::from_pairs([pair]))
+            .ok()
+            .map(|t| t.circuit)
+    }
+
+    /// What scoring every candidate of one search state reads: the state's
+    /// analysis, its longest paths under the sweep's durations, and the
+    /// gate-sharing and endpoint-reachability relations of its qubits.
+    struct State<'a, D> {
+        circuit: &'a Circuit,
+        durations: &'a D,
+        analysis: ReuseAnalysis,
+        /// Longest path ending at (`to`) and starting from (`from`) each
+        /// instruction, both inclusive.
+        to: Vec<u64>,
+        from: Vec<u64>,
+        makespan: u64,
+        /// Durations of the measure and the conditional X a reuse inserts.
+        measure: u64,
+        cond_x: u64,
+        /// Qubits with at least one gate, ascending.
+        active: Vec<usize>,
+        /// `shares[a * n + b]`: qubits `a` and `b` share a gate.
+        shares: Vec<bool>,
+        /// `ends[b * n + a]`: `b`'s first gate reaches `a`'s last gate.
+        ends: Vec<bool>,
+        /// Per clbit, the last instruction that writes or reads it.
+        last_on_clbit: Vec<Option<usize>>,
+    }
+
+    impl<'a, D: DurationModel> State<'a, D> {
+        fn of(circuit: &'a Circuit, durations: &'a D) -> Self {
+            let analysis = ReuseAnalysis::of(circuit);
+            let weights: Vec<u64> = circuit.iter().map(|i| durations.duration(i)).collect();
+            let to = analysis.dag().longest_path_to(&weights);
+            let from = analysis.dag().longest_path_from(&weights);
+            let makespan = to.iter().copied().max().unwrap_or(0);
+            let mut reset = Circuit::new(1, 1);
+            reset.measure_and_reset(Qubit::new(0), Clbit::new(0));
+            let [measure, cond_x] = [0, 1].map(|i| durations.duration(&reset.instructions()[i]));
+
+            let n = circuit.num_qubits();
+            let active: Vec<usize> = (0..n)
+                .filter(|&q| !analysis.gates_on(Qubit::new(q)).is_empty())
+                .collect();
+            let mut shares = vec![false; n * n];
+            let mut ends = vec![false; n * n];
+            for &a in &active {
+                let last = *analysis
+                    .gates_on(Qubit::new(a))
+                    .last()
+                    .expect("an active qubit has gates");
+                for &b in &active {
+                    let first = analysis.gates_on(Qubit::new(b))[0];
+                    shares[a * n + b] = analysis.interaction().has_edge(a, b);
+                    ends[b * n + a] = analysis.reaches(first, last);
+                }
+            }
+            let mut last_on_clbit = vec![None; circuit.num_clbits()];
+            for (idx, instr) in circuit.iter().enumerate() {
+                for c in instr.clbit.iter().chain(instr.condition.iter()) {
+                    last_on_clbit[c.index()] = Some(idx);
+                }
+            }
+            State {
+                circuit,
+                durations,
+                analysis,
+                to,
+                from,
+                makespan,
+                measure,
+                cond_x,
+                active,
+                shares,
+                ends,
+                last_on_clbit,
+            }
+        }
+
+        fn first(&self, q: Qubit) -> usize {
+            self.analysis.gates_on(q)[0]
+        }
+
+        fn last(&self, q: Qubit) -> usize {
+            *self
+                .analysis
+                .gates_on(q)
+                .last()
+                .expect("candidate qubits are active")
+        }
+
+        /// Scores `pair`, a candidate of this state, as
+        /// `transform::apply` would build it. `None` if it cannot be
+        /// applied.
+        fn score(&self, pair: ReusePair, order: PairOrder) -> Option<Reduction> {
+            let last = self.last(pair.donor);
+            let instr = &self.circuit.instructions()[last];
+            let measured = match (instr.gate, instr.clbit) {
+                (Gate::Measure, Some(c)) => Some(c),
+                _ => None,
+            };
+            let feasibility = order == PairOrder::Feasibility;
+            if measured.is_some_and(|c| self.last_on_clbit[c.index()] != Some(last)) {
+                // The inserted conditional X joins that clbit's chain at a
+                // place only the built child fixes: score the child itself.
+                let child = child(self.circuit, pair)?;
+                return Some(Reduction {
+                    pair,
+                    makespan: Schedule::asap(&child, self.durations).makespan(),
+                    surviving: if feasibility {
+                        ReuseAnalysis::of(&child).candidate_pairs().len()
+                    } else {
+                        0
+                    },
+                    child: Some(child),
+                });
+            }
+            let reset = self.cond_x + if measured.is_some() { 0 } else { self.measure };
+            let through = self.to[last] + reset + self.from[self.first(pair.receiver)];
+            Some(Reduction {
+                pair,
+                makespan: self.makespan.max(through),
+                surviving: if feasibility { self.surviving(pair) } else { 0 },
+                child: None,
+            })
+        }
+
+        /// The candidate-pair count of the child that applies `d -> r`:
+        /// ordered pairs `(a, b)` of the active qubits other than `r` that
+        /// share no gate and where `b`'s first gate does not reach `a`'s
+        /// last. `d` stands for the merged wire, which starts with `d`'s
+        /// first gate, ends with `r`'s last and touches the neighbours of
+        /// both; the new path `last(d) -> first(r)` extends reachability.
+        fn surviving(&self, pair: ReusePair) -> usize {
+            let n = self.circuit.num_qubits();
+            let (d, r) = (pair.donor.index(), pair.receiver.index());
+            let shares = |a: usize, b: usize| self.shares[a * n + b];
+            let ends = |b: usize, a: usize| self.ends[b * n + a];
+            let mut count = 0;
+            for &a in &self.active {
+                // The merged wire ends with `r`'s last gate.
+                let last_a = if a == d { r } else { a };
+                for &b in &self.active {
+                    if a == r || b == r || a == b {
+                        continue;
+                    }
+                    let touch =
+                        shares(a, b) || (a == d && shares(r, b)) || (b == d && shares(a, r));
+                    let blocked = ends(b, last_a) || (ends(b, d) && ends(r, last_a));
+                    if !touch && !blocked {
+                        count += 1;
+                    }
+                }
+            }
+            count
+        }
+    }
+
+    /// All single-pair reductions of `circuit`, scored from its one
+    /// analysis and ordered per `order` (stable over the candidate order).
+    ///
+    /// Pair `d -> r` scores makespan
+    /// `max(makespan, to[last(d)] + w(measure) + w(cond_x) + from[first(r)])`,
+    /// where `w(measure)` counts only when `last(d)` is not a measure
+    /// already, and feasibility as [`State::surviving`] counts. A donor
+    /// whose last gate measures into a clbit a later instruction also uses
+    /// is the exception: its child is built and scored directly.
     fn reductions(
         circuit: &Circuit,
         durations: &impl DurationModel,
         order: PairOrder,
-    ) -> Vec<(u64, Circuit)> {
-        let analysis = ReuseAnalysis::of(circuit);
-        let mut out: Vec<(u64, usize, Circuit)> = analysis
+    ) -> Vec<Reduction> {
+        let state = State::of(circuit, durations);
+        let mut out: Vec<Reduction> = state
+            .analysis
             .candidate_pairs()
             .into_iter()
-            .filter_map(|pair| {
-                let t = transform::apply(circuit, &ReusePlan::from_pairs([pair])).ok()?;
-                let makespan = Schedule::asap(&t.circuit, durations).makespan();
-                let surviving = match order {
-                    PairOrder::Quality => 0,
-                    PairOrder::Feasibility => ReuseAnalysis::of(&t.circuit).candidate_pairs().len(),
-                };
-                Some((makespan, surviving, t.circuit))
-            })
+            .filter_map(|pair| state.score(pair, order))
             .collect();
         match order {
-            PairOrder::Quality => out.sort_by_key(|a| a.0),
-            PairOrder::Feasibility => out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0))),
+            PairOrder::Quality => out.sort_by_key(|r| r.makespan),
+            PairOrder::Feasibility => out.sort_by(|a, b| {
+                b.surviving
+                    .cmp(&a.surviving)
+                    .then(a.makespan.cmp(&b.makespan))
+            }),
         }
-        out.into_iter().map(|(m, _, c)| (m, c)).collect()
+        out
     }
 
     /// Applies the single best reuse pair (minimum resulting makespan under
@@ -99,8 +306,7 @@ pub mod regular {
     pub fn reduce_by_one(circuit: &Circuit, durations: &impl DurationModel) -> Option<Circuit> {
         reductions(circuit, durations, PairOrder::Quality)
             .into_iter()
-            .next()
-            .map(|(_, c)| c)
+            .find_map(|r| r.build(circuit))
     }
 
     /// A canonical signature of a circuit, used to prune search states:
@@ -140,7 +346,10 @@ pub mod regular {
         }
         *budget -= 1;
         let mut best: Vec<Circuit> = Vec::new();
-        for (_, next) in reductions(circuit, durations, order) {
+        let children = reductions(circuit, durations, order)
+            .into_iter()
+            .filter_map(|r| r.build(circuit));
+        for next in children {
             if !seen.insert(signature(&next)) {
                 continue;
             }
@@ -202,6 +411,14 @@ pub mod regular {
     /// subsequent point saves one more qubit, down to the smallest count
     /// the backtracking search reaches. This is the curve behind Figs. 3,
     /// 13 and 14.
+    ///
+    /// The search scores a candidate from its parent's longest paths, so it
+    /// assumes `durations` prices an instruction by its gate kind, not by
+    /// the wire it runs on, as [`UnitDurations`] and
+    /// [`Device::logical_duration_model`] do: applying a pair renumbers
+    /// the wires.
+    ///
+    /// [`UnitDurations`]: caqr_circuit::depth::UnitDurations
     pub fn sweep(circuit: &Circuit, durations: &impl DurationModel) -> Vec<SweepPoint> {
         let mut points = vec![SweepPoint {
             qubits: circuit.active_qubits().len(),
@@ -241,6 +458,107 @@ pub mod regular {
             .last()
             .map(|p| p.qubits)
             .unwrap_or(0)
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use caqr_circuit::depth::UnitDurations;
+        use caqr_circuit::CircuitDag;
+        use proptest::collection;
+        use proptest::prelude::*;
+
+        /// Clbits the random circuits' mid-circuit measures and
+        /// conditional Xs share, so later instructions reread and
+        /// overwrite them.
+        const SHARED_CLBITS: usize = 3;
+
+        /// Decodes `(opcode, qubit selector, clbit selector)` specs into a
+        /// circuit on `n` qubits; qubit `i` ends with a measure into its
+        /// own clbit when bit `i` of `measured` is set.
+        fn random_circuit(n: usize, specs: &[(u8, u32, u8)], measured: u32) -> Circuit {
+            let mut c = Circuit::new(n, SHARED_CLBITS + n);
+            for &(op, qsel, csel) in specs {
+                let a = Qubit::new(qsel as usize % n);
+                let b = Qubit::new((qsel as usize / n) % n);
+                let shared = Clbit::new(usize::from(csel) % SHARED_CLBITS);
+                match op % 8 {
+                    0 => c.h(a),
+                    1 => c.rz(0.25, a),
+                    2 | 3 if a != b => c.cx(a, b),
+                    4 if a != b => c.cz(a, b),
+                    5 => c.measure(a, shared),
+                    6 => c.cond_x(a, shared),
+                    _ => c.x(a),
+                }
+            }
+            for i in 0..n {
+                if measured >> i & 1 == 1 {
+                    c.measure(Qubit::new(i), Clbit::new(SHARED_CLBITS + i));
+                }
+            }
+            c
+        }
+
+        /// Checks every candidate of every state along `circuit`'s sweep:
+        /// its scores equal the built child's, and the endpoint
+        /// Condition 2 of every qubit pair equals its gate-list definition.
+        fn check_scores(circuit: &Circuit, durations: &impl DurationModel) -> Result<(), String> {
+            for point in sweep(circuit, durations) {
+                let state = State::of(&point.circuit, durations);
+                let dag = CircuitDag::of(&point.circuit);
+                let n = point.circuit.num_qubits();
+                for (d, r) in (0..n).flat_map(|d| (0..n).map(move |r| (d, r))) {
+                    if d == r {
+                        continue;
+                    }
+                    let pair = ReusePair::new(Qubit::new(d), Qubit::new(r));
+                    let gates = |q: usize| state.analysis.gates_on(Qubit::new(q));
+                    let depends = gates(r)
+                        .iter()
+                        .any(|&g| gates(d).iter().any(|&h| dag.graph().reaches(g, h)));
+                    prop_assert_eq!(state.analysis.condition2(pair), !depends);
+                }
+                for pair in state.analysis.candidate_pairs() {
+                    let built = transform::apply(&point.circuit, &ReusePlan::from_pairs([pair]))
+                        .map_err(|e| format!("{pair}: {e}"))?
+                        .circuit;
+                    let scored = state
+                        .score(pair, PairOrder::Feasibility)
+                        .ok_or(format!("{pair} did not score"))?;
+                    let makespan = Schedule::asap(&built, durations).makespan();
+                    let surviving = ReuseAnalysis::of(&built).candidate_pairs().len();
+                    prop_assert!(
+                        scored.makespan == makespan,
+                        "{pair} makespan {} vs built {makespan} in\n{}",
+                        scored.makespan,
+                        point.circuit
+                    );
+                    prop_assert!(
+                        scored.surviving == surviving,
+                        "{pair} feasibility {} vs built {surviving} in\n{}",
+                        scored.surviving,
+                        point.circuit
+                    );
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn incremental_scores_equal_built_children(
+                n in 2usize..=8,
+                specs in collection::vec((0u8..=255, 0u32..10_000, 0u8..=255), 1..32),
+                measured in 0u32..256,
+            ) {
+                let circuit = random_circuit(n, &specs, measured);
+                check_scores(&circuit, &UnitDurations)?;
+                check_scores(&circuit, &Device::mumbai(2023).logical_duration_model())?;
+            }
+        }
     }
 }
 

@@ -69,10 +69,8 @@ pub fn compile_for_fidelity(
     circuit: &Circuit,
     device: &Device,
 ) -> Result<RoutedProgram, CaqrError> {
-    let points = match CommutingSpec::from_circuit(circuit) {
-        Ok(spec) => qs::commuting::sweep(&spec, default_matcher(&spec)),
-        Err(_) => qs::regular::sweep(circuit, &device.logical_duration_model()),
-    };
+    let spec = CommutingSpec::from_circuit(circuit).ok();
+    let points = qs::sweep(circuit, spec.as_ref(), device);
     // A regular circuit leads with itself too, although its point 0 is the
     // circuit again: the candidate order decides ESP ties.
     let routed = select_version(

@@ -9,7 +9,7 @@
 //!                    [--routing-backend B[,B...]]
 //!                    [--jobs N] [--cache N] [--metrics] [--json]
 //! caqr advise  <file.qasm> [--device D] [--seed N]
-//! caqr sweep   <file.qasm>
+//! caqr sweep   <file.qasm> [--device D] [--seed N]
 //! caqr info    <file.qasm>
 //!
 //! strategies:  baseline | qs-max | qs-min-depth | qs-min-swap | qs-max-esp | sr (default)
@@ -23,13 +23,13 @@
 //!              (see `caqr::REGISTERED_PASSES`); overrides --strategy's recipe
 //! ```
 
+use caqr::commuting::CommutingSpec;
 use caqr::manager::NoopObserver;
 use caqr::{
     advisor, qs, CancelToken, CompileCtx, CostModelSpec, PassManager, RouterConfig,
     RoutingBackendSpec, Strategy, COST_MODEL_GRAMMAR, REGISTERED_PASSES, ROUTING_BACKEND_GRAMMAR,
 };
 use caqr_arch::{Device, Topology};
-use caqr_circuit::depth::UnitDurations;
 use caqr_circuit::{qasm, Circuit};
 use caqr_engine::{BatchOptions, BatchRequest, CompileJob, Engine};
 use std::process::ExitCode;
@@ -46,7 +46,7 @@ fn main() -> ExitCode {
             eprintln!("  caqr compile-batch <file.qasm>... [--suite NAME] [--strategy S[,S...]]");
             eprintln!("                     [--device D] [--seed N] [--cost-model M[,M...]] [--routing-backend B[,B...]] [--jobs N] [--cache N] [--metrics] [--json]");
             eprintln!("  caqr advise  <file.qasm> [--device D] [--seed N]");
-            eprintln!("  caqr sweep   <file.qasm>");
+            eprintln!("  caqr sweep   <file.qasm> [--device D] [--seed N]");
             eprintln!("  caqr info    <file.qasm>");
             eprintln!();
             eprintln!(
@@ -98,10 +98,20 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "sweep" => {
-            let points = qs::regular::sweep(&circuit, &UnitDurations);
-            println!("qubits  depth  reuses");
-            for p in points {
-                println!("{:<7} {:<6} {}", p.qubits, p.depth(), p.reuses);
+            // The sweep the qs-* strategies and SR select from on this
+            // device, with durations in its logical model.
+            let device = opts.device()?;
+            let spec = CommutingSpec::from_circuit(&circuit).ok();
+            let durations = device.logical_duration_model();
+            println!("qubits  depth  duration_dt  reuses");
+            for p in qs::sweep(&circuit, spec.as_ref(), &device) {
+                println!(
+                    "{:<7} {:<6} {:<12} {}",
+                    p.qubits,
+                    p.depth(),
+                    p.duration(&durations),
+                    p.reuses
+                );
             }
             Ok(())
         }

@@ -71,6 +71,44 @@ fn sweep_reaches_two_qubits() {
 }
 
 #[test]
+fn sweep_of_a_commuting_circuit_is_the_one_strategies_select_from() {
+    use caqr::commuting::CommutingSpec;
+    use caqr::qs;
+    use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
+    use caqr_circuit::depth::UnitDurations;
+
+    // A QAOA circuit commutes, so the qs-* strategies and SR select from
+    // the matching scheduler's sweep, which on this instance reaches a
+    // narrower point than the fixed-order search.
+    let text = caqr_circuit::qasm::to_qasm(&qaoa_benchmark(6, 0.3, GraphKind::Random, 1).circuit);
+    let circuit = caqr_circuit::qasm::from_qasm(&text).expect("valid QASM");
+    let spec = CommutingSpec::from_circuit(&circuit).expect("QAOA commutes");
+    let device = caqr_arch::Device::mumbai(2023);
+    let want = qs::sweep(&circuit, Some(&spec), &device);
+    let fixed_order = qs::regular::sweep(&circuit, &UnitDurations);
+    assert_ne!(
+        want.last().map(|p| p.qubits),
+        fixed_order.last().map(|p| p.qubits),
+        "the instance must tell the two sweeps apart"
+    );
+
+    let (stdout, stderr, ok) = run(&["sweep", "-"], &text);
+    assert!(ok, "{stderr}");
+    let durations = device.logical_duration_model();
+    let mut expected = String::from("qubits  depth  duration_dt  reuses\n");
+    for p in &want {
+        expected.push_str(&format!(
+            "{:<7} {:<6} {:<12} {}\n",
+            p.qubits,
+            p.depth(),
+            p.duration(&durations),
+            p.reuses
+        ));
+    }
+    assert_eq!(stdout, expected);
+}
+
+#[test]
 fn compile_emits_valid_qasm() {
     let (stdout, _, ok) = run(
         &["compile", "-", "--strategy", "qs-max", "--emit"],

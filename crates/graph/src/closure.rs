@@ -1,10 +1,10 @@
 //! Transitive closure and reachability matrices over DAGs.
 //!
 //! The paper's Condition 2 check ("no operation on `q_i` may depend on any
-//! operation on `q_j`") is a batch of reachability queries between the gate
-//! groups of two qubits. Answering them from a precomputed dense closure
-//! turns each candidate-pair test into a couple of bitset probes, which is
-//! what keeps QS-CaQR's `O(k n^3)` loop practical.
+//! operation on `q_j`") asks whether `q_j`'s first gate reaches `q_i`'s
+//! last (a qubit's gates form a path in the DAG). Answering it from a
+//! precomputed dense closure makes each candidate-pair test one bitset
+//! probe, which is what keeps QS-CaQR's `O(k n^3)` loop practical.
 
 use crate::bitset::BitSet;
 use crate::digraph::DiGraph;
@@ -56,26 +56,6 @@ impl TransitiveClosure {
         self.reach[u].contains(v)
     }
 
-    /// Returns `true` if any vertex in `sources` reaches any vertex in
-    /// `targets`.
-    ///
-    /// This is exactly the Condition-2 test: with `sources` = gates on
-    /// `q_j` and `targets` = gates on `q_i`, a hit means reusing `q_i` for
-    /// `q_j` would create a cycle.
-    pub fn any_reaches(&self, sources: &[usize], targets: &[usize]) -> bool {
-        let target_set: BitSet = {
-            let n = self.reach.len();
-            let mut s = BitSet::new(n);
-            for &t in targets {
-                s.insert(t);
-            }
-            s
-        };
-        sources
-            .iter()
-            .any(|&u| self.reach[u].intersects(&target_set))
-    }
-
     /// The number of vertices the closure covers.
     pub fn num_vertices(&self) -> usize {
         self.reach.len()
@@ -125,17 +105,6 @@ mod tests {
     fn cyclic_graph_has_no_closure() {
         let g = DiGraph::from_edges(2, [(0, 1), (1, 0)]);
         assert!(TransitiveClosure::of(&g).is_none());
-    }
-
-    #[test]
-    fn any_reaches_group_query() {
-        // 0 -> 1 -> 2;  3 isolated.
-        let g = DiGraph::from_edges(4, [(0, 1), (1, 2)]);
-        let tc = TransitiveClosure::of(&g).unwrap();
-        assert!(tc.any_reaches(&[0], &[2, 3]));
-        assert!(!tc.any_reaches(&[3], &[0, 1, 2]));
-        assert!(!tc.any_reaches(&[], &[0]));
-        assert!(!tc.any_reaches(&[0], &[]));
     }
 
     #[test]
