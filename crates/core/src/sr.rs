@@ -165,7 +165,7 @@ pub fn default_matcher(spec: &CommutingSpec) -> Matcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline;
+    use crate::{baseline, esp};
     use caqr_circuit::parametric::{self, ParametricCircuit};
     use caqr_circuit::{Clbit, Qubit};
     use caqr_graph::gen;
@@ -295,6 +295,40 @@ mod tests {
             assert_eq!(piped.circuit, free.circuit);
             assert_eq!(piped.swaps, free.swap_count);
         }
+        Ok(())
+    }
+
+    /// On a regular circuit the input's two routings can tie on ESP: the
+    /// eager placement and the delay/reclaim policy here route the same
+    /// gates onto the same qubits in different orders. The input leads
+    /// the candidates under eager placement, so the tie goes to it; its
+    /// sweep's point 0, the circuit again, comes next under delay/reclaim.
+    #[test]
+    fn fidelity_ties_on_a_regular_circuit_go_to_the_input_eagerly_placed() -> TestResult {
+        let dev = Device::mumbai(2023);
+        let mut c = Circuit::new(4, 4);
+        c.cx(q(3), q(1));
+        c.t(q(3));
+        c.t(q(1));
+        c.h(q(0));
+        c.h(q(2));
+        c.cx(q(2), q(1));
+        for i in 0..4 {
+            c.measure(q(i), Clbit::new(i));
+        }
+        assert!(
+            CommutingSpec::from_circuit(&c).is_err(),
+            "a regular circuit"
+        );
+        let eager = router::route(&c, &dev, RouterOptions::baseline())?;
+        let delayed = router::route(&c, &dev, RouterOptions::sr())?;
+        assert_ne!(eager.circuit, delayed.circuit);
+        assert_eq!(
+            esp::estimate(&eager.circuit, &dev).to_bits(),
+            esp::estimate(&delayed.circuit, &dev).to_bits()
+        );
+        let picked = compile_for_fidelity(&c, &dev)?;
+        assert_eq!(picked.circuit, eager.circuit);
         Ok(())
     }
 

@@ -1466,6 +1466,39 @@ mod tests {
     }
 
     #[test]
+    fn bind_run_of_a_reused_template_reports_branch_states() {
+        // `serve_mix`'s first bind-run template: SR-CaQR reuses a wire, so
+        // the bound circuit measures mid-circuit and the noiseless shots
+        // walk an outcome tree with a branch state per outcome reached.
+        use caqr_benchmarks::qaoa::{maxcut_template, qaoa_benchmark, GraphKind};
+        let state = state();
+        let graph = qaoa_benchmark(5, 0.5, GraphKind::Random, 7).graph.unwrap();
+        let template = circuit::parametric_to_value(&maxcut_template(&graph, 1)).encode();
+        let body =
+            format!(r#"{{"template":{template},"values":[0.9,0.4],"shots":128,"strategy":"sr"}}"#);
+        let response = handle(&state, &post("/v1/bind-run", &body));
+        assert_eq!(
+            response.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&response.body)
+        );
+        let parsed = caqr_wire::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
+        assert!(
+            parsed.get("qubits").and_then(Value::as_u64) < Some(5),
+            "SR reused a wire"
+        );
+        let metrics = metrics(&state);
+        let parsed = caqr_wire::parse(std::str::from_utf8(&metrics.body).unwrap()).unwrap();
+        let sim = parsed.get("server").and_then(|s| s.get("sim")).unwrap();
+        assert_eq!(
+            sim.get("kernel_dispatch").and_then(Value::as_str),
+            Some("wide")
+        );
+        assert!(sim.get("branch_states").and_then(Value::as_u64) > Some(1));
+    }
+
+    #[test]
     fn bind_run_guards() {
         let state = state();
         // Wrong arity is a 422 bind error; the template stays cached.

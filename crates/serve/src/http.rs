@@ -82,16 +82,21 @@ pub enum BodyFraming {
 
 /// Decides the body framing from the parsed headers, enforcing the body
 /// cap on declared lengths. Chunked is accepted, identity is a no-op,
-/// anything else is rejected; a `Content-Length` alongside chunked is
-/// request smuggling and refused outright (RFC 9112 §6.3).
+/// anything else is rejected. Every header that could frame the body
+/// differently for another HTTP hop is refused outright as request
+/// smuggling (RFC 9112 §6.3): a repeated `Content-Length` or
+/// `Transfer-Encoding`, both at once, or a length that is not plain
+/// digits.
 fn body_framing(request: &Request, limits: &HttpLimits) -> Result<BodyFraming, BadRequest> {
-    if let Some(te) = request.header("transfer-encoding") {
+    let te = single_header(request, "transfer-encoding")?;
+    let len = single_header(request, "content-length")?;
+    if te.is_some() && len.is_some() {
+        return Err(BadRequest(
+            "content-length conflicts with transfer-encoding".into(),
+        ));
+    }
+    if let Some(te) = te {
         if te.eq_ignore_ascii_case("chunked") {
-            if request.header("content-length").is_some() {
-                return Err(BadRequest(
-                    "content-length conflicts with chunked transfer encoding".into(),
-                ));
-            }
             return Ok(BodyFraming::Chunked);
         }
         if !te.eq_ignore_ascii_case("identity") {
@@ -100,12 +105,15 @@ fn body_framing(request: &Request, limits: &HttpLimits) -> Result<BodyFraming, B
             )));
         }
     }
-    match request.header("content-length") {
+    match len {
         None => Ok(BodyFraming::Length(0)),
         Some(len) => {
+            // Plain digits only: `usize::from_str` also takes a '+'.
             let len: usize = len
                 .parse()
-                .map_err(|_| BadRequest("bad content-length".into()))?;
+                .ok()
+                .filter(|_| len.bytes().all(|b| b.is_ascii_digit()))
+                .ok_or_else(|| BadRequest("bad content-length".into()))?;
             if len > limits.max_body_bytes {
                 return Err(BadRequest(format!(
                     "body of {len} bytes exceeds the {}-byte limit",
@@ -115,6 +123,21 @@ fn body_framing(request: &Request, limits: &HttpLimits) -> Result<BodyFraming, B
             Ok(BodyFraming::Length(len))
         }
     }
+}
+
+/// The value of header `name` (lower-case), which may appear at most
+/// once.
+fn single_header<'r>(request: &'r Request, name: &str) -> Result<Option<&'r str>, BadRequest> {
+    let mut values = request
+        .headers
+        .iter()
+        .filter(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str());
+    let first = values.next();
+    if values.next().is_some() {
+        return Err(BadRequest(format!("repeated {name} header")));
+    }
+    Ok(first)
 }
 
 /// Finds the end of a request head in `buf`: the index one past the blank
@@ -135,11 +158,13 @@ pub fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Parses a complete request head (everything up to and including the
-/// blank line): stray leading CRLFs are skipped, header names are
-/// lower-cased, at most 64 headers, identity or chunked transfer encoding,
-/// and `Content-Length` capped by `limits`. Returns the request (body
-/// still empty) and its [`BodyFraming`]; chunked bodies are assembled
-/// incrementally by the caller ([`crate::conn::Conn`]).
+/// blank line): stray leading CRLFs are skipped, a bare CR or a NUL is
+/// refused, header names must be tokens and are lower-cased, values are
+/// trimmed of spaces and tabs, at most 64 headers, identity or chunked
+/// transfer encoding, and `Content-Length` capped by `limits`. Returns
+/// the request (body still empty) and its [`BodyFraming`]; chunked
+/// bodies are assembled incrementally by the caller
+/// ([`crate::conn::Conn`]).
 ///
 /// # Errors
 ///
@@ -157,7 +182,8 @@ pub fn parse_head(head: &[u8], limits: &HttpLimits) -> Result<(Request, BodyFram
             None => return Err(BadRequest("empty request head".into())),
         }
     };
-    let mut parts = line.split_whitespace();
+    refuse_bare_cr(line)?;
+    let mut parts = line.split_ascii_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
     let version = parts.next().unwrap_or("");
@@ -170,10 +196,18 @@ pub fn parse_head(head: &[u8], limits: &HttpLimits) -> Result<(Request, BodyFram
         if line.is_empty() {
             break;
         }
+        refuse_bare_cr(line)?;
         let Some((name, value)) = line.split_once(':') else {
             return Err(BadRequest(format!("malformed header '{line}'")));
         };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        // A name that is not a token (whitespace before the colon, a line
+        // folded onto the previous one, a control byte) is a header
+        // another hop may read differently (RFC 9112 §5.1-5.2).
+        if name.is_empty() || !name.bytes().all(is_tchar) {
+            return Err(BadRequest(format!("malformed header name '{name}'")));
+        }
+        let value = value.trim_matches([' ', '\t']);
+        headers.push((name.to_ascii_lowercase(), value.to_string()));
         if headers.len() > 64 {
             return Err(BadRequest("too many headers".into()));
         }
@@ -187,6 +221,21 @@ pub fn parse_head(head: &[u8], limits: &HttpLimits) -> Result<(Request, BodyFram
     };
     let framing = body_framing(&request, limits)?;
     Ok((request, framing))
+}
+
+/// Refuses a head line that still holds a CR or NUL once its line end is
+/// cut: a hop that reads a bare CR as a line break would see another
+/// header there (RFC 9112 §2.2).
+fn refuse_bare_cr(line: &str) -> Result<(), BadRequest> {
+    if line.bytes().any(|b| b == b'\r' || b == 0) {
+        return Err(BadRequest("bare CR or NUL in the request head".into()));
+    }
+    Ok(())
+}
+
+/// Whether `b` may appear in a header name (an RFC 9110 §5.6.2 `tchar`).
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
 /// One response, ready to serialize.

@@ -43,7 +43,8 @@ pub struct ServerMetrics {
 /// [`ShotReport`]. These surface which engine actually carried the shots
 /// — dense sweeps through the compiled kernels or the generic per-gate
 /// path, the stabilizer tableau, or the support-tracked sparse engine —
-/// plus the tableau's absorbed-gate and handoff-cost totals.
+/// plus the tableau's absorbed-gate and handoff-cost totals and the
+/// branch states noiseless runs' outcome trees built.
 #[derive(Debug, Default)]
 pub struct SimMetrics {
     /// Runs whose dense sweeps went through the compiled kernels
@@ -61,6 +62,10 @@ pub struct SimMetrics {
     /// Microseconds spent converting tableaux to dense snapshots, summed
     /// over runs.
     pub tableau_to_dense_us: AtomicU64,
+    /// Branch states built by noiseless runs' outcome trees (the states
+    /// after mid-circuit outcomes and the leaves' probability tables),
+    /// summed over runs.
+    pub branch_states: AtomicU64,
     /// Dispatch of the most recent run, as 1 + its index in
     /// `dispatch_wide`, `dispatch_scalar`, `dispatch_tableau`,
     /// `dispatch_sparse` (0 = no run yet).
@@ -82,6 +87,8 @@ impl SimMetrics {
             .fetch_add(report.stabilizer_prefix_gates as u64, Ordering::Relaxed);
         self.tableau_to_dense_us
             .fetch_add(report.tableau_to_dense_us, Ordering::Relaxed);
+        self.branch_states
+            .fetch_add(report.branch_states as u64, Ordering::Relaxed);
     }
 
     /// The `"sim"` object for `GET /metrics`.
@@ -102,6 +109,7 @@ impl SimMetrics {
             ("dispatch_sparse", n(&self.dispatch_sparse)),
             ("stabilizer_prefix_gates", n(&self.stabilizer_prefix_gates)),
             ("tableau_to_dense_us", n(&self.tableau_to_dense_us)),
+            ("branch_states", n(&self.branch_states)),
         ])
     }
 }
@@ -242,14 +250,24 @@ mod tests {
         report.stabilizer_prefix_gates = 0;
         report.tableau_to_dense_us = 0;
         m.record(&report);
+        assert_eq!(
+            m.to_value().get("kernel_dispatch").and_then(Value::as_str),
+            Some("sparse")
+        );
+        report.kernel_dispatch = KernelDispatch::Wide;
+        report.branch_states = 5;
+        m.record(&report);
+        report.branch_states = 2;
+        m.record(&report);
         let v = m.to_value();
         assert_eq!(
             v.get("kernel_dispatch").and_then(Value::as_str),
-            Some("sparse")
+            Some("wide")
         );
         assert_eq!(v.get("dispatch_tableau").and_then(Value::as_u64), Some(1));
         assert_eq!(v.get("dispatch_sparse").and_then(Value::as_u64), Some(1));
-        assert_eq!(v.get("dispatch_wide").and_then(Value::as_u64), Some(0));
+        assert_eq!(v.get("dispatch_wide").and_then(Value::as_u64), Some(2));
+        assert_eq!(v.get("branch_states").and_then(Value::as_u64), Some(7));
         assert_eq!(
             v.get("stabilizer_prefix_gates").and_then(Value::as_u64),
             Some(12)

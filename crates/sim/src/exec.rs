@@ -14,17 +14,29 @@
 //!    consecutive single-qubit gates on a wire fuse into one matrix. All
 //!    noise probabilities (gate, idle, readout) are likewise hoisted into
 //!    tables before the first shot.
-//! 3. **Prefix snapshotting** — everything before the first measurement or
-//!    reset is deterministic unless a stochastic noise event fires, so the
-//!    prefix is simulated once and snapshotted. A shot first walks only
-//!    the prefix's Bernoulli draws (no state work); if none fire — always,
-//!    for ideal runs — it forks from the snapshot. Shots where an error
+//! 3. **Prefix snapshotting and the outcome tree** — everything before the
+//!    first measurement or reset is deterministic unless a stochastic
+//!    noise event fires, so the prefix is simulated once and snapshotted.
+//!    A noisy shot first walks only the prefix's Bernoulli draws (no state
+//!    work); if none fire it forks from the snapshot. Shots where an error
 //!    does fire replay in full from |0...0> with a fresh copy of their
 //!    stream, so they remain bit-exact. When nothing but the deferred
 //!    measurement tail (item 4) follows the prefix, the plan keeps the
-//!    snapshot's probability table instead of the state, and a fork
-//!    samples its tail from the table without copying anything. A shard
-//!    allocates its dense state only when a shot runs on one.
+//!    snapshot's probability table instead of the state, and a noisy fork
+//!    samples its tail from the table without copying anything. A
+//!    noiseless shot is a function of its measurement outcomes alone, so
+//!    each shard grows an *outcome tree* from the snapshot (see
+//!    `OutcomeTree`): a node at a mid-circuit measurement or reset holds
+//!    the state and the probability of reading 1, each child holds the
+//!    state after that outcome and the unitaries up to the next node, and
+//!    a leaf keeps its state's probability table and memoizes the tail's
+//!    conditional probabilities along each outcome path. A shot draws at
+//!    each node exactly where the collapsing run would draw, so its
+//!    histogram is unchanged, and once its branch exists it costs
+//!    O(measurements). A branch the shard's later shots are not expected
+//!    to reach again, or one past the tree's byte cap, is finished by
+//!    replay instead of stored. A shard allocates its dense state only
+//!    when a shot runs on one.
 //! 4. **Deferred measurement sampling** — a measurement whose qubit and
 //!    classical bit are never consulted afterwards commutes past the rest
 //!    of the circuit, so such measurements move to the end of the program
@@ -36,9 +48,9 @@
 //!    qualifies, which also extends the snapshot prefix across the whole
 //!    unitary body. A fork from the probability table reads the same sums
 //!    off the table, in the same order, under its Pauli frame's X mask,
-//!    and each shard memoizes them (see `ProbTable` and `TailMemo`), so
-//!    an event-free shot costs O(measurements) once the common outcome
-//!    prefixes are summed. Sampling is disabled under the
+//!    and each shard memoizes them (see `ProbTable`, `TailMemo` and the
+//!    outcome tree's leaves), so a shot's tail costs O(measurements) once
+//!    the common outcome prefixes are summed. Sampling is disabled under the
 //!    thermal-relaxation channel, whose state-dependent draws do not
 //!    commute trivially.
 //! 5. **Pauli-frame forwarding** — under the Pauli-twirl channel every
@@ -84,6 +96,7 @@
 //! are inserted according to the [`NoiseModel`], so averaging over shots
 //! samples the noisy output distribution.
 
+use crate::complex::C64;
 use crate::counts::Counts;
 use crate::kernels::{conjugate_pauli, CompiledCircuit, Op};
 use crate::noise::{IdleDraw, NoiseModel, NoiseTables};
@@ -277,8 +290,12 @@ pub struct ShotReport {
     /// disabled or inapplicable).
     pub prefix_ops: usize,
     /// Shots that forked from the snapshot instead of replaying the
-    /// prefix.
+    /// prefix: every shot of a noiseless run that has one.
     pub snapshot_forks: usize,
+    /// Branch states the noiseless outcome tree built, summed over
+    /// shards: the states after a mid-circuit outcome and the leaves'
+    /// probability tables (0 on noisy, tableau and snapshot-free runs).
+    pub branch_states: usize,
     /// Measurements deferred to the program tail and sampled without
     /// collapse (0 = sampling disabled or inapplicable).
     pub deferred_measures: usize,
@@ -448,12 +465,13 @@ impl Executor {
     ) -> Result<(Counts, ShotReport), Interrupted> {
         let started = Instant::now();
         if let Some(plan) = self.tableau_plan(circuit) {
-            let (counts, _, workers) = self.run_sharded(
+            let (counts, _, _, workers) = self.run_sharded(
                 circuit,
                 shots,
                 should_stop,
-                || Tableau::new(circuit.num_qubits()),
+                |_| Tableau::new(circuit.num_qubits()),
                 |tab, shot| (plan.run_shot(tab, seed, shot), false),
+                |_| 0,
             )?;
             let report = ShotReport {
                 shots,
@@ -462,6 +480,7 @@ impl Executor {
                 kernels_out: plan.gates,
                 prefix_ops: 0,
                 snapshot_forks: 0,
+                branch_states: 0,
                 deferred_measures: 0,
                 kernel_dispatch: KernelDispatch::Tableau,
                 stabilizer_prefix_gates: plan.gates,
@@ -471,12 +490,13 @@ impl Executor {
             return Ok((counts, report));
         }
         let plan = self.plan(circuit);
-        let (counts, forks, workers) = self.run_sharded(
+        let (counts, forks, branch_states, workers) = self.run_sharded(
             circuit,
             shots,
             should_stop,
             ShotScratch::new,
             |scratch, shot| plan.run_shot(seed, shot, scratch),
+            |scratch| scratch.tree.built,
         )?;
         let stats = plan.program.stats();
         let report = ShotReport {
@@ -490,6 +510,7 @@ impl Executor {
                 0
             },
             snapshot_forks: forks,
+            branch_states,
             deferred_measures: plan.tail.tail_len,
             kernel_dispatch: if plan.sparse {
                 KernelDispatch::Sparse
@@ -507,23 +528,26 @@ impl Executor {
 
     /// The sharded shot loop of every engine: shots split into contiguous
     /// shards over `threads` workers, each shard with its own scratch
-    /// made by `scratch`, a stop check every `CANCEL_CHUNK` shots, and
-    /// the shard histograms merged. `shot` runs one shot and returns its
-    /// classical register and whether it forked from a snapshot. Returns
-    /// the histogram, the forked shots and the worker count.
+    /// made by `scratch` from its shot count, a stop check every
+    /// `CANCEL_CHUNK` shots, and the shard histograms merged. `shot` runs
+    /// one shot and returns its classical register and whether it forked
+    /// from a snapshot; `built` reads how many branch states a shard's
+    /// scratch built. Returns the histogram, the forked shots, the branch
+    /// states and the worker count.
     fn run_sharded<S>(
         &self,
         circuit: &Circuit,
         shots: usize,
         should_stop: &(dyn Fn() -> bool + Sync),
-        scratch: impl Fn() -> S + Sync,
+        scratch: impl Fn(usize) -> S + Sync,
         shot: impl Fn(&mut S, u64) -> (u64, bool) + Sync,
-    ) -> Result<(Counts, usize, usize), Interrupted> {
+        built: impl Fn(&S) -> usize + Sync,
+    ) -> Result<(Counts, usize, usize, usize), Interrupted> {
         let workers = parallel::effective_workers(self.threads, shots);
         let stopped = AtomicBool::new(false);
         let shards = parallel::run_shards(workers, shots, |range| {
             let mut counts = Counts::new(circuit.num_clbits());
-            let mut state = scratch();
+            let mut state = scratch(range.len());
             let mut forks = 0usize;
             for (done, index) in range.enumerate() {
                 if done % CANCEL_CHUNK == 0 && (stopped.load(Ordering::Relaxed) || should_stop()) {
@@ -534,18 +558,19 @@ impl Executor {
                 counts.record(value);
                 forks += usize::from(forked);
             }
-            (counts, forks)
+            (counts, forks, built(&state))
         });
         if stopped.load(Ordering::Relaxed) {
             return Err(Interrupted);
         }
         let mut counts = Counts::new(circuit.num_clbits());
-        let mut forks = 0;
-        for (shard, shard_forks) in &shards {
+        let (mut forks, mut branch_states) = (0, 0);
+        for (shard, shard_forks, shard_built) in &shards {
             counts.merge(shard);
             forks += shard_forks;
+            branch_states += shard_built;
         }
-        Ok((counts, forks, workers))
+        Ok((counts, forks, branch_states, workers))
     }
 
     /// Runs one shot and returns the final classical register value.
@@ -557,7 +582,7 @@ impl Executor {
             return tplan.run_shot(&mut tab, seed, 0);
         }
         let plan = self.plan(circuit);
-        let mut scratch = ShotScratch::new();
+        let mut scratch = ShotScratch::new(1);
         plan.run_shot(seed, 0, &mut scratch).0
     }
 
@@ -719,12 +744,14 @@ impl Executor {
                 && cap > 0
                 && support_bound(&plan.program, cap).is_some();
         }
-        if self.snapshot && forkable && boundary_op > 0 {
+        // A noiseless plan keeps its snapshot even with an empty prefix:
+        // the snapshot roots the shards' outcome trees.
+        if self.snapshot && forkable && (boundary_op > 0 || self.noise.is_none()) {
             let state = self.prefix_state(&mut plan);
             // Sparse forks stay on the support-sized state. Otherwise,
             // when the deferred tail is all that follows the prefix, a
             // fork only samples that tail, which reads nothing but |a|².
-            let tail_only = boundary_op + plan.tail.tail_len == plan.program.ops().len();
+            let tail_only = boundary_op == plan.tail_start();
             if plan.sparse {
                 plan.sparse_snapshot = Some(Snapshot::State(SparseState::from_dense(&state)));
             } else if tail_only {
@@ -1013,9 +1040,10 @@ fn merge_event(ev: &PauliEvent, x: &mut u64, z: &mut u64) {
 /// Per-worker mutable storage reused across shots.
 struct ShotScratch {
     /// The dense state, created on the first shot that runs on it: a
-    /// replay, a fork of a [`Snapshot::State`] or a chunked dense shot.
-    /// Table forks and sparse shots never touch it, so a plan that only
-    /// runs those never pays for `2^n` amplitudes per shard.
+    /// replay, a noisy fork of a [`Snapshot::State`], a noiseless shot at
+    /// a branch its outcome tree leaves unbuilt or a chunked dense shot.
+    /// Table forks, tree walks and sparse shots never touch it, so a plan
+    /// that only runs those never pays for `2^n` amplitudes per shard.
     state: Option<StateVector>,
     /// Sparse twin of `state`, likewise created on the first sparse shot.
     sparse: Option<SparseState>,
@@ -1023,27 +1051,36 @@ struct ShotScratch {
     events: Vec<PauliEvent>,
     /// Cumulative event counts, one per prefix chunk (chunked path only).
     ends: Vec<usize>,
-    /// Masses already summed from the prefix table (table forks only).
+    /// Masses already summed from the prefix table (noisy table forks
+    /// only).
     memo: TailMemo,
+    /// The shard's outcome tree (noiseless plans with a snapshot only).
+    tree: OutcomeTree,
 }
 
 impl ShotScratch {
-    fn new() -> Self {
+    /// Scratch for a shard of `shots` shots.
+    fn new(shots: usize) -> Self {
         ShotScratch {
             state: None,
             sparse: None,
             events: Vec::new(),
             ends: Vec::new(),
             memo: TailMemo::default(),
+            tree: OutcomeTree {
+                left: shots,
+                ..OutcomeTree::default()
+            },
         }
     }
 }
 
 /// What a shot forks from once its prefix draws allow it (see
-/// [`ShotPlan::run_shot_chunked`]).
+/// [`ShotPlan::run_shot_chunked`]), and the root of every shard's
+/// outcome tree on a noiseless plan (see [`OutcomeTree`]).
 enum Snapshot<S> {
-    /// The state after the prefix: a fork copies it, applies its Pauli
-    /// frame and runs the rest of the body.
+    /// The state after the prefix: a noisy fork copies it, applies its
+    /// Pauli frame and runs the rest of the body.
     State(S),
     /// The probability table of that state, kept instead of it when only
     /// the deferred tail follows the prefix: a fork samples the tail from
@@ -1132,10 +1169,12 @@ const TAIL_MEMO_CAP: usize = 1 << 16;
 /// a memo key costs about as much as adding 32 values.
 const MEMO_MIN_WALK: usize = 32;
 
-/// A shard's memo of prefix-table masses under `(x, mask, value)`. A mass
-/// is a pure function of its key, so a hit returns exactly what a fresh
-/// sum would. With it an event-free shot costs O(measurements) once the
-/// common outcome prefixes are summed.
+/// A shard's memo of prefix-table masses under `(x, mask, value)`, for
+/// noisy table forks, whose frames vary the X mask `x` from shot to shot
+/// (noiseless shots memoize along their outcome tree's leaves instead). A
+/// mass is a pure function of its key, so a hit returns exactly what a
+/// fresh sum would. With it an event-free shot costs O(measurements) once
+/// the common outcome prefixes are summed.
 struct TailMemo {
     masses: HashMap<(usize, usize, usize), f64>,
     cap: usize,
@@ -1199,6 +1238,256 @@ impl TailSource for TableFork<'_> {
         }
         self.memo
             .get_or_sum((x, mask, value), || table.masked_sum(x, mask, value))
+    }
+}
+
+/// An outcome-tree leaf's table, read as its state would be: no frame,
+/// no memo (the tree memoizes the draws themselves).
+impl TailSource for &ProbTable {
+    fn bit(&self, q: usize) -> usize {
+        self.map[q]
+    }
+
+    fn mass(&mut self, mask: usize, value: usize) -> f64 {
+        self.masked_sum(0, mask, value)
+    }
+}
+
+/// Where [`ShotPlan::sample_tail`] stands between two draws: the tail
+/// qubits fixed so far (`value` under `mask`, physical bits) and `kept`,
+/// the mass of that assignment (NaN until the first fresh qubit).
+#[derive(Debug, Clone, Copy)]
+struct TailWalk {
+    mask: usize,
+    value: usize,
+    kept: f64,
+}
+
+impl TailWalk {
+    /// Nothing fixed yet.
+    const START: TailWalk = TailWalk {
+        mask: 0,
+        value: 0,
+        kept: f64::NAN,
+    };
+
+    /// The probability that the qubit at physical bit `qb` reads 1, and
+    /// the mass of its `q = 1` refinement when the qubit is fresh. A
+    /// repeat read of an already-fixed qubit is deterministic (0 or 1,
+    /// no mass).
+    fn prob(&mut self, source: &mut impl TailSource, qb: usize) -> (f64, Option<f64>) {
+        if self.mask & qb != 0 {
+            return (f64::from(u8::from(self.value & qb != 0)), None);
+        }
+        if self.kept.is_nan() {
+            self.kept = source.mass(0, 0);
+        }
+        let one = source.mass(self.mask | qb, self.value | qb);
+        let p = if self.kept > 0.0 {
+            one / self.kept
+        } else {
+            0.0
+        };
+        (p, Some(one))
+    }
+
+    /// Fixes the qubit at `qb` to the raw outcome `raw`, given what
+    /// [`TailWalk::prob`] returned for it.
+    fn fix(&mut self, qb: usize, raw: bool, one: Option<f64>) {
+        if let Some(one) = one {
+            self.mask |= qb;
+            if raw {
+                self.value |= qb;
+                self.kept = one;
+            } else {
+                self.kept = (self.kept - one).max(0.0);
+            }
+        }
+    }
+}
+
+/// Heap bytes one shard's outcome tree may hold in node slots (as
+/// allocated), node states and leaf tables. A shot that reaches an
+/// unbuilt branch past the cap loads the deepest stored node and
+/// finishes by replay, so the cap bounds memory and never changes a
+/// draw. It trades memory for speed on circuits whose mid-circuit
+/// outcomes spread: EXPERIMENTS.md measures 1, 4 and 16 MiB.
+const TREE_BYTES_CAP: usize = 16 << 20;
+
+/// `Tail` nodes' table index for the plan's own table (a tail-only
+/// plan's root leaf).
+const ROOT_TABLE: usize = usize::MAX;
+
+/// A shard's outcome tree over a noiseless plan, grown as shots reach
+/// new branches.
+///
+/// A noiseless shot's state is a function of the outcomes it has drawn,
+/// so shots that drew the same outcomes share every state. The root is
+/// the plan's snapshot. A node at a mid-circuit measurement or reset
+/// holds the state just before it and the probability of reading 1; the
+/// child for outcome `b` holds that state projected to `b` (and flipped
+/// back to |0> for a reset), run through the unitaries that follow under
+/// that branch's classical register, up to the next measurement or reset
+/// or the deferred tail. A leaf keeps its state's [`ProbTable`] and one
+/// node per deferred measurement along each outcome path, each carrying
+/// [`ShotPlan::sample_tail`]'s walk and conditional probability. A shot
+/// draws `gen_bool(p)` at each node exactly where the collapsing run
+/// draws (`StateVector::measure`, then `sample_tail`), so its draws, and
+/// every histogram, are those of a replay.
+///
+/// A child that would own a state or a table is built only when the
+/// shard's later shots are expected to reach it at least once more (the
+/// probability of its outcome path times the shots left), so a run of a
+/// few shots stores little, and only while the tree stays under its
+/// cap. A shot at a branch left unbuilt finishes by replay from the
+/// deepest node it reached.
+struct OutcomeTree {
+    /// `nodes[0]` is the root once the first shot ran.
+    nodes: Vec<Node>,
+    /// Leaf probability tables, indexed by `At::Tail` nodes.
+    tables: Vec<ProbTable>,
+    /// Heap bytes of the node states and leaf tables held.
+    held: usize,
+    /// Cap on [`OutcomeTree::bytes`] ([`TREE_BYTES_CAP`]).
+    cap: usize,
+    /// Shots the shard has yet to run: once a shot starts, those after
+    /// it.
+    left: usize,
+    /// Node states and leaf tables built: the report's `branch_states`.
+    built: usize,
+}
+
+impl Default for OutcomeTree {
+    fn default() -> Self {
+        OutcomeTree {
+            nodes: Vec::new(),
+            tables: Vec::new(),
+            held: 0,
+            cap: TREE_BYTES_CAP,
+            left: 0,
+            built: 0,
+        }
+    }
+}
+
+impl OutcomeTree {
+    /// Heap bytes the tree holds: its node and table slots as allocated,
+    /// and the node states and leaf tables they own.
+    fn bytes(&self) -> usize {
+        self.held
+            + self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.tables.capacity() * std::mem::size_of::<ProbTable>()
+    }
+
+    /// Makes room for one more node owning `held` heap bytes, and for one
+    /// more leaf table when `table`; false when that would take the tree
+    /// past its cap. Slots grow by doubling, as `Vec::push` grows them,
+    /// but only once the grown size is known to fit.
+    fn make_room(&mut self, held: usize, table: bool) -> bool {
+        let grown = |len: usize, capacity: usize| {
+            if len < capacity {
+                capacity
+            } else {
+                len + len.max(4)
+            }
+        };
+        let nodes = grown(self.nodes.len(), self.nodes.capacity());
+        let tables = if table {
+            grown(self.tables.len(), self.tables.capacity())
+        } else {
+            self.tables.capacity()
+        };
+        let bytes = self.bytes()
+            + held
+            + (nodes - self.nodes.capacity()) * std::mem::size_of::<Node>()
+            + (tables - self.tables.capacity()) * std::mem::size_of::<ProbTable>();
+        if bytes > self.cap {
+            return false;
+        }
+        self.nodes.reserve_exact(nodes - self.nodes.len());
+        self.tables.reserve_exact(tables - self.tables.len());
+        true
+    }
+}
+
+/// Heap bytes of an `n`-qubit state: its amplitudes and qubit map.
+fn state_bytes(n: usize) -> usize {
+    (std::mem::size_of::<C64>() << n) + n * std::mem::size_of::<usize>()
+}
+
+/// Heap bytes of an `n`-qubit [`ProbTable`].
+fn table_bytes(n: usize) -> usize {
+    (std::mem::size_of::<f64>() << n) + n * std::mem::size_of::<usize>()
+}
+
+/// One draw of a noiseless shot, reached by the outcomes on its path.
+struct Node {
+    /// The probability `gen_bool` reads 1 with here.
+    p: f64,
+    /// The child per outcome; 0 while unbuilt (0 is the root, never a
+    /// child).
+    next: [u32; 2],
+    /// The classical register on reaching this node.
+    clreg: u64,
+    at: At,
+}
+
+/// Where in the program a [`Node`] draws.
+enum At {
+    /// The mid-circuit measurement or reset at op `pos`, with the state
+    /// just before it, kept until every child the draw can reach exists
+    /// (the root's is the plan's snapshot).
+    Op {
+        pos: usize,
+        state: Option<StateVector>,
+    },
+    /// Deferred measurement `k`, read off leaf table `table` after
+    /// `walk`; `one` is what [`TailWalk::prob`] returned with the draw.
+    Tail {
+        k: usize,
+        table: usize,
+        walk: TailWalk,
+        one: Option<f64>,
+    },
+    /// The end of the shot: the register is final.
+    End,
+}
+
+impl Node {
+    /// The end of a shot with register `clreg`.
+    fn end(clreg: u64) -> Node {
+        Node {
+            p: 0.0,
+            next: [0; 2],
+            clreg,
+            at: At::End,
+        }
+    }
+}
+
+/// The state an `At::Op` node `id` holds: its own, or the plan's
+/// snapshot for the root.
+fn node_state<'a>(
+    id: usize,
+    state: &'a Option<StateVector>,
+    root: &'a Snapshot<StateVector>,
+) -> &'a StateVector {
+    match (state, root) {
+        (Some(state), _) => state,
+        (None, Snapshot::State(state)) if id == 0 => state,
+        _ => unreachable!("a node keeps its state until every reachable child exists"),
+    }
+}
+
+/// Leaf table `index` of a tree: one of `tables`, or the plan's own.
+fn leaf_table<'a>(
+    index: usize,
+    tables: &'a [ProbTable],
+    root: &'a Snapshot<StateVector>,
+) -> &'a ProbTable {
+    match root {
+        Snapshot::Table(table) if index == ROOT_TABLE => table,
+        _ => &tables[index],
     }
 }
 
@@ -1323,6 +1612,7 @@ impl ShotPlan<'_> {
             events,
             ends,
             memo,
+            tree,
         } = scratch;
         let mut rng = shot_rng(seed, shot);
         if self.chunks.is_some() {
@@ -1334,12 +1624,15 @@ impl ShotPlan<'_> {
             return self.run_shot_chunked(&mut rng, snapshot, state, events, ends, memo);
         }
         if let Some(snapshot) = &self.snapshot {
+            if self.tables.is_none() {
+                return (self.walk_tree(&mut rng, snapshot, tree, state), true);
+            }
             if self.prefix_event_free(&mut rng) {
                 let value = match snapshot {
                     Snapshot::State(prefix) => {
                         let state = self.state_in(state);
                         state.load(prefix);
-                        self.finish_shot(self.boundary_op, &mut rng, state)
+                        self.finish_shot(self.boundary_op, 0, &mut rng, state)
                     }
                     Snapshot::Table(table) => self.sample_table(&mut rng, table, 0, 0, memo),
                 };
@@ -1351,7 +1644,277 @@ impl ShotPlan<'_> {
         }
         let state = self.state_in(state);
         state.set_zero();
-        (self.finish_shot(0, &mut rng, state), false)
+        (self.finish_shot(0, 0, &mut rng, state), false)
+    }
+
+    /// Runs one noiseless shot down the shard's outcome tree rooted at
+    /// `root`, growing the branches it is first to reach; returns the
+    /// final classical register. At a branch the tree leaves unbuilt the
+    /// shot finishes by replay on `slot`'s state, made on first use.
+    fn walk_tree(
+        &self,
+        rng: &mut ChaCha8Rng,
+        root: &Snapshot<StateVector>,
+        tree: &mut OutcomeTree,
+        slot: &mut Option<StateVector>,
+    ) -> u64 {
+        if tree.nodes.is_empty() {
+            let node = match root {
+                Snapshot::State(state) => self.op_node(self.boundary_op, 0, state),
+                Snapshot::Table(table) => self.tail_node(table, ROOT_TABLE, 0, TailWalk::START, 0),
+            };
+            tree.nodes.reserve_exact(1);
+            tree.nodes.push(node);
+        }
+        tree.left = tree.left.saturating_sub(1);
+        // The probability that a shot reaches the current node.
+        let mut reach = 1.0;
+        let mut id = 0;
+        loop {
+            let node = &tree.nodes[id];
+            if let At::End = node.at {
+                return node.clreg;
+            }
+            let b = rng.gen_bool(node.p);
+            reach *= if b { node.p } else { 1.0 - node.p };
+            id = match node.next[usize::from(b)] {
+                0 => match self.grow(root, tree, id, b, reach) {
+                    Some(child) => child,
+                    None => return self.finish_by_replay(root, tree, id, b, rng, slot),
+                },
+                child => child as usize,
+            };
+        }
+    }
+
+    /// Builds the child of tree node `id` for outcome `b`, which a shot
+    /// reaches with probability `reach`, and returns its index; `None`
+    /// leaves it unbuilt. A child that would own a state or a table is
+    /// left unbuilt when the shard's later shots are not expected to
+    /// reach it again (a branch one shot takes costs less to replay than
+    /// to store), or when it would take the tree past its cap.
+    fn grow(
+        &self,
+        root: &Snapshot<StateVector>,
+        tree: &mut OutcomeTree,
+        id: usize,
+        b: bool,
+        reach: f64,
+    ) -> Option<usize> {
+        let node = &tree.nodes[id];
+        let (p, clreg) = (node.p, node.clreg);
+        let n = self.circuit.num_qubits();
+        // An op node's child runs up to `stop` and owns a state, a leaf
+        // table or nothing; a tail node's child owns nothing.
+        let stop = match node.at {
+            At::Op { pos, .. } => Some(self.next_stop(pos + 1)),
+            _ => None,
+        };
+        let (held, table) = match stop {
+            Some(stop) if stop < self.tail_start() => (state_bytes(n), false),
+            Some(_) if self.tail.tail_len > 0 => (table_bytes(n), true),
+            _ => (0, false),
+        };
+        // How often the shard's later shots are expected to reach the child.
+        let revisits = reach * tree.left as f64;
+        if (held > 0 && revisits < 1.0) || !tree.make_room(held, table) {
+            return None;
+        }
+        let node = &tree.nodes[id];
+        let child = match (&node.at, stop) {
+            (At::Op { pos, state }, Some(stop)) => {
+                let mut state = node_state(id, state, root).clone();
+                let clreg = self.settle(*pos, b, clreg, &mut state);
+                for op in &self.program.ops()[pos + 1..stop] {
+                    let Op::Unitary { cond, .. } = op else {
+                        unreachable!("a branch runs unitaries up to its stop");
+                    };
+                    if cond.is_none_or(|bit| clreg >> bit & 1 == 1) {
+                        self.apply_unitary_op(op, &mut state);
+                    }
+                }
+                if stop < self.tail_start() {
+                    let node = self.op_node(stop, clreg, &state);
+                    let at = At::Op {
+                        pos: stop,
+                        state: Some(state),
+                    };
+                    Node { at, ..node }
+                } else if self.tail.tail_len == 0 {
+                    Node::end(clreg)
+                } else {
+                    let table = ProbTable::of(state);
+                    let node = self.tail_node(&table, tree.tables.len(), 0, TailWalk::START, clreg);
+                    tree.tables.push(table);
+                    node
+                }
+            }
+            (
+                At::Tail {
+                    k,
+                    table,
+                    walk,
+                    one,
+                },
+                _,
+            ) => {
+                let (k, index, mut walk) = (*k, *table, *walk);
+                let table = leaf_table(index, &tree.tables, root);
+                walk.fix(1 << table.map[self.tail.tail_wires[k]], b, *one);
+                let clreg = self.tail_bit(k, b, clreg);
+                self.tail_node(table, index, k + 1, walk, clreg)
+            }
+            _ => unreachable!("a shot ends at an end node"),
+        };
+        tree.built += usize::from(held > 0);
+        tree.held += held;
+        let child_id = tree.nodes.len();
+        tree.nodes.push(child);
+        let node = &mut tree.nodes[id];
+        node.next[usize::from(b)] = u32::try_from(child_id).expect("fewer than 2^32 tree nodes");
+        // A state no unbuilt child needs is dropped: an outcome is
+        // reachable unless `gen_bool` can never return it.
+        let settled = (p == 0.0 || node.next[1] != 0) && (p == 1.0 || node.next[0] != 0);
+        if let At::Op { state, .. } = &mut node.at {
+            if settled && state.take().is_some() {
+                tree.held -= state_bytes(n);
+            }
+        }
+        Some(child_id)
+    }
+
+    /// Finishes a shot whose outcome `b` at tree node `id` leads to a
+    /// branch the tree leaves unbuilt: from the node's state on `slot` by
+    /// replay, or from the node's leaf table.
+    fn finish_by_replay(
+        &self,
+        root: &Snapshot<StateVector>,
+        tree: &OutcomeTree,
+        id: usize,
+        b: bool,
+        rng: &mut ChaCha8Rng,
+        slot: &mut Option<StateVector>,
+    ) -> u64 {
+        let node = &tree.nodes[id];
+        match &node.at {
+            At::Op { pos, state } => {
+                let live = self.state_in(slot);
+                live.load(node_state(id, state, root));
+                let clreg = self.settle(*pos, b, node.clreg, live);
+                self.finish_shot(pos + 1, clreg, rng, live)
+            }
+            At::Tail {
+                k,
+                table,
+                walk,
+                one,
+            } => {
+                let mut table = leaf_table(*table, &tree.tables, root);
+                let mut walk = *walk;
+                walk.fix(1 << table.map[self.tail.tail_wires[*k]], b, *one);
+                let mut clreg = self.tail_bit(*k, b, node.clreg);
+                self.sample_tail_from(k + 1, walk, rng, &mut table, 0, &mut clreg);
+                clreg
+            }
+            At::End => unreachable!("a shot ends at an end node"),
+        }
+    }
+
+    /// The tree node at the mid-circuit measurement or reset at op `pos`
+    /// of `state`, reached with register `clreg`; its state is left for
+    /// the caller to store.
+    fn op_node(&self, pos: usize, clreg: u64, state: &StateVector) -> Node {
+        let (Op::Measure { q, .. } | Op::Reset { q, .. }) = self.program.ops()[pos] else {
+            unreachable!("op nodes sit at measurements and resets");
+        };
+        Node {
+            p: state.prob_one(q).clamp(0.0, 1.0),
+            next: [0; 2],
+            clreg,
+            at: At::Op { pos, state: None },
+        }
+    }
+
+    /// The tree node at deferred measurement `k` of the leaf whose table
+    /// is `table` (index `index`), after `walk`: an end node past the
+    /// last one.
+    fn tail_node(
+        &self,
+        mut table: &ProbTable,
+        index: usize,
+        k: usize,
+        mut walk: TailWalk,
+        clreg: u64,
+    ) -> Node {
+        if k == self.tail.tail_len {
+            return Node::end(clreg);
+        }
+        let qb = 1 << table.map[self.tail.tail_wires[k]];
+        let (p, one) = walk.prob(&mut table, qb);
+        Node {
+            p: p.clamp(0.0, 1.0),
+            next: [0; 2],
+            clreg,
+            at: At::Tail {
+                k,
+                table: index,
+                walk,
+                one,
+            },
+        }
+    }
+
+    /// Applies outcome `b` of the measurement or reset at op `pos` to
+    /// `state` and `clreg`, as the collapsing run does after its draw
+    /// (`StateVector::measure`, `StateVector::reset`); returns the
+    /// register.
+    fn settle(&self, pos: usize, b: bool, clreg: u64, state: &mut StateVector) -> u64 {
+        match self.program.ops()[pos] {
+            Op::Measure { q, clbit, .. } => {
+                state.project(q, b);
+                if b {
+                    clreg | 1 << clbit
+                } else {
+                    clreg & !(1 << clbit)
+                }
+            }
+            Op::Reset { q, .. } => {
+                state.project(q, b);
+                if b {
+                    state.apply_gate(&Gate::X, &[q]);
+                }
+                clreg
+            }
+            Op::Unitary { .. } => unreachable!("outcomes settle at measurements and resets"),
+        }
+    }
+
+    /// `clreg` with deferred measurement `k`'s bit written from the raw
+    /// outcome `b` of a noiseless shot (the deterministic flips undone).
+    fn tail_bit(&self, k: usize, b: bool, clreg: u64) -> u64 {
+        let Op::Measure { clbit, .. } = self.program.ops()[self.tail_start() + k] else {
+            unreachable!("the deferred tail contains only measurements");
+        };
+        if b != (self.tail.base_flips >> k & 1 == 1) {
+            clreg | 1 << clbit
+        } else {
+            clreg & !(1 << clbit)
+        }
+    }
+
+    /// The op position of the deferred tail's first measurement.
+    fn tail_start(&self) -> usize {
+        self.program.ops().len() - self.tail.tail_len
+    }
+
+    /// The first measurement or reset of the body at or after op `from`,
+    /// or the tail start.
+    fn next_stop(&self, from: usize) -> usize {
+        let end = self.tail_start();
+        self.program.ops()[from..end]
+            .iter()
+            .position(|op| !matches!(op, Op::Unitary { .. }))
+            .map_or(end, |i| from + i)
     }
 
     /// The state in `slot`, made on first use.
@@ -1671,10 +2234,16 @@ impl ShotPlan<'_> {
         }
     }
 
-    /// Runs the program body from op `start`, then samples the deferred
-    /// tail; returns the final classical register.
-    fn finish_shot(&self, start: usize, rng: &mut ChaCha8Rng, state: &mut StateVector) -> u64 {
-        let (mut clreg, body_flips) = self.run_ops(start, rng, state);
+    /// Runs the program body from op `start` with register `clreg`, then
+    /// samples the deferred tail; returns the final classical register.
+    fn finish_shot(
+        &self,
+        start: usize,
+        clreg: u64,
+        rng: &mut ChaCha8Rng,
+        state: &mut StateVector,
+    ) -> u64 {
+        let (mut clreg, body_flips) = self.run_ops(start, clreg, rng, state);
         if self.tail.tail_len > 0 {
             self.sample_tail(rng, state, body_flips, &mut clreg);
         }
@@ -1721,14 +2290,20 @@ impl ShotPlan<'_> {
     }
 
     /// Executes compiled ops from `start` to the start of the deferred
-    /// tail; returns `(clreg, body_flips)`, where bit `k` of `body_flips`
-    /// records that an X/Y noise event landed on the dead wire of tail
-    /// measurement `k` — the sampler XORs it out of the reported bit.
-    fn run_ops(&self, start: usize, rng: &mut ChaCha8Rng, state: &mut StateVector) -> (u64, u64) {
-        let mut clreg: u64 = 0;
+    /// tail, from register `clreg`; returns `(clreg, body_flips)`, where
+    /// bit `k` of `body_flips` records that an X/Y noise event landed on
+    /// the dead wire of tail measurement `k` — the sampler XORs it out of
+    /// the reported bit.
+    fn run_ops(
+        &self,
+        start: usize,
+        mut clreg: u64,
+        rng: &mut ChaCha8Rng,
+        state: &mut StateVector,
+    ) -> (u64, u64) {
         let mut body_flips: u64 = 0;
         let ops = self.program.ops();
-        for op in &ops[start..ops.len() - self.tail.tail_len] {
+        for op in &ops[start..self.tail_start()] {
             self.exec_op(op, rng, state, &mut clreg, &mut body_flips);
         }
         (clreg, body_flips)
@@ -1822,7 +2397,9 @@ impl ShotPlan<'_> {
     /// `q = 1` refinement are masked amplitude sums over shrinking,
     /// read-only subsets — no projection or renormalization sweeps. Both
     /// come through [`TailSource::mass`], from a live state or from a
-    /// table fork, so the two share this one draw loop. A
+    /// table fork, so the two share this one draw loop, and
+    /// [`TailWalk`] carries them from draw to draw, as the outcome tree's
+    /// leaves do. A
     /// Pauli-twirl X/Y that fires on a tail qubit is tracked as a
     /// classical flip of that qubit's outcome (Z leaves probabilities
     /// untouched), which is exactly its action this late in the circuit.
@@ -1839,13 +2416,24 @@ impl ShotPlan<'_> {
         body_flips: u64,
         clreg: &mut u64,
     ) {
+        self.sample_tail_from(0, TailWalk::START, rng, state, body_flips, clreg);
+    }
+
+    /// [`ShotPlan::sample_tail`] from tail measurement `from`, with the
+    /// measurements before it fixed as `walk` records (an outcome-tree
+    /// shot past its cap).
+    fn sample_tail_from(
+        &self,
+        from: usize,
+        mut walk: TailWalk,
+        rng: &mut ChaCha8Rng,
+        state: &mut impl TailSource,
+        body_flips: u64,
+        clreg: &mut u64,
+    ) {
         let ops = self.program.ops();
-        let mut mask = 0usize;
-        let mut value = 0usize;
-        let mut kept = f64::NAN;
         let mut flips = 0u64;
-        let tail_start = ops.len() - self.tail.tail_len;
-        for (k, op) in ops[tail_start..].iter().enumerate() {
+        for (k, op) in ops[self.tail_start()..].iter().enumerate().skip(from) {
             let Op::Measure { clbit, index, .. } = op else {
                 unreachable!("the deferred tail contains only measurements");
             };
@@ -1872,31 +2460,11 @@ impl ShotPlan<'_> {
             // under the state's SWAP-absorbing permutation. The tail holds
             // no swaps, so the permutation is stable while sampling.
             let qb = 1usize << state.bit(q);
-            // `one` is the mass of the q = 1 refinement when q is fresh;
-            // a repeat read of an already-fixed qubit is deterministic.
-            let (p_raw, one) = if mask & qb != 0 {
-                (f64::from(u8::from(value & qb != 0)), None)
-            } else {
-                if kept.is_nan() {
-                    kept = state.mass(0, 0);
-                }
-                let one = state.mass(mask | qb, value | qb);
-                let p = if kept > 0.0 { one / kept } else { 0.0 };
-                (p, Some(one))
-            };
+            let (p_raw, one) = walk.prob(state, qb);
             let flipped = flips >> q & 1 == 1;
             let p1 = if flipped { 1.0 - p_raw } else { p_raw };
             let outcome = rng.gen_bool(p1.clamp(0.0, 1.0));
-            let raw = outcome != flipped;
-            if let Some(one) = one {
-                mask |= qb;
-                if raw {
-                    value |= qb;
-                    kept = one;
-                } else {
-                    kept = (kept - one).max(0.0);
-                }
-            }
+            walk.fix(qb, outcome != flipped, one);
             // Undo the flips accumulated after the measurement's original
             // position to recover the outcome it would have read in place.
             let undo = (self.tail.base_flips ^ body_flips) >> k & 1 == 1;
@@ -2457,7 +3025,7 @@ mod tests {
         let ideal = Executor::ideal();
         let plan = ideal.plan(&commuting);
         assert!(matches!(plan.snapshot, Some(Snapshot::Table(_))));
-        let mut scratch = ShotScratch::new();
+        let mut scratch = ShotScratch::new(64);
         for shot in 0..64 {
             assert!(plan.run_shot(41, shot, &mut scratch).1);
         }
@@ -2467,7 +3035,7 @@ mod tests {
         let noisy = Executor::noisy(NoiseModel::from_device(Device::mumbai(0)).with_scale(4.0));
         let plan = noisy.plan(&commuting);
         assert!(matches!(plan.snapshot, Some(Snapshot::Table(_))));
-        let mut scratch = ShotScratch::new();
+        let mut scratch = ShotScratch::new(300);
         let mut replayed = false;
         for shot in 0..300 {
             replayed |= !plan.run_shot(41, shot, &mut scratch).1;
@@ -2476,10 +3044,10 @@ mod tests {
         assert!(replayed, "some shot replays");
     }
 
-    #[test]
-    fn table_memo_past_its_cap_changes_nothing() {
-        // Eleven qubits in a spread superposition: far more distinct
-        // memoized masses than the shrunken cap below.
+    /// Eleven qubits in a spread superposition, all measured at the end:
+    /// far more distinct tail masses and outcome paths than the shrunken
+    /// caps below.
+    fn spread_circuit() -> Circuit {
         let n = 11;
         let mut circ = Circuit::new(n, n);
         for i in 0..n {
@@ -2491,20 +3059,216 @@ mod tests {
             circ.cx(q(i), q(i + 1));
         }
         circ.measure_all();
+        circ
+    }
+
+    #[test]
+    fn table_memo_past_its_cap_changes_nothing() {
+        // Only noisy table forks memoize masses; noiseless shots walk the
+        // outcome tree.
+        let circ = spread_circuit();
         let noisy = NoiseModel::from_device(Device::mumbai(0)).with_scale(4.0);
-        for exec in [Executor::ideal(), Executor::noisy(noisy)] {
-            let plan = exec.plan(&circ);
-            assert!(matches!(plan.snapshot, Some(Snapshot::Table(_))));
-            let mut scratch = ShotScratch::new();
-            scratch.memo.cap = 16;
-            let mut capped = Counts::new(n);
-            for shot in 0..300 {
-                capped.record(plan.run_shot(29, shot, &mut scratch).0);
-            }
-            assert_eq!(scratch.memo.masses.len(), 16, "the memo filled up");
-            assert_eq!(capped, exec.run_shots(&circ, 300, 29));
-            assert_eq!(capped, exec.with_snapshot(false).run_shots(&circ, 300, 29));
+        let exec = Executor::noisy(noisy);
+        let plan = exec.plan(&circ);
+        assert!(matches!(plan.snapshot, Some(Snapshot::Table(_))));
+        let mut scratch = ShotScratch::new(300);
+        scratch.memo.cap = 16;
+        let mut capped = Counts::new(circ.num_clbits());
+        for shot in 0..300 {
+            capped.record(plan.run_shot(29, shot, &mut scratch).0);
         }
+        assert_eq!(scratch.memo.masses.len(), 16, "the memo filled up");
+        assert_eq!(scratch.tree.built, 0, "noisy shots grow no tree");
+        assert_eq!(capped, exec.run_shots(&circ, 300, 29));
+        assert_eq!(capped, exec.with_snapshot(false).run_shots(&circ, 300, 29));
+    }
+
+    /// Mid-circuit reads with spread outcomes on every wire, twice over,
+    /// with feed-forward and a reset between the rounds and a deferred
+    /// tail after them.
+    fn branching_circuit() -> Circuit {
+        let mut circ = Circuit::new(3, 6);
+        for round in 0..2 {
+            for i in 0..3 {
+                circ.h(q(i));
+                circ.rz(0.4 + 0.3 * (i + 3 * round) as f64, q(i));
+                circ.h(q(i));
+            }
+            circ.cx(q(0), q(1));
+            for i in 0..3 {
+                circ.measure(q(i), c(3 * round + i));
+            }
+            if round == 0 {
+                circ.cond_x(q(2), c(0));
+                circ.reset(q(1));
+            }
+        }
+        circ
+    }
+
+    #[test]
+    fn outcome_tree_past_its_cap_changes_nothing() {
+        let circ = branching_circuit();
+        let exec = Executor::ideal().with_threads(1);
+        let replayed = exec.clone().with_snapshot(false).run_shots(&circ, 400, 37);
+        let (counts, report) = exec.run_shots_traced(&circ, 400, 37);
+        assert_eq!(counts, replayed);
+        assert_eq!(report.deferred_measures, 3);
+        assert!(report.branch_states > 8, "{report:?}");
+        let plan = exec.plan(&circ);
+        assert!(matches!(plan.snapshot, Some(Snapshot::State(_))));
+        let n = circ.num_qubits();
+        let node = std::mem::size_of::<Node>();
+        let leaf = 4 * std::mem::size_of::<ProbTable>() + table_bytes(n);
+        // No room past the root; room for one branch state in five node
+        // slots; room for a few branch states, a leaf table and twenty
+        // node slots.
+        for cap in [
+            0,
+            5 * node + state_bytes(n),
+            20 * node + 4 * state_bytes(n) + leaf,
+        ] {
+            let mut scratch = ShotScratch::new(400);
+            scratch.tree.cap = cap;
+            let mut capped = Counts::new(circ.num_clbits());
+            for shot in 0..400 {
+                capped.record(plan.run_shot(37, shot, &mut scratch).0);
+            }
+            assert!(scratch.tree.bytes() <= cap.max(node), "cap {cap}");
+            assert_eq!(scratch.tree.built > 0, cap > 0, "cap {cap}");
+            assert!(scratch.tree.built < report.branch_states, "cap {cap}");
+            assert!(scratch.state.is_some(), "cap {cap}: some shot replays");
+            assert_eq!(capped, replayed, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn outcome_tree_stores_only_branches_later_shots_may_reach() {
+        let circ = branching_circuit();
+        let plan = Executor::ideal().plan(&circ);
+        let reference = Executor::ideal().with_snapshot(false).plan(&circ);
+        let mut replay = ShotScratch::new(4);
+        let replays: Vec<u64> = (0..4)
+            .map(|shot| reference.run_shot(41, shot, &mut replay).0)
+            .collect();
+        // The same four shots in a shard of four and as the start of a
+        // shard of 400: the short shard stores fewer branches, and a
+        // lone shot stores none.
+        let run = |shots: u64, left: usize| {
+            let mut scratch = ShotScratch::new(left);
+            let values: Vec<u64> = (0..shots)
+                .map(|shot| plan.run_shot(41, shot, &mut scratch).0)
+                .collect();
+            (values, scratch.tree.built, scratch.state.is_some())
+        };
+        let (short, short_built, _) = run(4, 4);
+        let (long, long_built, _) = run(4, 400);
+        assert_eq!(short, replays);
+        assert_eq!(long, replays);
+        assert!(short_built < long_built, "{short_built} vs {long_built}");
+        let (lone, lone_built, replayed) = run(1, 1);
+        assert_eq!(lone, replays[..1]);
+        assert_eq!(lone_built, 0);
+        assert!(replayed, "a lone shot finishes by replay");
+    }
+
+    #[test]
+    fn spread_outcomes_fill_the_tree_to_its_cap() {
+        // The circuit of `outcome_tree_past_its_cap_matches_replays` in
+        // `tests/properties.rs`: thirteen qubits, nine of them read and
+        // reset mid-circuit with spread outcomes and feed-forward.
+        let (n, reads) = (13, 9);
+        let mut circ = Circuit::new(n, n);
+        for i in 0..n {
+            circ.h(q(i));
+            circ.rz(1.4 + 0.05 * i as f64, q(i));
+            circ.h(q(i));
+        }
+        for i in 0..reads {
+            circ.measure(q(i), c(i));
+            circ.reset(q(i));
+            circ.cond_x(q(i + 1), c(i));
+        }
+        for i in reads..n {
+            circ.measure(q(i), c(i));
+        }
+        let plan = Executor::ideal().plan(&circ);
+        let mut scratch = ShotScratch::new(512);
+        for shot in 0..512 {
+            plan.run_shot(91, shot, &mut scratch);
+        }
+        let bytes = scratch.tree.bytes();
+        assert!(bytes <= TREE_BYTES_CAP, "{bytes} bytes");
+        assert!(
+            bytes + state_bytes(n) > TREE_BYTES_CAP,
+            "{bytes} bytes leave room for another branch state"
+        );
+    }
+
+    #[test]
+    fn outcome_tree_drops_states_no_branch_needs() {
+        // Every outcome of this reuse circuit is certain, so the tree is
+        // one path, and each node drops its state once its one reachable
+        // child exists: only the leaf's table stays.
+        let mut circ = Circuit::new(2, 3);
+        circ.x(q(0));
+        circ.cx(q(0), q(1));
+        circ.measure(q(0), c(0));
+        circ.cond_x(q(0), c(0));
+        circ.h(q(0));
+        circ.measure(q(1), c(1));
+        circ.cond_x(q(1), c(1));
+        circ.h(q(0));
+        circ.measure(q(0), c(2));
+        let exec = Executor::ideal();
+        let plan = exec.plan(&circ);
+        let mut scratch = ShotScratch::new(50);
+        for shot in 0..50 {
+            assert_eq!(plan.run_shot(3, shot, &mut scratch), (0b011, true));
+        }
+        let tree = &scratch.tree;
+        assert_eq!(tree.built, 2, "one branch state and one leaf table");
+        assert!(tree
+            .nodes
+            .iter()
+            .all(|n| !matches!(n.at, At::Op { state: Some(_), .. })));
+        assert_eq!(tree.tables.len(), 1);
+        assert_eq!(tree.held, table_bytes(2));
+        assert!(scratch.state.is_none(), "no shot replays");
+    }
+
+    #[test]
+    fn branch_states_are_reported() {
+        let circ = stress_circuit();
+        let (_, ideal) = Executor::ideal().run_shots_traced(&circ, 64, 5);
+        assert!(ideal.branch_states > 1, "{ideal:?}");
+        assert_eq!(ideal.snapshot_forks, 64);
+        // The tail-only root leaf is the plan's; only a dynamic body
+        // grows branch states.
+        let (_, leaf) = Executor::ideal().run_shots_traced(&spread_circuit(), 64, 5);
+        assert_eq!(leaf.branch_states, 0);
+        assert_eq!(leaf.snapshot_forks, 64);
+        let (_, off) = Executor::ideal()
+            .with_snapshot(false)
+            .run_shots_traced(&circ, 64, 5);
+        assert_eq!(off.branch_states, 0);
+        // A program that opens with a reset has an empty prefix, and its
+        // tree grows from |0..0>.
+        let mut reset_first = Circuit::new(3, 4);
+        reset_first.reset(q(0));
+        for instr in circ.instructions() {
+            reset_first.push(instr.clone());
+        }
+        let (counts, report) = Executor::ideal().run_shots_traced(&reset_first, 64, 5);
+        assert_eq!(report.prefix_ops, 0);
+        assert!(report.branch_states > 1, "{report:?}");
+        let replayed = Executor::ideal()
+            .with_snapshot(false)
+            .run_shots(&reset_first, 64, 5);
+        assert_eq!(counts, replayed);
+        let noisy = NoiseModel::from_device(Device::mumbai(0)).with_scale(4.0);
+        let (_, noisy) = Executor::noisy(noisy).run_shots_traced(&circ, 64, 5);
+        assert_eq!(noisy.branch_states, 0);
     }
 
     #[test]

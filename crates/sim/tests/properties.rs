@@ -18,6 +18,9 @@
 //! * Shots that fork from the prefix probability table (circuits whose
 //!   measurements all defer to the tail) are bit-identical to shots that
 //!   replay the whole circuit, ideal and noisy.
+//! * Noiseless shots that walk the shard's outcome tree are bit-identical
+//!   to shots that replay the whole circuit, on random dynamic circuits
+//!   and on one that outgrows the tree's cap.
 
 use caqr_arch::Device;
 use caqr_circuit::{Circuit, Clbit, Gate, Qubit};
@@ -449,6 +452,31 @@ proptest! {
     }
 
     #[test]
+    fn outcome_tree_shots_match_replays(
+        n in 2usize..=7,
+        specs in collection::vec((0u8..=255, 0u32..10_000, 0u32..1000), 1..30),
+        seed in 0u64..1_000_000,
+    ) {
+        // Enough shots that branches repeat: a repeat walks nodes another
+        // shot built, where a mistake in a stored state or walk shows.
+        let circuit = dynamic_circuit(n, &specs);
+        let dense = Executor::ideal().with_engine(Engine::Dense);
+        let replayed = dense
+            .clone()
+            .with_threads(1)
+            .with_snapshot(false)
+            .run_shots(&circuit, 256, seed);
+        for threads in [1usize, 3] {
+            let counts = dense.clone().with_threads(threads).run_shots(&circuit, 256, seed);
+            prop_assert_eq!(&counts, &replayed);
+        }
+        // Shards of three shots store few branches and replay the rest.
+        let few = dense.clone().with_threads(3).run_shots(&circuit, 9, seed);
+        let few_replayed = dense.with_threads(1).with_snapshot(false).run_shots(&circuit, 9, seed);
+        prop_assert_eq!(few, few_replayed);
+    }
+
+    #[test]
     fn sparse_engine_bit_identical_to_dense_sweeps(
         specs in collection::vec((0u8..=255, 0u32..10_000, 0u32..1000), 1..30),
         seed in 0u64..1_000_000,
@@ -494,4 +522,43 @@ fn sparse_dispatch_engages_on_low_support_circuit() {
         .run_shots_traced(&circuit, 256, 17);
     assert_eq!(dense_report.kernel_dispatch, KernelDispatch::Wide);
     assert_eq!(counts, dense);
+}
+
+/// Thirteen qubits in superposition, nine of them read and reset
+/// mid-circuit with feed-forward onto their neighbours. The branches 512
+/// shots are expected to revisit outgrow the 16 MiB a shard's tree may
+/// hold (`spread_outcomes_fill_the_tree_to_its_cap` in `exec.rs` checks
+/// that this tree ends full), so late branches finish by replay.
+#[test]
+fn outcome_tree_past_its_cap_matches_replays() {
+    let (n, reads) = (13, 9);
+    let mut circuit = Circuit::new(n, n);
+    for q in 0..n {
+        circuit.h(Qubit::new(q));
+        circuit.rz(1.4 + 0.05 * q as f64, Qubit::new(q));
+        circuit.h(Qubit::new(q));
+    }
+    for q in 0..reads {
+        circuit.measure(Qubit::new(q), Clbit::new(q));
+        circuit.reset(Qubit::new(q));
+        circuit.cond_x(Qubit::new(q + 1), Clbit::new(q));
+    }
+    for q in reads..n {
+        circuit.measure(Qubit::new(q), Clbit::new(q));
+    }
+    let shots = 512;
+    let dense = Executor::ideal().with_engine(Engine::Dense).with_threads(1);
+    let (counts, report) = dense.run_shots_traced(&circuit, shots, 91);
+    let replayed = dense.with_snapshot(false).run_shots(&circuit, shots, 91);
+    assert_eq!(counts, replayed);
+    assert!(report.branch_states > 0, "{report:?}");
+    // The reads' outcomes spread: the shots reach over 400 distinct
+    // prefixes of them.
+    let mut prefixes = std::collections::HashSet::new();
+    for (value, _) in counts.iter() {
+        for depth in 1..=reads {
+            prefixes.insert((depth, value & ((1 << depth) - 1)));
+        }
+    }
+    assert!(prefixes.len() > 400, "{} prefixes", prefixes.len());
 }

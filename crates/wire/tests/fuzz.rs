@@ -1,10 +1,12 @@
 //! Fuzz-style property tests: no input — random bytes, JSON-shaped noise,
 //! truncated or bit-flipped valid documents — may panic the wire parser,
-//! the circuit codec, or the QASM importer. Errors are fine; panics are
-//! bugs.
+//! the circuit codec, the QASM importer or the chunked-body decoder.
+//! Errors are fine; panics are bugs. The chunked decoder also takes its
+//! input in arbitrary pieces, so a body cut anywhere must decode exactly
+//! as the whole body does.
 
 use caqr_wire::circuit::{circuit_from_value, circuit_to_value};
-use caqr_wire::{parse, parse_with, Limits, Value};
+use caqr_wire::{parse, parse_with, ChunkedDecoder, ChunkedError, Limits, Value};
 use proptest::prelude::*;
 
 /// Maps a byte stream onto JSON-flavoured characters so random inputs
@@ -31,6 +33,71 @@ fn valid_doc(depth: usize, width: usize, number: f64) -> String {
         doc = format!("{{\"w\":{doc}}}");
     }
     doc
+}
+
+/// What a [`ChunkedDecoder`] capped at `max_body` makes of `bytes` pushed
+/// in pieces ending at `cuts` (ascending, the last at `bytes.len()`):
+/// the decoded body, the bytes consumed and whether the body ended, or
+/// the first error.
+fn decode_in_pieces(
+    bytes: &[u8],
+    cuts: &[usize],
+    max_body: usize,
+) -> Result<(Vec<u8>, usize, bool), ChunkedError> {
+    let mut decoder = ChunkedDecoder::new(max_body);
+    let (mut out, mut consumed, mut start) = (Vec::new(), 0, 0);
+    for &cut in cuts {
+        consumed += decoder.push(&bytes[start..cut], &mut out)?;
+        start = cut;
+    }
+    Ok((out, consumed, decoder.is_done()))
+}
+
+/// Ascending cut points into `len` bytes, from random permille
+/// positions, always ending at `len`.
+fn cut_points(len: usize, permille: &[u16]) -> Vec<usize> {
+    let mut cuts: Vec<usize> = permille
+        .iter()
+        .map(|&p| len * usize::from(p) / 1000)
+        .collect();
+    cuts.push(len);
+    cuts.sort_unstable();
+    cuts
+}
+
+/// A chunked body from the knobs: one chunk per `(size, style)` pair
+/// (sizes above 0: a 0 chunk ends the body), of `size` bytes drawn from
+/// `fill`, its size line in upper or
+/// lower hex, with a `;name=value` extension when asked, ended by CRLF
+/// or a bare LF; then the terminal chunk and `trailers` trailer lines.
+/// Returns the encoding and the body it carries.
+fn chunked_body(chunks: &[(u16, u8)], fill: u8, trailers: usize) -> (Vec<u8>, Vec<u8>) {
+    let mut encoded = Vec::new();
+    let mut body = Vec::new();
+    for (i, &(size, style)) in chunks.iter().enumerate() {
+        let data: Vec<u8> = (0..size)
+            .map(|j| fill.wrapping_add((i + j as usize) as u8))
+            .collect();
+        let hex = if style & 1 == 1 {
+            format!("{size:X}")
+        } else {
+            format!("{size:x}")
+        };
+        encoded.extend_from_slice(hex.as_bytes());
+        if style & 2 == 2 {
+            encoded.extend_from_slice(b";ext=\"v\"");
+        }
+        encoded.extend_from_slice(if style & 4 == 4 { b"\n" } else { b"\r\n" });
+        encoded.extend_from_slice(&data);
+        encoded.extend_from_slice(b"\r\n");
+        body.extend_from_slice(&data);
+    }
+    encoded.extend_from_slice(b"0\r\n");
+    for t in 0..trailers {
+        encoded.extend_from_slice(format!("X-Trailer-{t}: done\r\n").as_bytes());
+    }
+    encoded.extend_from_slice(b"\r\n");
+    (encoded, body)
 }
 
 trait Pipe: Sized {
@@ -156,6 +223,56 @@ proptest! {
             .map(|b| ALPHABET[b as usize % ALPHABET.len()] as char)
             .collect();
         let _ = caqr_circuit::qasm::from_qasm(&text); // must not panic
+    }
+
+    #[test]
+    fn chunked_decoder_survives_random_bytes(
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+        flavour in 0u8..2,
+        max_body in 0usize..300,
+        permille in proptest::collection::vec(0u16..1000, 0..10),
+    ) {
+        const ALPHABET: &[u8] = b"0123456789abcdefABCDEF;=\r\n\r\nxz ";
+        let bytes: Vec<u8> = if flavour == 0 {
+            bytes
+        } else {
+            bytes.iter().map(|&b| ALPHABET[b as usize % ALPHABET.len()]).collect()
+        };
+        let whole = decode_in_pieces(&bytes, &[bytes.len()], max_body);
+        let split = decode_in_pieces(&bytes, &cut_points(bytes.len(), &permille), max_body);
+        match (&whole, &split) {
+            (Ok(whole), Ok(split)) => {
+                prop_assert_eq!(whole, split);
+                prop_assert!(whole.0.len() <= max_body && whole.1 <= bytes.len());
+            }
+            // Bytes past the failing one never reach the decoder, so the
+            // first error is the same wherever the input was cut.
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            _ => prop_assert!(false, "whole {whole:?} vs split {split:?}"),
+        }
+    }
+
+    #[test]
+    fn chunked_bodies_decode_alike_at_every_split(
+        chunks in proptest::collection::vec((1u16..300, 0u8..8), 0..8),
+        fill in 0u8..=255,
+        trailers in 0usize..3,
+        pipelined in proptest::collection::vec(0u8..=255, 0..32),
+        permille in proptest::collection::vec(0u16..1000, 0..12),
+    ) {
+        let (encoded, body) = chunked_body(&chunks, fill, trailers);
+        let mut bytes = encoded.clone();
+        bytes.extend_from_slice(&pipelined);
+        let whole = decode_in_pieces(&bytes, &[bytes.len()], 1 << 16).map_err(|e| e.to_string())?;
+        prop_assert_eq!(&whole, &(body.clone(), encoded.len(), true));
+        let split = decode_in_pieces(&bytes, &cut_points(bytes.len(), &permille), 1 << 16)
+            .map_err(|e| e.to_string())?;
+        prop_assert_eq!(&split, &whole);
+        // A cap under the body's size refuses it at any split.
+        if !body.is_empty() {
+            let capped = decode_in_pieces(&bytes, &cut_points(bytes.len(), &permille), body.len() - 1);
+            prop_assert_eq!(capped, Err(ChunkedError::BodyTooLarge));
+        }
     }
 
     #[test]

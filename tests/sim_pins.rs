@@ -10,14 +10,19 @@
 //! under baseline and SR-CaQR onto Mumbai, compacted, and simulated under
 //! the device's noise model. The noiseless cases cover the tableau engine
 //! (the stabilizer ladder, and a GHZ state whose first read is a coin
-//! flip) and dense circuits that measure only at the end (three with one
-//! correct output, and a QAOA instance with a spread distribution).
+//! flip), dense circuits that measure only at the end (three with one
+//! correct output, and a QAOA instance with a spread distribution), and
+//! dense dynamic circuits whose reuse measures and resets mid-circuit:
+//! Multiply_13 under SR-CaQR, and the two QAOA templates `/v1/bind-run`
+//! serves in the `serve_mix` benchmark, SR-compiled and bound.
 
-use caqr::{compile, Strategy};
+use caqr::manager::NoopObserver;
+use caqr::{compile, CancelToken, CompileCtx, PassManager, Strategy};
 use caqr_arch::Device;
-use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
+use caqr_benchmarks::qaoa::{maxcut_template, qaoa_benchmark, GraphKind};
 use caqr_benchmarks::{bv, extra, revlib, Benchmark};
 use caqr_circuit::fingerprint::StableHasher;
+use caqr_circuit::parametric::bind_circuit;
 use caqr_circuit::Circuit;
 use caqr_sim::{Counts, Executor, NoiseModel};
 
@@ -34,9 +39,11 @@ fn digest(counts: &Counts) -> u64 {
     h.finish().short()
 }
 
-/// `(label, seed, digest)` of every run, in `cases()` order, recorded
-/// when every fork still copied the prefix state.
-const PINNED: [(&str, u64, u64); 32] = [
+/// `(label, seed, digest)` of every run, in `cases()` order. The first
+/// 32 were recorded when every fork still copied the prefix state, the
+/// last six when every noiseless shot still re-simulated each
+/// mid-circuit measurement.
+const PINNED: [(&str, u64, u64); 38] = [
     ("BV_5.baseline", 7, 0xac5eae2787c3ae94),
     ("BV_5.baseline", 2023, 0x9394436e0f8ca7a7),
     ("BV_5.sr", 7, 0x07a759c0611d72af),
@@ -69,6 +76,12 @@ const PINNED: [(&str, u64, u64); 32] = [
     ("GHZ_12.ideal", 2023, 0x291ab81e72b31410),
     ("QAOA10-0.3r.ideal", 7, 0xfb0531855a97a820),
     ("QAOA10-0.3r.ideal", 2023, 0xac0de8d4738cf3e0),
+    ("Multiply_13.sr.ideal", 7, 0x73ca3f4eaaee586c),
+    ("Multiply_13.sr.ideal", 2023, 0x73ca3f4eaaee586c),
+    ("QAOA5-0.5r.bind.ideal", 7, 0x0d0dcef98b5136ff),
+    ("QAOA5-0.5r.bind.ideal", 2023, 0x2de6c3e42ed15fc9),
+    ("QAOA6-0.5r.bind.ideal", 7, 0x99fcb2e2ea847e79),
+    ("QAOA6-0.5r.bind.ideal", 2023, 0x14ccd27d26de075e),
 ];
 
 /// Every `(label, circuit, executor, shots)` the pins cover.
@@ -107,7 +120,39 @@ fn cases() -> Vec<(String, Circuit, Executor, usize)> {
     out.push(ideal(revlib::four_mod5()));
     out.push(ideal(extra::ghz(12)));
     out.push(ideal(qaoa_benchmark(10, 0.3, GraphKind::Random, 2023)));
+    let multiply =
+        compile(&revlib::multiply_13().circuit, &device, Strategy::Sr).expect("fits Mumbai");
+    out.push((
+        "Multiply_13.sr.ideal".to_string(),
+        multiply.circuit.compact_qubits().0,
+        Executor::ideal(),
+        256,
+    ));
+    for k in 0..2u64 {
+        out.push(bound_template(5 + k as usize, 7 + k, &device));
+    }
     out
+}
+
+/// `serve_mix`'s bind-run template on `qaoa_benchmark(n, 0.5, Random,
+/// seed)`'s graph: compiled as a template under SR-CaQR onto `device`,
+/// bound at fixed angles and compacted, as `/v1/bind-run` simulates it.
+fn bound_template(n: usize, seed: u64, device: &Device) -> (String, Circuit, Executor, usize) {
+    let bench = qaoa_benchmark(n, 0.5, GraphKind::Random, seed);
+    let template = maxcut_template(&bench.graph.expect("QAOA carries its graph"), 1);
+    let ctx = CompileCtx::new(template.circuit().clone(), device, Strategy::Sr)
+        .with_parametric(template.num_slots());
+    let routed = PassManager::for_strategy(Strategy::Sr)
+        .run(ctx, &mut NoopObserver, &CancelToken::new())
+        .expect("fits Mumbai");
+    let bound =
+        bind_circuit(&routed.circuit, template.num_slots(), &[0.9, 0.4]).expect("two angles");
+    (
+        format!("{}.bind.ideal", bench.name),
+        bound.compact_qubits().0,
+        Executor::ideal(),
+        256,
+    )
 }
 
 #[test]
