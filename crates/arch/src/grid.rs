@@ -104,12 +104,6 @@ impl GridGeometry {
         }
     }
 
-    /// The same geometry with custom timing constants.
-    pub fn with_times(mut self, times: MovementTimes) -> Self {
-        self.times = times;
-        self
-    }
-
     /// Number of SLM rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -246,15 +240,6 @@ impl MovementSchedule {
     /// Whether the schedule has no stages.
     pub fn is_empty(&self) -> bool {
         self.stages.is_empty()
-    }
-
-    /// Number of [`MoveStage::Shift`] stages (the AOD passes — the
-    /// quantity movement routing tries to minimize).
-    pub fn shift_stages(&self) -> usize {
-        self.stages
-            .iter()
-            .filter(|s| matches!(s, MoveStage::Shift { .. }))
-            .count()
     }
 
     /// Number of [`MoveStage::Rydberg`] stages.
@@ -455,7 +440,6 @@ mod tests {
         });
         s.push(MoveStage::MeasureTransit { atom: 0 });
         s.verify(&g).unwrap();
-        assert_eq!(s.shift_stages(), 1);
         assert_eq!(s.rydberg_stages(), 1);
         let t = MovementTimes::default();
         // Shift distance is Manhattan((2,2) -> (0,1)) = 3.

@@ -135,14 +135,6 @@ impl Topology {
         unreachable!("lattice growth is unbounded")
     }
 
-    /// An Eagle-class heavy-hex lattice (7 rows of 15, 126 + connector
-    /// qubits) — the size class of IBM's 127-qubit generation. The exact
-    /// Eagle connector offsets differ slightly; CaQR's behaviour depends
-    /// only on the heavy-hex degree-3 pattern, which this preserves.
-    pub fn eagle_class() -> Self {
-        Topology::heavy_hex(7, 15)
-    }
-
     /// A linear chain of `n` qubits.
     pub fn line(n: usize) -> Self {
         let edges = (0..n.saturating_sub(1)).map(|i| (i, i + 1));
@@ -276,16 +268,6 @@ mod tests {
         // All qubits connected.
         for v in 0..t.num_qubits() {
             assert!(t.distance(0, v) < u32::MAX, "qubit {v} disconnected");
-        }
-    }
-
-    #[test]
-    fn eagle_class_shape() {
-        let t = Topology::eagle_class();
-        assert!(t.num_qubits() >= 120);
-        assert!(t.max_degree() <= 3);
-        for v in 0..t.num_qubits() {
-            assert!(t.distance(0, v) < u32::MAX);
         }
     }
 

@@ -536,15 +536,6 @@ impl Circuit {
         depth
     }
 
-    /// The indices of instructions touching qubit `q`, in program order.
-    pub fn gates_on_qubit(&self, q: Qubit) -> Vec<usize> {
-        self.instrs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, instr)| instr.uses_qubit(q).then_some(i))
-            .collect()
-    }
-
     /// The set of qubits that appear in at least one instruction.
     pub fn active_qubits(&self) -> Vec<Qubit> {
         let mut used = vec![false; self.num_qubits];
@@ -557,27 +548,6 @@ impl Circuit {
             .filter(|&i| used[i])
             .map(Qubit::new)
             .collect()
-    }
-
-    /// Rewrites every qubit operand through `map` (old index -> new index)
-    /// into a circuit of `new_num_qubits` wires. Classical bits are
-    /// unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map` is shorter than this circuit's qubit count or maps
-    /// out of range.
-    pub fn remap_qubits(&self, map: &[usize], new_num_qubits: usize) -> Circuit {
-        assert!(map.len() >= self.num_qubits, "map too short");
-        let mut out = Circuit::new(new_num_qubits, self.num_clbits);
-        for instr in &self.instrs {
-            let mut ni = instr.clone();
-            for q in &mut ni.qubits {
-                *q = Qubit::new(map[q.index()]);
-            }
-            out.push(ni);
-        }
-        out
     }
 
     /// Counts instructions whose gate satisfies `pred`.
@@ -807,24 +777,6 @@ mod tests {
         circ.h(q(0)); // makes the measure mid-circuit
         circ.measure(q(1), c(1)); // final
         assert_eq!(circ.mid_circuit_measurement_count(), 1);
-    }
-
-    #[test]
-    fn gates_on_qubit_ordered() {
-        let mut circ = Circuit::new(2, 0);
-        circ.h(q(0));
-        circ.cx(q(0), q(1));
-        circ.h(q(1));
-        assert_eq!(circ.gates_on_qubit(q(0)), vec![0, 1]);
-        assert_eq!(circ.gates_on_qubit(q(1)), vec![1, 2]);
-    }
-
-    #[test]
-    fn remap_qubits() {
-        let mut circ = Circuit::new(3, 0);
-        circ.cx(q(0), q(2));
-        let mapped = circ.remap_qubits(&[1, 2, 0], 3);
-        assert_eq!(*mapped.instructions()[0].qubits, [q(1), q(0)]);
     }
 
     #[test]

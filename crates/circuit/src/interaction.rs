@@ -36,19 +36,6 @@ pub fn interaction_graph(circuit: &Circuit) -> Graph {
     g
 }
 
-/// Number of two-qubit gates between each interacting pair, keyed `(u, v)`
-/// with `u < v`. Useful for weighting routing decisions.
-pub fn interaction_weights(circuit: &Circuit) -> std::collections::BTreeMap<(usize, usize), usize> {
-    let mut w = std::collections::BTreeMap::new();
-    for instr in circuit {
-        if let [a, b] = instr.qubits[..] {
-            let key = (a.index().min(b.index()), a.index().max(b.index()));
-            *w.entry(key).or_insert(0) += 1;
-        }
-    }
-    w
-}
-
 /// Returns `true` if `a` and `b` share at least one two-qubit gate — the
 /// paper's Condition 1 test (a qubit cannot be reused by a qubit it
 /// interacts with).
@@ -89,8 +76,6 @@ mod tests {
         c.cz(q(0), q(1));
         let g = interaction_graph(&c);
         assert_eq!(g.num_edges(), 1);
-        let w = interaction_weights(&c);
-        assert_eq!(w[&(0, 1)], 3);
     }
 
     #[test]

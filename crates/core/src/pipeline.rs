@@ -294,15 +294,6 @@ impl StageTrace {
             .sum()
     }
 
-    /// Total time attributed to the pass named `name`.
-    pub fn pass_total(&self, name: &str) -> Duration {
-        self.passes
-            .iter()
-            .filter(|(n, _)| *n == name)
-            .map(|(_, d)| *d)
-            .sum()
-    }
-
     /// Total traced time across all stages.
     pub fn total(&self) -> Duration {
         self.spans.iter().map(|(_, d)| *d).sum()

@@ -49,7 +49,8 @@ pub fn compile(circuit: &Circuit, device: &Device) -> Result<RoutedProgram, Caqr
 
 /// SR-CaQR with the *fidelity* objective: the input under the
 /// eager-placement then the delay/reclaim policy, then every point of its
-/// QS-CaQR sweep (the matching scheduler's for a commuting circuit), ranked
+/// QS-CaQR sweep (the matching scheduler's for a commuting circuit; a
+/// regular sweep's point 0 is the input, so it is not routed again), ranked
 /// by estimated success probability instead of SWAP count. This is the
 /// selection the paper's end-to-end fidelity experiments (Table 3,
 /// Figs. 15/16) exercise — the reuse level that best balances SWAP savings
@@ -71,11 +72,10 @@ pub fn compile_for_fidelity(
 ) -> Result<RoutedProgram, CaqrError> {
     let spec = CommutingSpec::from_circuit(circuit).ok();
     let points = qs::sweep(circuit, spec.as_ref(), device);
-    // A regular circuit leads with itself too, although its point 0 is the
-    // circuit again: the candidate order decides ESP ties.
+    let skip = usize::from(spec.is_none());
     let routed = select_version(
         Some(circuit),
-        &points,
+        &points[skip..],
         device,
         RouterConfig::default(),
         |routed| Reverse(crate::esp::estimate(&routed.circuit, device)),

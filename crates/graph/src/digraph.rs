@@ -128,11 +128,6 @@ impl DiGraph {
         self.pred[v].len()
     }
 
-    /// Out-degree of `v`.
-    pub fn out_degree(&self, v: usize) -> usize {
-        self.succ[v].len()
-    }
-
     /// A topological order of the vertices, or `None` if the graph has a
     /// cycle. Kahn's algorithm; ties broken by smallest index first so the
     /// order is deterministic.

@@ -158,19 +158,26 @@ pub fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Parses a complete request head (everything up to and including the
-/// blank line): stray leading CRLFs are skipped, a bare CR or a NUL is
-/// refused, header names must be tokens and are lower-cased, values are
-/// trimmed of spaces and tabs, at most 64 headers, identity or chunked
-/// transfer encoding, and `Content-Length` capped by `limits`. Returns
-/// the request (body still empty) and its [`BodyFraming`]; chunked
-/// bodies are assembled incrementally by the caller
-/// ([`crate::conn::Conn`]).
+/// blank line): the head is capped at [`HttpLimits::max_head_bytes`],
+/// stray leading CRLFs are skipped, a bare CR or a NUL is refused, header
+/// names must be tokens and are lower-cased, values are trimmed of spaces
+/// and tabs, at most 64 headers, identity or chunked transfer encoding,
+/// and `Content-Length` capped by `limits`. Returns the request (body
+/// still empty) and its [`BodyFraming`]; chunked bodies are assembled
+/// incrementally by the caller ([`crate::conn::Conn`]).
 ///
 /// # Errors
 ///
-/// [`BadRequest`] on malformed syntax, unsupported framing, or a declared
-/// body over [`HttpLimits::max_body_bytes`].
+/// [`BadRequest`] on malformed syntax, unsupported framing, a head over
+/// [`HttpLimits::max_head_bytes`] ("headers too large", which the server
+/// answers with 431), or a declared body over
+/// [`HttpLimits::max_body_bytes`].
 pub fn parse_head(head: &[u8], limits: &HttpLimits) -> Result<(Request, BodyFraming), BadRequest> {
+    // `Conn` refuses a head over the cap only while its blank line has
+    // not arrived; one read can bring a longer head whole.
+    if head.len() > limits.max_head_bytes {
+        return Err(BadRequest("headers too large".into()));
+    }
     let text =
         std::str::from_utf8(head).map_err(|_| BadRequest("head is not valid UTF-8".into()))?;
     let mut lines = text.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));

@@ -200,6 +200,23 @@ fn content_length_is_plain_digits() {
 }
 
 #[test]
+fn a_head_over_the_cap_is_refused() {
+    let limits = HttpLimits::default();
+    let with_len = |len: usize| {
+        let start = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+        let pad = len - start.len() - "\r\n\r\n".len();
+        format!("{start}{}\r\n\r\n", "a".repeat(pad)).into_bytes()
+    };
+    let at_cap = with_len(limits.max_head_bytes);
+    assert_eq!(at_cap.len(), limits.max_head_bytes);
+    let (request, _) = parse_head(&at_cap, &limits).expect("a head at the cap parses");
+    assert_eq!(request.path, "/healthz");
+    let over = with_len(limits.max_head_bytes + 1);
+    let refused = parse_head(&over, &limits).err().map(|e| e.0);
+    assert_eq!(refused.as_deref(), Some("headers too large"));
+}
+
+#[test]
 fn bare_cr_and_nul_are_refused_anywhere_in_the_head() {
     let limits = HttpLimits::default();
     for head in [

@@ -313,6 +313,26 @@ fn idle_keep_alive_clients_do_not_wedge_the_workers() {
     server.join();
 }
 
+/// A head over the 16 KiB cap whose blank line comes in the same read as
+/// the rest of it is refused with 431, like one that trickles in.
+#[test]
+fn oversized_head_in_one_write_gets_431() {
+    let server = start(reactor_config());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let head = format!(
+        "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(40 * 1024)
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    let response = read_until_eof(&mut stream, Duration::from_secs(5));
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 431 "), "{text}");
+    assert_eq!(metric(&server, "server", "workers_replaced"), 0);
+
+    server.shutdown_handle().shutdown();
+    server.join();
+}
+
 /// Two `SO_REUSEPORT` shards share one address and one cache; requests
 /// land on both reactors and the per-shard counters prove it.
 #[cfg(target_os = "linux")]

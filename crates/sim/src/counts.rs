@@ -123,20 +123,6 @@ impl Counts {
         out.total = self.total;
         out
     }
-
-    /// Converts to a dense probability vector of length `2^num_clbits`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_clbits > 24` (the vector would not fit in memory).
-    pub fn to_probabilities(&self) -> Vec<f64> {
-        assert!(self.num_clbits <= 24, "register too wide to densify");
-        let mut p = vec![0.0; 1 << self.num_clbits];
-        for (v, c) in self.iter() {
-            p[v as usize] = c as f64 / self.total.max(1) as f64;
-        }
-        p
-    }
 }
 
 impl fmt::Display for Counts {
@@ -176,15 +162,6 @@ mod tests {
         let c = Counts::new(4);
         assert_eq!(c.bitstring(0b0011), "0011");
         assert_eq!(c.bitstring(0b1000), "1000");
-    }
-
-    #[test]
-    fn probabilities_sum_to_one() {
-        let mut c = Counts::new(2);
-        c.extend([0, 1, 2, 3, 3]);
-        let p = c.to_probabilities();
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((p[3] - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -50,11 +50,9 @@
 //!    off the table, in the same order, under its Pauli frame's X mask,
 //!    and each shard memoizes them (see `ProbTable`, `TailMemo` and the
 //!    outcome tree's leaves), so a shot's tail costs O(measurements) once
-//!    the common outcome prefixes are summed. Sampling is disabled under the
-//!    thermal-relaxation channel, whose state-dependent draws do not
-//!    commute trivially.
-//! 5. **Pauli-frame forwarding** — under the Pauli-twirl channel every
-//!    noise draw is state-independent, so the body partitions into runs
+//!    the common outcome prefixes are summed.
+//! 5. **Pauli-frame forwarding** — every noise draw is a Pauli with a
+//!    state-independent probability, so the body partitions into runs
 //!    of unconditioned unitaries whose Bernoulli draws can be walked
 //!    *ahead* of the state work. A shot pre-walks the whole prefix's
 //!    draws; the recorded Paulis then conjugate forward through the
@@ -84,13 +82,12 @@
 //!    is [`Engine::Dense`]; it is bit-identical to the dense sweeps.
 //!
 //! Chunking (item 5) is not a switch: it follows from the plan. Compiled
-//! kernels under Pauli-twirl noise run chunked; ideal and
-//! thermal-relaxation runs, and the generic per-gate path, apply one op
-//! at a time. Five switches turn the other fast paths off, for property
-//! tests and attribution rows: [`Executor::with_threads`],
-//! [`Executor::with_kernels`], [`Executor::with_snapshot`],
-//! [`Executor::with_sampling`] and [`Executor::with_engine`].
-//! [`Executor::reference`] turns them all off.
+//! kernels under noise run chunked; ideal runs and the generic per-gate
+//! path apply one op at a time. Five switches turn the other fast paths
+//! off, for property tests and attribution rows:
+//! [`Executor::with_threads`], [`Executor::with_kernels`],
+//! [`Executor::with_snapshot`], [`Executor::with_sampling`] and
+//! [`Executor::with_engine`]. [`Executor::reference`] turns them all off.
 //!
 //! Each noisy shot is one Monte-Carlo trajectory: stochastic Pauli errors
 //! are inserted according to the [`NoiseModel`], so averaging over shots
@@ -99,7 +96,7 @@
 use crate::complex::C64;
 use crate::counts::Counts;
 use crate::kernels::{conjugate_pauli, CompiledCircuit, Op};
-use crate::noise::{IdleDraw, NoiseModel, NoiseTables};
+use crate::noise::{NoiseModel, NoiseTables};
 use crate::parallel::{self, shot_rng};
 use crate::sparse::{support_bound, SimState, SparseState};
 use crate::state::StateVector;
@@ -156,11 +153,10 @@ pub enum Engine {
     /// engine.
     Dense,
     /// Stabilizer tableau wherever legal: whole-circuit for Clifford
-    /// circuits (ideal or Pauli-twirl noise — stochastic Paulis are
-    /// Clifford), and the maximal Clifford prefix of non-Clifford
-    /// circuits seeds the snapshot through a tableau-to-dense
-    /// conversion. Thermal relaxation needs amplitudes and falls back
-    /// to the dense engine.
+    /// circuits (ideal or noisy — every noise event is a stochastic
+    /// Pauli, hence Clifford), and the maximal Clifford prefix of
+    /// non-Clifford circuits seeds the snapshot through a
+    /// tableau-to-dense conversion.
     Stabilizer,
 }
 
@@ -573,19 +569,6 @@ impl Executor {
         Ok((counts, forks, branch_states, workers))
     }
 
-    /// Runs one shot and returns the final classical register value.
-    ///
-    /// Equivalent to shot 0 of [`Executor::run_shots`] with the same seed.
-    pub fn run_once(&self, circuit: &Circuit, seed: u64) -> u64 {
-        if let Some(tplan) = self.tableau_plan(circuit) {
-            let mut tab = Tableau::new(circuit.num_qubits());
-            return tplan.run_shot(&mut tab, seed, 0);
-        }
-        let plan = self.plan(circuit);
-        let mut scratch = ShotScratch::new(1);
-        plan.run_shot(seed, 0, &mut scratch).0
-    }
-
     /// Builds the whole-circuit tableau plan when the engine selection
     /// and the circuit allow it (see [`Engine`]); `None` falls through to
     /// the dense planner.
@@ -602,13 +585,6 @@ impl Executor {
             let schedule = Schedule::asap(circuit, &n.device().duration_model());
             NoiseTables::precompute(n, circuit, &schedule)
         });
-        if let Some(t) = &tables {
-            // Thermal relaxation draws against amplitudes the tableau
-            // does not have; only stochastic Paulis stay Clifford.
-            if !matches!(t.channel, crate::noise::IdleChannel::PauliTwirl) {
-                return None;
-            }
-        }
         let gates = circuit
             .instructions()
             .iter()
@@ -656,13 +632,8 @@ impl Executor {
             NoiseTables::precompute(n, circuit, &schedule)
         });
         // Deferring a measurement commutes it past Pauli-twirl noise on
-        // other qubits; thermal relaxation mutates the state against
-        // state-dependent probabilities, so it keeps program order.
-        let samplable = match &tables {
-            None => true,
-            Some(t) => matches!(t.channel, crate::noise::IdleChannel::PauliTwirl),
-        };
-        let tail = if self.sampling && samplable {
+        // other qubits.
+        let tail = if self.sampling {
             deferral_order(circuit)
         } else {
             DeferredTail {
@@ -689,20 +660,6 @@ impl Executor {
             .iter()
             .position(|&i| matches!(instrs[i].gate, Gate::Measure | Gate::Reset))
             .unwrap_or(tail.order.len());
-        // Prefix forking is legal when the prefix draws can be walked
-        // without the state: always for no noise, for the Pauli-twirl
-        // channel (fixed probabilities), and for any channel whose prefix
-        // probabilities are all zero. Thermal relaxation draws against
-        // state-dependent probabilities, so it only qualifies when silent.
-        // (Under thermal relaxation the order is the identity, so the
-        // execution-order position doubles as the instruction bound.)
-        let forkable = match &tables {
-            None => true,
-            Some(t) => match t.channel {
-                crate::noise::IdleChannel::PauliTwirl => true,
-                crate::noise::IdleChannel::ThermalRelaxation => t.is_zero_before(boundary_pos),
-            },
-        };
         let mut plan = ShotPlan {
             circuit,
             tables,
@@ -719,16 +676,11 @@ impl Executor {
             stabilizer_prefix_gates: 0,
             tableau_to_dense_us: 0,
         };
-        // Chunked frame forwarding: legal exactly when the Pauli-twirl
-        // channel makes every draw state-independent, so a chunk's draws
-        // can be walked before its state work. It needs the compiled
-        // kernels, whose Clifford conjugation carries the frame.
-        let chunkable = self.kernels
-            && match &plan.tables {
-                None => false,
-                Some(t) => matches!(t.channel, crate::noise::IdleChannel::PauliTwirl),
-            };
-        if chunkable {
+        // Chunked frame forwarding: every Pauli-twirl draw is
+        // state-independent, so a chunk's draws can be walked before its
+        // state work. It needs the compiled kernels, whose Clifford
+        // conjugation carries the frame.
+        if self.kernels && plan.tables.is_some() {
             let (chunks, prefix_chunks) = build_chunks(&plan.program, &plan.tail);
             plan.chunks = Some(chunks);
             plan.prefix_chunks = prefix_chunks;
@@ -744,9 +696,12 @@ impl Executor {
                 && cap > 0
                 && support_bound(&plan.program, cap).is_some();
         }
-        // A noiseless plan keeps its snapshot even with an empty prefix:
-        // the snapshot roots the shards' outcome trees.
-        if self.snapshot && forkable && (boundary_op > 0 || self.noise.is_none()) {
+        // Prefix forking is legal because the prefix draws can be walked
+        // without the state: there are none without noise, and Pauli-twirl
+        // probabilities are fixed. A noiseless plan keeps its snapshot
+        // even with an empty prefix: the snapshot roots the shards'
+        // outcome trees.
+        if self.snapshot && (boundary_op > 0 || self.noise.is_none()) {
             let state = self.prefix_state(&mut plan);
             // Sparse forks stay on the support-sized state. Otherwise,
             // when the deferred tail is all that follows the prefix, a
@@ -1518,10 +1473,7 @@ impl TableauPlan<'_> {
             // Idle decoherence: stochastic Paulis are Clifford, so they
             // apply to the tableau like any other gate.
             if let Some(tables) = &self.tables {
-                for (draw, qb) in tables.idle[index].iter().zip(&instr.qubits) {
-                    let IdleDraw::Twirl(p) = *draw else {
-                        unreachable!("tableau runs require the Pauli-twirl channel")
-                    };
+                for (&p, qb) in tables.idle[index].iter().zip(&instr.qubits) {
                     if p > 0.0 && rng.gen_bool(p) {
                         let pauli = NoiseModel::random_pauli(&mut rng);
                         tab.apply(&pauli, &[qb.index()]);
@@ -1585,8 +1537,9 @@ struct ShotPlan<'c> {
     /// What dense shots fork from after the deterministic prefix, when
     /// forking is enabled (`None` for sparse plans).
     snapshot: Option<Snapshot<StateVector>>,
-    /// Body partition for the chunked noisy fast path (`None` = stream
-    /// ops one at a time).
+    /// Body partition for the chunked noisy fast path; `None` on
+    /// noiseless plans and the generic per-gate path, which stream ops
+    /// one at a time.
     chunks: Option<Vec<Chunk>>,
     /// Chunks entirely before the first measurement/reset.
     prefix_chunks: usize,
@@ -2103,10 +2056,7 @@ impl ShotPlan<'_> {
         for (pos, op) in ops.iter().enumerate().take(end).skip(start) {
             let index = op_index(op);
             let instr = &self.circuit.instructions()[index];
-            for (slot, (draw, qb)) in tables.idle[index].iter().zip(&instr.qubits).enumerate() {
-                let IdleDraw::Twirl(p) = *draw else {
-                    unreachable!("chunking requires the Pauli-twirl channel")
-                };
+            for (slot, (&p, qb)) in tables.idle[index].iter().zip(&instr.qubits).enumerate() {
                 if p > 0.0 && rng.gen_bool(p) {
                     let pauli = NoiseModel::random_pauli(rng);
                     if matches!(pauli, Gate::X | Gate::Y) && self.tail.tail_len > 0 {
@@ -2159,10 +2109,7 @@ impl ShotPlan<'_> {
         let index = op_index(&ops[pos]);
         let instr = &self.circuit.instructions()[index];
         let tables = self.tables.as_ref().expect("chunked runs require noise");
-        for (slot, (draw, qb)) in tables.idle[index].iter().zip(&instr.qubits).enumerate() {
-            let IdleDraw::Twirl(p) = *draw else {
-                unreachable!("chunking requires the Pauli-twirl channel")
-            };
+        for (slot, (&p, qb)) in tables.idle[index].iter().zip(&instr.qubits).enumerate() {
             if p > 0.0 && rng.gen_bool(p) {
                 let pauli = NoiseModel::random_pauli(rng);
                 if matches!(pauli, Gate::X | Gate::Y) && self.tail.tail_len > 0 {
@@ -2259,16 +2206,9 @@ impl ShotPlan<'_> {
             return true;
         };
         for &idx in &self.tail.order[..self.boundary_pos] {
-            for draw in &tables.idle[idx] {
-                match *draw {
-                    IdleDraw::Twirl(p) => {
-                        if p > 0.0 && rng.gen_bool(p) {
-                            return false;
-                        }
-                    }
-                    // Only reachable when the prefix is probability-zero
-                    // (see `plan`), so there is nothing to draw.
-                    IdleDraw::Thermal { .. } => {}
+            for &p in &tables.idle[idx] {
+                if p > 0.0 && rng.gen_bool(p) {
+                    return false;
                 }
             }
             let instr = &self.circuit.instructions()[idx];
@@ -2324,25 +2264,13 @@ impl ShotPlan<'_> {
         if let Some(tables) = &self.tables {
             let index = op_index(op);
             let instr = &self.circuit.instructions()[index];
-            for (slot, (draw, q)) in tables.idle[index].iter().zip(&instr.qubits).enumerate() {
-                match *draw {
-                    IdleDraw::Twirl(p) => {
-                        if p > 0.0 && rng.gen_bool(p) {
-                            let pauli = NoiseModel::random_pauli(rng);
-                            if matches!(pauli, Gate::X | Gate::Y) && self.tail.tail_len > 0 {
-                                *body_flips ^= self.tail.carry_idle[index][slot];
-                            }
-                            state.apply_gate(&pauli, &[q.index()]);
-                        }
+            for (slot, (&p, q)) in tables.idle[index].iter().zip(&instr.qubits).enumerate() {
+                if p > 0.0 && rng.gen_bool(p) {
+                    let pauli = NoiseModel::random_pauli(rng);
+                    if matches!(pauli, Gate::X | Gate::Y) && self.tail.tail_len > 0 {
+                        *body_flips ^= self.tail.carry_idle[index][slot];
                     }
-                    IdleDraw::Thermal { gamma, pz } => {
-                        if gamma > 0.0 {
-                            state.amplitude_damp(q.index(), gamma, rng);
-                        }
-                        if pz > 0.0 && rng.gen_bool(pz) {
-                            state.apply_gate(&Gate::Z, &[q.index()]);
-                        }
-                    }
+                    state.apply_gate(&pauli, &[q.index()]);
                 }
             }
         }
@@ -2439,19 +2367,11 @@ impl ShotPlan<'_> {
             };
             let q = self.tail.tail_wires[k];
             if let Some(tables) = &self.tables {
-                for draw in &tables.idle[*index] {
-                    match *draw {
-                        IdleDraw::Twirl(p) => {
-                            if p > 0.0 && rng.gen_bool(p) {
-                                match NoiseModel::random_pauli(rng) {
-                                    Gate::X | Gate::Y => flips ^= 1 << q,
-                                    _ => {}
-                                }
-                            }
-                        }
-                        // Deferral is disabled under thermal relaxation.
-                        IdleDraw::Thermal { .. } => {
-                            unreachable!("thermal relaxation never defers measurements")
+                for &p in &tables.idle[*index] {
+                    if p > 0.0 && rng.gen_bool(p) {
+                        match NoiseModel::random_pauli(rng) {
+                            Gate::X | Gate::Y => flips ^= 1 << q,
+                            _ => {}
                         }
                     }
                 }
@@ -2613,41 +2533,6 @@ mod tests {
         let quiet = Executor::noisy(NoiseModel::from_device(dev).with_scale(0.0));
         let counts = quiet.run_shots(&circ, 400, 7);
         assert_eq!(counts.get(0b01) + counts.get(0b10), 0);
-    }
-
-    #[test]
-    fn thermal_relaxation_channel_biases_toward_zero() {
-        use crate::noise::IdleChannel;
-        // A qubit prepared in |1> that idles a long time while the other
-        // wire burns through measurements: under thermal relaxation it
-        // decays toward |0>; under the ideal executor it stays |1>.
-        let mut circ = Circuit::new(2, 3);
-        circ.x(q(1));
-        circ.measure(q(0), c(0));
-        circ.measure(q(0), c(1));
-        circ.measure(q(1), c(2));
-        let dev = Device::mumbai(0);
-        let noisy = Executor::noisy(
-            NoiseModel::from_device(dev)
-                .with_scale(30.0)
-                .with_idle_channel(IdleChannel::ThermalRelaxation),
-        );
-        let counts = noisy.run_shots(&circ, 600, 17);
-        let decayed: usize = counts
-            .iter()
-            .filter(|(v, _)| v >> 2 & 1 == 0)
-            .map(|(_, n)| n)
-            .sum();
-        assert!(decayed > 0, "expected some T1 decay: {counts}");
-    }
-
-    #[test]
-    fn run_once_reproducible() {
-        let mut circ = Circuit::new(1, 1);
-        circ.h(q(0));
-        circ.measure(q(0), c(0));
-        let e = Executor::ideal();
-        assert_eq!(e.run_once(&circ, 42), e.run_once(&circ, 42));
     }
 
     #[test]
@@ -2875,20 +2760,6 @@ mod tests {
             .with_sampling(false)
             .run_shots_traced(&circ, 16, 61);
         assert_eq!(off.deferred_measures, 0);
-        use crate::noise::IdleChannel;
-        let thermal = NoiseModel::from_device(Device::mumbai(0))
-            .with_idle_channel(IdleChannel::ThermalRelaxation);
-        let (_, t) = Executor::noisy(thermal).run_shots_traced(&circ, 16, 61);
-        assert_eq!(t.deferred_measures, 0, "thermal relaxation never defers");
-    }
-
-    #[test]
-    fn run_once_is_shot_zero_of_run_shots() {
-        let circ = stress_circuit();
-        let exec = Executor::noisy(NoiseModel::from_device(Device::mumbai(0)).with_scale(4.0));
-        let single = exec.run_once(&circ, 29);
-        let counts = exec.run_shots(&circ, 1, 29);
-        assert_eq!(counts.get(single), 1);
     }
 
     /// A noiseless dynamic Clifford circuit (mid-circuit measurement,
@@ -3294,34 +3165,6 @@ mod tests {
         let zero = Executor::noisy(silent).with_engine(Engine::Stabilizer);
         assert_eq!(zero.tableau_plan(&circ).expect("Clifford").prefix_len, 0);
         assert_eq!(exec.run_shots(&circ, 500, 3), zero.run_shots(&circ, 500, 3));
-    }
-
-    #[test]
-    fn thermal_relaxation_disables_prefix_fork() {
-        use crate::noise::IdleChannel;
-        let circ = stress_circuit();
-        let model = NoiseModel::from_device(Device::mumbai(0))
-            .with_idle_channel(IdleChannel::ThermalRelaxation);
-        let (_, report) = Executor::noisy(model).run_shots_traced(&circ, 32, 37);
-        assert_eq!(
-            report.prefix_ops, 0,
-            "state-dependent draws cannot fast-forward"
-        );
-    }
-
-    #[test]
-    fn silent_thermal_relaxation_still_forks() {
-        use crate::noise::IdleChannel;
-        let circ = stress_circuit();
-        let model = NoiseModel::from_device(Device::mumbai(0))
-            .with_scale(0.0)
-            .with_idle_channel(IdleChannel::ThermalRelaxation);
-        let (_, report) = Executor::noisy(model).run_shots_traced(&circ, 32, 41);
-        assert!(
-            report.prefix_ops > 0,
-            "zero-probability prefix is deterministic"
-        );
-        assert_eq!(report.snapshot_forks, 32);
     }
 
     #[test]

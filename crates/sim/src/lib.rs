@@ -8,8 +8,9 @@
 //! * depolarizing error after every gate (per-link CNOT error, per-qubit
 //!   single-qubit error),
 //! * readout bit-flips at measurement (per-qubit readout error),
-//! * idle decoherence: Pauli errors with probability growing as
-//!   `1 - exp(-idle_dt / T1)` over the gaps in each qubit's timeline.
+//! * idle decoherence: Pauli errors with probability
+//!   `1 - exp(-idle_dt * (1/T1 + 1/T2) / 2)` over each gap in a qubit's
+//!   timeline (a Pauli twirl of thermal relaxation and dephasing).
 //!
 //! Errors therefore grow with gate count, SWAP count, and circuit duration
 //! — the three quantities CaQR trades off — so baseline-vs-CaQR fidelity

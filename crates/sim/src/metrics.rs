@@ -1,9 +1,8 @@
-//! Output-quality metrics: TVD, success rate, and QAOA max-cut value.
+//! Output-quality metrics: TVD, `Z` expectations and QAOA max-cut value.
 //!
 //! These are the paper's real-machine metrics (§4.1, §4.4): total variation
-//! distance between the noisy and ideal distributions, the probability of
-//! reading the correct answer, and the expected max-cut value a QAOA shot
-//! histogram encodes.
+//! distance between the noisy and ideal distributions, and the expected
+//! max-cut value a QAOA shot histogram encodes.
 
 use crate::counts::Counts;
 use caqr_graph::Graph;
@@ -47,35 +46,6 @@ pub fn tvd_counts(a: &Counts, b: &Counts) -> f64 {
         .sum::<f64>()
 }
 
-/// The empirical probability of reading the single correct answer — the
-/// paper's "success rate of finding correct answer".
-pub fn success_rate(counts: &Counts, correct: u64) -> f64 {
-    counts.probability(correct)
-}
-
-/// Hellinger fidelity between an exact distribution and a histogram:
-/// `(sum_i sqrt(p_i * q_i))^2`, in `[0, 1]`, 1 for identical
-/// distributions. A common alternative to TVD in hardware reports.
-pub fn hellinger_fidelity(ideal: &[(u64, f64)], counts: &Counts) -> f64 {
-    ideal
-        .iter()
-        .map(|&(v, p)| (p * counts.probability(v)).sqrt())
-        .sum::<f64>()
-        .powi(2)
-}
-
-/// Shannon entropy of a histogram in bits. Uniform over `2^k` outcomes
-/// gives `k`; a deterministic circuit gives 0.
-pub fn entropy_bits(counts: &Counts) -> f64 {
-    counts
-        .iter()
-        .map(|(_, c)| {
-            let p = c as f64 / counts.total().max(1) as f64;
-            -p * p.log2()
-        })
-        .sum()
-}
-
 /// The expectation of `Z` on classical bit `bit`: `P(0) - P(1)`.
 pub fn z_expectation(counts: &Counts, bit: usize) -> f64 {
     let p1: f64 = counts
@@ -85,23 +55,6 @@ pub fn z_expectation(counts: &Counts, bit: usize) -> f64 {
         .sum::<f64>()
         / counts.total().max(1) as f64;
     1.0 - 2.0 * p1
-}
-
-/// The expectation of a product of `Z`s over the bits set in `mask`
-/// (+1 for even parity, -1 for odd).
-pub fn parity_expectation(counts: &Counts, mask: u64) -> f64 {
-    counts
-        .iter()
-        .map(|(v, c)| {
-            let sign = if (v & mask).count_ones().is_multiple_of(2) {
-                1.0
-            } else {
-                -1.0
-            };
-            sign * c as f64
-        })
-        .sum::<f64>()
-        / counts.total().max(1) as f64
 }
 
 /// The cut value of an assignment: edges of `graph` whose endpoints get
@@ -178,36 +131,12 @@ mod tests {
     }
 
     #[test]
-    fn success_rate_basics() {
-        let mut c = Counts::new(2);
-        c.extend([3, 3, 3, 0]);
-        assert!((success_rate(&c, 3) - 0.75).abs() < 1e-12);
-        assert_eq!(success_rate(&c, 2), 0.0);
-    }
-
-    #[test]
-    fn hellinger_and_entropy() {
-        let mut c = Counts::new(1);
-        c.extend([0, 0, 1, 1]);
-        let ideal = vec![(0u64, 0.5), (1u64, 0.5)];
-        assert!((hellinger_fidelity(&ideal, &c) - 1.0).abs() < 1e-12);
-        assert!((entropy_bits(&c) - 1.0).abs() < 1e-12);
-        let mut d = Counts::new(1);
-        d.extend([0, 0, 0, 0]);
-        assert!((hellinger_fidelity(&ideal, &d) - 0.5).abs() < 1e-12);
-        assert_eq!(entropy_bits(&d), 0.0);
-    }
-
-    #[test]
     fn z_and_parity_expectations() {
         let mut c = Counts::new(2);
         c.extend([0b00, 0b01, 0b01, 0b01]);
         // bit 0: P(1) = 0.75 -> <Z> = -0.5.
         assert!((z_expectation(&c, 0) + 0.5).abs() < 1e-12);
         assert!((z_expectation(&c, 1) - 1.0).abs() < 1e-12);
-        // Parity over both bits = parity of bit 0 here.
-        assert!((parity_expectation(&c, 0b11) + 0.5).abs() < 1e-12);
-        assert!((parity_expectation(&c, 0b00) - 1.0).abs() < 1e-12);
     }
 
     #[test]

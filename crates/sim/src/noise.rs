@@ -22,66 +22,17 @@ use caqr_circuit::depth::Schedule;
 use caqr_circuit::{Circuit, Gate, Instruction};
 use rand::Rng;
 
-/// How idle decoherence is realized per trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IdleChannel {
-    /// A uniformly random Pauli with the combined T1/T2 probability — a
-    /// cheap twirled approximation.
-    #[default]
-    PauliTwirl,
-    /// Exact amplitude damping (T1) as a Kraus trajectory plus stochastic
-    /// dephasing (the pure-T2 remainder).
-    ThermalRelaxation,
-}
-
 /// Noise parameters derived from a device, with a global scale knob.
 #[derive(Debug, Clone)]
 pub struct NoiseModel {
     device: Device,
     scale: f64,
-    idle_channel: IdleChannel,
 }
 
 impl NoiseModel {
     /// A noise model matching `device`'s calibration.
     pub fn from_device(device: Device) -> Self {
-        NoiseModel {
-            device,
-            scale: 1.0,
-            idle_channel: IdleChannel::default(),
-        }
-    }
-
-    /// Selects how idle decoherence is simulated.
-    pub fn with_idle_channel(mut self, channel: IdleChannel) -> Self {
-        self.idle_channel = channel;
-        self
-    }
-
-    /// The configured idle channel.
-    pub fn idle_channel(&self) -> IdleChannel {
-        self.idle_channel
-    }
-
-    /// Amplitude-damping probability for qubit `q` idling `gap_dt`
-    /// (`1 - exp(-gap / T1)`), for [`IdleChannel::ThermalRelaxation`].
-    pub fn idle_gamma(&self, q: usize, gap_dt: u64) -> f64 {
-        if gap_dt == 0 {
-            return 0.0;
-        }
-        let t1 = self.device.calibration().t1_dt(q);
-        self.clamp(1.0 - (-(gap_dt as f64) / t1).exp())
-    }
-
-    /// Pure-dephasing Z probability for qubit `q` idling `gap_dt`: the T2
-    /// decay beyond what T1 already explains.
-    pub fn idle_dephase(&self, q: usize, gap_dt: u64) -> f64 {
-        if gap_dt == 0 {
-            return 0.0;
-        }
-        let cal = self.device.calibration();
-        let rate = (1.0 / cal.t2_dt(q) - 0.5 / cal.t1_dt(q)).max(0.0);
-        self.clamp(0.5 * (1.0 - (-(gap_dt as f64) * rate).exp()))
+        NoiseModel { device, scale: 1.0 }
     }
 
     /// Multiplies every error probability by `scale` (useful for
@@ -140,44 +91,12 @@ impl NoiseModel {
         self.clamp(1.0 - (-(gap_dt as f64) * rate).exp())
     }
 
-    /// Returns `true` when every error probability is exactly zero (the
-    /// `with_scale(0.0)` configuration): the executor may then treat the
-    /// whole circuit as deterministic up to its first measurement.
-    pub fn is_silent(&self) -> bool {
-        self.scale == 0.0
-    }
-
     /// Samples a uniformly random Pauli gate.
     pub fn random_pauli(rng: &mut impl Rng) -> Gate {
         match rng.gen_range(0..3) {
             0 => Gate::X,
             1 => Gate::Y,
             _ => Gate::Z,
-        }
-    }
-}
-
-/// One precomputed idle-decoherence draw for a single (instruction,
-/// operand) slot.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum IdleDraw {
-    /// Pauli-twirl: one Bernoulli with this probability.
-    Twirl(f64),
-    /// Thermal relaxation: amplitude damping followed by stochastic
-    /// dephasing.
-    Thermal {
-        /// Amplitude-damping probability.
-        gamma: f64,
-        /// Pure-dephasing Z probability.
-        pz: f64,
-    },
-}
-
-impl IdleDraw {
-    fn is_zero(&self) -> bool {
-        match *self {
-            IdleDraw::Twirl(p) => p == 0.0,
-            IdleDraw::Thermal { gamma, pz } => gamma == 0.0 && pz == 0.0,
         }
     }
 }
@@ -192,14 +111,12 @@ impl IdleDraw {
 /// from the hot path.
 #[derive(Debug, Clone)]
 pub(crate) struct NoiseTables {
-    /// Per instruction, per operand: the idle-decoherence draw.
-    pub idle: Vec<Vec<IdleDraw>>,
+    /// Per instruction, per operand: the idle Pauli probability.
+    pub idle: Vec<Vec<f64>>,
     /// Per instruction: the post-gate Pauli probability per operand.
     pub gate: Vec<f64>,
     /// Per instruction: readout flip probability (measurements only).
     pub readout: Vec<f64>,
-    /// The idle channel the draws realize.
-    pub channel: IdleChannel,
 }
 
 impl NoiseTables {
@@ -207,7 +124,6 @@ impl NoiseTables {
     /// exactly the same accessor calls the per-shot loop previously made
     /// (so the draw streams are bit-identical).
     pub(crate) fn precompute(model: &NoiseModel, circuit: &Circuit, schedule: &Schedule) -> Self {
-        let channel = model.idle_channel();
         let mut busy = vec![0u64; circuit.num_qubits()];
         let mut idle = Vec::with_capacity(circuit.len());
         let mut gate = Vec::with_capacity(circuit.len());
@@ -217,13 +133,7 @@ impl NoiseTables {
             let mut draws = Vec::with_capacity(instr.qubits.len());
             for q in &instr.qubits {
                 let gap = start.saturating_sub(busy[q.index()]);
-                draws.push(match channel {
-                    IdleChannel::PauliTwirl => IdleDraw::Twirl(model.idle_error(q.index(), gap)),
-                    IdleChannel::ThermalRelaxation => IdleDraw::Thermal {
-                        gamma: model.idle_gamma(q.index(), gap),
-                        pz: model.idle_dephase(q.index(), gap),
-                    },
-                });
+                draws.push(model.idle_error(q.index(), gap));
                 busy[q.index()] = schedule.finish(idx);
             }
             idle.push(draws);
@@ -238,16 +148,7 @@ impl NoiseTables {
             idle,
             gate,
             readout,
-            channel,
         }
-    }
-
-    /// Returns `true` when no stochastic draw can occur in instructions
-    /// `0..boundary` — the condition under which prefix fast-forward is
-    /// trivially legal even for state-dependent channels.
-    pub(crate) fn is_zero_before(&self, boundary: usize) -> bool {
-        (0..boundary)
-            .all(|idx| self.gate[idx] == 0.0 && self.idle[idx].iter().all(IdleDraw::is_zero))
     }
 }
 
@@ -313,25 +214,6 @@ mod tests {
         let base = model().gate_error(&cx(0, 1));
         let amped = model().with_scale(3.0).gate_error(&cx(0, 1));
         assert!((amped - 3.0 * base).abs() < 1e-12);
-    }
-
-    #[test]
-    fn idle_gamma_and_dephase_behave() {
-        let m = model();
-        assert_eq!(m.idle_gamma(0, 0), 0.0);
-        assert_eq!(m.idle_dephase(0, 0), 0.0);
-        let g_short = m.idle_gamma(0, 1_000);
-        let g_long = m.idle_gamma(0, 1_000_000);
-        assert!(g_short > 0.0 && g_long > g_short && g_long <= 0.76);
-        assert!(m.idle_dephase(0, 100_000) >= 0.0);
-    }
-
-    #[test]
-    fn idle_channel_selection() {
-        let m = model();
-        assert_eq!(m.idle_channel(), IdleChannel::PauliTwirl);
-        let t = model().with_idle_channel(IdleChannel::ThermalRelaxation);
-        assert_eq!(t.idle_channel(), IdleChannel::ThermalRelaxation);
     }
 
     #[test]

@@ -67,8 +67,6 @@ pub(crate) trait SimState: Sized {
     fn measure(&mut self, q: usize, rng: &mut ChaCha8Rng) -> bool;
     /// Reset of qubit `q` to |0>.
     fn reset(&mut self, q: usize, rng: &mut ChaCha8Rng);
-    /// One amplitude-damping trajectory step on qubit `q`.
-    fn amplitude_damp(&mut self, q: usize, gamma: f64, rng: &mut ChaCha8Rng);
 }
 
 impl SimState for StateVector {
@@ -110,10 +108,6 @@ impl SimState for StateVector {
 
     fn reset(&mut self, q: usize, rng: &mut ChaCha8Rng) {
         StateVector::reset(self, q, rng);
-    }
-
-    fn amplitude_damp(&mut self, q: usize, gamma: f64, rng: &mut ChaCha8Rng) {
-        StateVector::amplitude_damp(self, q, gamma, rng);
     }
 }
 
@@ -677,13 +671,6 @@ impl SimState for SparseState {
         if self.measure(q, rng) {
             self.apply_gate(&Gate::X, &[q]);
         }
-    }
-
-    fn amplitude_damp(&mut self, q: usize, gamma: f64, rng: &mut ChaCha8Rng) {
-        // Thermal relaxation disables the chunked path, so the sparse
-        // engine never reaches here in practice; stay correct anyway.
-        self.go_dense();
-        self.inner.amplitude_damp(q, gamma, rng);
     }
 }
 

@@ -748,59 +748,6 @@ impl StateVector {
             self.apply_gate(&Gate::X, &[q]);
         }
     }
-
-    /// One Monte-Carlo trajectory step of the amplitude-damping channel
-    /// with decay probability `gamma` on qubit `q` (T1 relaxation).
-    ///
-    /// With probability `gamma * P(1)` the "jump" Kraus operator fires and
-    /// the qubit relaxes to |0>; otherwise the no-jump operator damps the
-    /// |1> amplitude. Averaged over trajectories this realizes the exact
-    /// channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gamma` is outside `[0, 1]` or `q` is out of range.
-    pub fn amplitude_damp(&mut self, q: usize, gamma: f64, rng: &mut impl Rng) {
-        assert!((0.0..=1.0).contains(&gamma), "gamma must be in [0, 1]");
-        assert!(q < self.n, "qubit {q} out of range");
-        if gamma == 0.0 {
-            return;
-        }
-        let p1 = self.prob_one(q);
-        let p_jump = (gamma * p1).clamp(0.0, 1.0);
-        let bit = 1usize << self.map[q];
-        let len = self.amps.len();
-        if p_jump > 0.0 && rng.gen_bool(p_jump) {
-            // Jump: K1 = sqrt(gamma) |0><1|, then renormalize by the jump
-            // probability.
-            let scale = (gamma / p_jump).sqrt();
-            let mut base = 0;
-            while base < len {
-                let (lo, hi) = self.amps[base..base + (bit << 1)].split_at_mut(bit);
-                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                    *x = y.scale(scale);
-                    *y = C64::ZERO;
-                }
-                base += bit << 1;
-            }
-        } else {
-            // No jump: K0 = diag(1, sqrt(1 - gamma)), renormalized.
-            let damp = (1.0 - gamma).sqrt();
-            let norm = (1.0 - p_jump).sqrt();
-            let (s0, s1) = (1.0 / norm, damp / norm);
-            let mut base = 0;
-            while base < len {
-                let (lo, hi) = self.amps[base..base + (bit << 1)].split_at_mut(bit);
-                for a in lo {
-                    *a = a.scale(s0);
-                }
-                for a in hi {
-                    *a = a.scale(s1);
-                }
-                base += bit << 1;
-            }
-        }
-    }
 }
 
 /// Applies a 2x2 matrix to amplitude pairs `(lo[i], hi[i])`.
@@ -1042,72 +989,6 @@ mod tests {
         let mut c = StateVector::zero(1);
         c.apply_gate(&Gate::U(0.0, 0.0, 1.2), &[0]);
         assert!((c.probability_of(0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn amplitude_damping_relaxes_excited_state() {
-        // Repeated damping drives |1> toward |0>.
-        let mut r = rng();
-        let mut relaxed = 0;
-        for _ in 0..300 {
-            let mut s = StateVector::zero(1);
-            s.apply_gate(&Gate::X, &[0]);
-            for _ in 0..10 {
-                s.amplitude_damp(0, 0.3, &mut r);
-            }
-            assert!((s.norm() - 1.0).abs() < 1e-9);
-            if s.prob_one(0) < 0.5 {
-                relaxed += 1;
-            }
-        }
-        // 1 - (1-0.3)^10 ~ 0.97 of trajectories should have decayed.
-        assert!(relaxed > 270, "only {relaxed}/300 trajectories relaxed");
-    }
-
-    #[test]
-    fn amplitude_damping_preserves_ground_state() {
-        let mut r = rng();
-        let mut s = StateVector::zero(1);
-        s.amplitude_damp(0, 0.9, &mut r);
-        assert!((s.probability_of(0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn amplitude_damping_trajectory_average_matches_channel() {
-        // For |+>, the channel gives P(1) = (1 - gamma) / 2.
-        let mut r = rng();
-        let gamma = 0.4;
-        let mut sum_p1 = 0.0;
-        let trials = 4000;
-        for _ in 0..trials {
-            let mut s = StateVector::zero(1);
-            s.apply_gate(&Gate::H, &[0]);
-            s.amplitude_damp(0, gamma, &mut r);
-            sum_p1 += s.prob_one(0);
-        }
-        let mean = sum_p1 / trials as f64;
-        let expect = (1.0 - gamma) / 2.0;
-        assert!(
-            (mean - expect).abs() < 0.02,
-            "mean P(1) {mean} vs channel {expect}"
-        );
-    }
-
-    #[test]
-    fn amplitude_damping_zero_gamma_noop() {
-        let mut r = rng();
-        let mut s = StateVector::zero(2);
-        s.apply_gate(&Gate::H, &[0]);
-        let before = s.amplitude(1);
-        s.amplitude_damp(0, 0.0, &mut r);
-        assert_eq!(s.amplitude(1), before);
-    }
-
-    #[test]
-    #[should_panic(expected = "gamma")]
-    fn amplitude_damping_bad_gamma() {
-        let mut r = rng();
-        StateVector::zero(1).amplitude_damp(0, 1.5, &mut r);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 /// scheduler, indices stay below [`crate::MAX_LOGICAL_QUBITS`].
 #[derive(Debug, Default)]
 pub struct ConeTracker {
-    /// parent[i] == i for roots.
+    /// `parent[i] == i` for roots.
     parent: Vec<usize>,
     /// Class size, valid at roots.
     size: Vec<u32>,

@@ -87,11 +87,6 @@ impl ChunkedDecoder {
         self.state == State::Done
     }
 
-    /// Decoded body bytes emitted so far.
-    pub fn decoded_len(&self) -> usize {
-        self.decoded
-    }
-
     /// Consumes as much of `input` as the framing allows, appending
     /// decoded body bytes to `out`. Returns how many input bytes were
     /// consumed; once [`is_done`](ChunkedDecoder::is_done) the decoder
