@@ -108,7 +108,9 @@ pub(crate) fn swap_rank(routed: &RoutedProgram) -> (usize, usize, usize) {
 /// delay/reclaim policy, when given (a commuting circuit, whose sweep
 /// points all reorder its gates); then every sweep point under the
 /// delay/reclaim then the eager-placement policy. A regular sweep needs
-/// no `input`: its point 0 is the circuit itself.
+/// no `input`: its point 0 is the circuit itself. The fidelity selection
+/// leads with the input under both policies for a regular circuit too,
+/// and passes its sweep from point 1.
 ///
 /// # Errors
 ///

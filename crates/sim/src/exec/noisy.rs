@@ -1,3 +1,7 @@
+//! Noisy shots: the prefix pre-walk that decides a fork, forks from the
+//! snapshot state or its probability table, and the chunked path that
+//! streams Pauli events through the kernels as `(x, z)` frames.
+
 use super::plan::{op_index, ShotPlan, Snapshot, TailSource};
 use crate::kernels::{conjugate_pauli, Op};
 use crate::noise::NoiseModel;

@@ -1,3 +1,7 @@
+//! Plan construction, once per circuit, and the per-op path every
+//! plan's shots share: noise draws, conditions, measurement, reset and
+//! the deferred-tail sampler.
+
 use super::noisy::{Chunk, ProbTable};
 use super::shards::ShotScratch;
 #[cfg(doc)]

@@ -1,3 +1,5 @@
+//! The sharded shot loop and the scratch each shard reuses.
+
 use super::noisy::{PauliEvent, TailMemo};
 #[cfg(doc)]
 use super::plan::Snapshot;

@@ -1,3 +1,6 @@
+//! The outcome tree a shard's noiseless shots walk (see
+//! [`OutcomeTree`]).
+
 use super::noisy::ProbTable;
 use super::plan::{ShotPlan, Snapshot, TailSource, TailWalk};
 use crate::complex::C64;
