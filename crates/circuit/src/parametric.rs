@@ -15,6 +15,7 @@ use crate::circuit::{Circuit, Instruction};
 use crate::fingerprint::{Fingerprint, StableHasher};
 use crate::gate::Gate;
 use crate::param::Param;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Domain tag for template fingerprints. Concrete circuits hash without
@@ -99,8 +100,9 @@ impl std::error::Error for BindError {}
 ///
 /// Deliberately not `PartialEq`: slot angles are NaN-boxed, so derived
 /// float equality would report a template unequal to itself. Compare
-/// [`ParametricCircuit::template_fingerprint`]s instead — they hash IEEE
-/// bit patterns exactly.
+/// with [`ParametricCircuit::same_template`], or compare
+/// [`ParametricCircuit::template_fingerprint`]s — both read IEEE bit
+/// patterns exactly.
 #[derive(Debug, Clone)]
 pub struct ParametricCircuit {
     circuit: Circuit,
@@ -155,39 +157,99 @@ impl ParametricCircuit {
         bind_circuit(&self.circuit, self.num_slots, values)
     }
 
-    /// Lifts every rotation angle of a concrete circuit into a fresh
-    /// slot, returning the template and the value vector that binds it
-    /// back to the original. `bind(&values)` is the exact inverse:
-    /// the result is bit-identical to `circuit`.
+    /// Lifts the rotation angles of a concrete circuit into slots, one
+    /// slot per distinct IEEE bit pattern, numbered in order of first
+    /// occurrence. Returns the template and the value vector that binds
+    /// it back to the original: `bind(&values)` is the exact inverse, bit
+    /// for bit. Equal angles share a slot, so the template keeps which
+    /// rotations of the circuit carry the same angle. `U`'s three angles
+    /// admit no slots and stay as they are.
     pub fn parametrize(circuit: &Circuit) -> (ParametricCircuit, Vec<f64>) {
+        let mut slot_of: HashMap<u64, u32> = HashMap::new();
         let mut values = Vec::new();
-        let mut out = Circuit::new(circuit.num_qubits(), circuit.num_clbits());
-        for instr in circuit {
-            let gate = match instr.gate.param() {
-                Some(Param::Val(v)) => {
-                    let slot = values.len() as u32;
-                    values.push(v);
-                    instr
-                        .gate
-                        .with_angle(Param::Slot(slot).to_raw())
-                        .expect("param() implies with_angle()")
-                }
-                _ => instr.gate,
-            };
-            out.push(Instruction {
-                gate,
-                ..instr.clone()
-            });
-        }
+        let lifted = lift_angles(circuit, |v| {
+            Some(*slot_of.entry(v.to_bits()).or_insert_with(|| {
+                values.push(v);
+                values.len() as u32 - 1
+            }))
+        })
+        .expect("every angle gets a slot");
         let num_slots = values.len() as u32;
         (
             ParametricCircuit {
-                circuit: out,
+                circuit: lifted,
                 num_slots,
             },
             values,
         )
     }
+
+    /// Lifts the rotation angles of `circuit` onto the slots of `values`,
+    /// as [`ParametricCircuit::parametrize`] returns them: an angle with
+    /// the bit pattern of `values[i]` becomes slot `i`. Returns `None`
+    /// when an angle matches no value. This carries the slots of a
+    /// parametrized input onto an output that moved its rotations but
+    /// kept their angles bit for bit, as every pass after the peephole
+    /// does.
+    pub fn lift(circuit: &Circuit, values: &[f64]) -> Option<ParametricCircuit> {
+        let slot_of: HashMap<u64, u32> = values
+            .iter()
+            .enumerate()
+            .map(|(slot, v)| (v.to_bits(), slot as u32))
+            .collect();
+        let lifted = lift_angles(circuit, |v| slot_of.get(&v.to_bits()).copied())?;
+        Some(ParametricCircuit {
+            circuit: lifted,
+            num_slots: values.len() as u32,
+        })
+    }
+
+    /// Whether `self` and `other` are the same template: equal slot
+    /// counts and equal instruction streams, every angle compared by its
+    /// bit pattern. Unlike `==`, this holds between a template and its
+    /// copy, whose slot angles are NaN.
+    pub fn same_template(&self, other: &ParametricCircuit) -> bool {
+        let (a, b) = (&self.circuit, &other.circuit);
+        self.num_slots == other.num_slots
+            && a.num_qubits() == b.num_qubits()
+            && a.num_clbits() == b.num_clbits()
+            && a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                angle_bits(&x.gate) == angle_bits(&y.gate)
+                    && std::mem::discriminant(&x.gate) == std::mem::discriminant(&y.gate)
+                    && x.qubits == y.qubits
+                    && x.clbit == y.clbit
+                    && x.condition == y.condition
+            })
+    }
+}
+
+/// The bit patterns of a gate's angles (zero where it has none).
+fn angle_bits(gate: &Gate) -> [u64; 3] {
+    match *gate {
+        Gate::U(theta, phi, lambda) => [theta.to_bits(), phi.to_bits(), lambda.to_bits()],
+        _ => [gate.angle().map_or(0, f64::to_bits), 0, 0],
+    }
+}
+
+/// Rewrites every concrete single-angle rotation of `circuit` to the slot
+/// `slot_for` gives its angle; `None` when `slot_for` gives none.
+fn lift_angles(circuit: &Circuit, mut slot_for: impl FnMut(f64) -> Option<u32>) -> Option<Circuit> {
+    let mut out = Circuit::new(circuit.num_qubits(), circuit.num_clbits());
+    for instr in circuit {
+        let gate = match instr.gate.param() {
+            Some(Param::Val(v)) => instr
+                .gate
+                .with_angle(Param::Slot(slot_for(v)?).to_raw())
+                .expect("param() implies with_angle()"),
+            _ => instr.gate,
+        };
+        out.push(Instruction {
+            gate,
+            ..instr.clone()
+        });
+    }
+    Some(out)
 }
 
 /// Stamps `values` into the slot angles of any circuit (typically a
@@ -361,6 +423,85 @@ mod tests {
         let bound = t.bind(&values).unwrap();
         assert_eq!(bound, c);
         assert_eq!(bound.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
+    fn parametrize_gives_equal_angles_one_slot_in_first_occurrence_order() {
+        let mut c = Circuit::new(2, 0);
+        c.rz(0.7, q(0));
+        c.rzz(0.3, q(0), q(1));
+        c.rx(0.7, q(1));
+        c.ry(-0.0, q(0));
+        c.rz(0.0, q(1));
+        c.push_gate(Gate::U(0.3, 0.7, 0.0), &[q(0)]);
+        let (t, values) = ParametricCircuit::parametrize(&c);
+        assert_eq!(t.num_slots(), 4);
+        assert_eq!(
+            values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            [0.7, 0.3, -0.0, 0.0].map(f64::to_bits),
+            "-0.0 and 0.0 differ by bits, so they get two slots"
+        );
+        let slots: Vec<Option<u32>> = t
+            .circuit()
+            .iter()
+            .map(|i| i.gate.param().and_then(Param::slot))
+            .collect();
+        assert_eq!(slots, [Some(0), Some(1), Some(0), Some(2), Some(3), None]);
+        assert_eq!(
+            t.circuit().instructions()[5].gate,
+            Gate::U(0.3, 0.7, 0.0),
+            "U keeps its angles"
+        );
+        assert_eq!(t.bind(&values).unwrap(), c);
+    }
+
+    #[test]
+    fn lift_carries_slots_onto_a_reordered_output() {
+        let mut c = Circuit::new(2, 0);
+        c.rz(0.7, q(0));
+        c.rx(0.2, q(1));
+        let (t, values) = ParametricCircuit::parametrize(&c);
+        let mut moved = Circuit::new(3, 0);
+        moved.rx(0.2, q(2));
+        moved.swap(q(0), q(2));
+        moved.rz(0.7, q(2));
+        let lifted = ParametricCircuit::lift(&moved, &values).expect("every angle has a slot");
+        assert_eq!(lifted.num_slots(), t.num_slots());
+        assert_eq!(slot_census(lifted.circuit()), vec![0, 1]);
+        assert_eq!(lifted.bind(&values).unwrap(), moved);
+        // An angle the input lacks, even its negation, has no slot.
+        moved.rz(-0.7, q(1));
+        assert!(ParametricCircuit::lift(&moved, &values).is_none());
+    }
+
+    #[test]
+    fn same_template_compares_angles_by_bits() {
+        let t = template();
+        assert!(t.same_template(&t.clone()));
+        let mut other = t.circuit().clone();
+        other.rz(0.25, q(0));
+        let longer = ParametricCircuit::new(other, 2).unwrap();
+        assert!(!t.same_template(&longer));
+        let wider = ParametricCircuit::new(t.circuit().clone(), 3).unwrap();
+        assert!(!t.same_template(&wider), "the slot count is content");
+        let mut c = Circuit::new(2, 0);
+        c.h(q(0));
+        c.rzz(Param::Slot(1).to_raw(), q(0), q(1));
+        c.rx(Param::Slot(1).to_raw(), q(1));
+        c.rz(0.25, q(0));
+        let rewired = ParametricCircuit::new(c, 2).unwrap();
+        assert!(!t.same_template(&rewired), "slot ids are content");
+        let (a, _) = ParametricCircuit::parametrize(&{
+            let mut c = Circuit::new(1, 0);
+            c.push_gate(Gate::U(0.0, 0.1, 0.2), &[q(0)]);
+            c
+        });
+        let (b, _) = ParametricCircuit::parametrize(&{
+            let mut c = Circuit::new(1, 0);
+            c.push_gate(Gate::U(-0.0, 0.1, 0.2), &[q(0)]);
+            c
+        });
+        assert!(!a.same_template(&b), "U angles compare by bits");
     }
 
     #[test]

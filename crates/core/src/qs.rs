@@ -301,14 +301,6 @@ pub mod regular {
         out
     }
 
-    /// Applies the single best reuse pair (minimum resulting makespan under
-    /// `durations`). Returns `None` when no valid pair exists.
-    pub fn reduce_by_one(circuit: &Circuit, durations: &impl DurationModel) -> Option<Circuit> {
-        reductions(circuit, durations, PairOrder::Quality)
-            .into_iter()
-            .find_map(|r| r.build(circuit))
-    }
-
     /// A canonical signature of a circuit, used to prune search states:
     /// distinct pair orders that merge the same wires produce the same
     /// instruction sequence.
@@ -543,6 +535,33 @@ pub mod regular {
                 }
             }
             Ok(())
+        }
+
+        #[test]
+        fn reduce_prefers_less_harmful_pair() {
+            // Two independent CX chains of different length; donating from
+            // the short chain should beat extending the long one. Verify
+            // that the first buildable quality-ordered reduction is
+            // makespan-minimal against every alternative.
+            let q = Qubit::new;
+            let mut c = Circuit::new(5, 0);
+            for _ in 0..4 {
+                c.cx(q(0), q(1)); // long busy pair
+            }
+            c.cx(q(2), q(3)); // short
+            c.h(q(4));
+            let best = reductions(&c, &UnitDurations, PairOrder::Quality)
+                .into_iter()
+                .find_map(|r| r.build(&c))
+                .expect("a reduction exists");
+            let best_makespan = Schedule::asap(&best, &UnitDurations).makespan();
+            // Exhaustive check.
+            for pair in ReuseAnalysis::of(&c).candidate_pairs() {
+                if let Ok(t) = transform::apply(&c, &ReusePlan::from_pairs([pair])) {
+                    let m = Schedule::asap(&t.circuit, &UnitDurations).makespan();
+                    assert!(best_makespan <= m, "pair {pair} beats chosen one");
+                }
+            }
         }
 
         proptest! {
@@ -809,30 +828,6 @@ mod tests {
     #[test]
     fn min_qubits_regular() {
         assert_eq!(regular::min_qubits(&bv(8, u64::MAX), &UnitDurations), 2);
-    }
-
-    #[test]
-    fn reduce_prefers_less_harmful_pair() -> TestResult {
-        // Two independent CX chains of different length; donating from the
-        // short chain should beat extending the long one. Just verify the
-        // choice made is makespan-minimal vs all alternatives.
-        let mut c = Circuit::new(5, 0);
-        for _ in 0..4 {
-            c.cx(q(0), q(1)); // long busy pair
-        }
-        c.cx(q(2), q(3)); // short
-        c.h(q(4));
-        let best = regular::reduce_by_one(&c, &UnitDurations).ok_or("a reduction exists")?;
-        let best_makespan = caqr_circuit::depth::Schedule::asap(&best, &UnitDurations).makespan();
-        // Exhaustive check.
-        let analysis = crate::analysis::ReuseAnalysis::of(&c);
-        for pair in analysis.candidate_pairs() {
-            if let Ok(t) = crate::transform::apply(&c, &ReusePlan::from_pairs([pair])) {
-                let m = caqr_circuit::depth::Schedule::asap(&t.circuit, &UnitDurations).makespan();
-                assert!(best_makespan <= m, "pair {pair} beats chosen one");
-            }
-        }
-        Ok(())
     }
 
     fn qaoa(graph: &Graph) -> Result<CommutingSpec, NotCommutingError> {

@@ -10,7 +10,7 @@
 //! runs, which is what turns a variational optimizer loop's compile cost
 //! into a one-time charge.
 
-use crate::cache::CompileCache;
+use crate::cache::{CacheKey, CompileCache};
 use crate::job::{FailedJob, JobError};
 use crate::metrics::EngineMetrics;
 use crate::pool::Engine;
@@ -19,16 +19,16 @@ use caqr::{
     RoutingBackendSpec, StageTrace, Strategy,
 };
 use caqr_arch::Device;
-use caqr_circuit::fingerprint::{Fingerprint, StableHasher};
+use caqr_circuit::fingerprint::Fingerprint;
 use caqr_circuit::parametric::bind_circuit;
 use caqr_circuit::ParametricCircuit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-/// Domain tag for template job keys. Distinct from both the concrete
-/// [`crate::CompileJob::key`] construction (which hashes no tag) and the
-/// template fingerprint's own domain, so a template job can never collide
-/// with a concrete job for the same structure in the shared cache.
+/// Domain tag for template job keys. Distinct from the shape domain of
+/// [`crate::CompileJob::key`] and from the template fingerprint's own
+/// domain, so a template job never shares an entry with a concrete job
+/// of the same structure in the shared cache.
 const TEMPLATE_JOB_DOMAIN: &str = "caqr/template-job/v1";
 
 /// One bind-run unit of work: compile `template` onto `device` if the
@@ -100,13 +100,18 @@ impl BindJob {
     /// [`CompileCache`] with concrete [`crate::CompileJob`]s without any
     /// possibility of cross-domain collision.
     pub fn template_key(&self) -> Fingerprint {
-        let mut h = StableHasher::new();
-        h.write_str(TEMPLATE_JOB_DOMAIN);
-        h.write_str(&self.strategy.to_string());
-        h.write_str(&self.router.cache_tag());
-        h.finish()
-            .combine(self.template.template_fingerprint())
-            .combine(self.device.fingerprint())
+        self.cache_key().fingerprint()
+    }
+
+    /// [`BindJob::template_key`] with the content a hit compares.
+    fn cache_key(&self) -> CacheKey {
+        CacheKey::new(
+            TEMPLATE_JOB_DOMAIN,
+            self.template.clone(),
+            self.strategy,
+            &self.router,
+            &self.device,
+        )
     }
 }
 
@@ -187,8 +192,8 @@ impl Engine {
         };
 
         // Compile-if-cold: fetch the routed template or build it.
-        let key = job.template_key();
-        let cached = cache.and_then(|cache| cache.get(key));
+        let key = job.cache_key();
+        let cached = cache.and_then(|cache| cache.get(&key));
         let template_cache_hit = cached.is_some();
         let (routed, trace, compile_wall) = match cached {
             Some(report) => {
@@ -314,21 +319,23 @@ mod tests {
                 .with_cost_model(spec);
                 // Concrete job over the template's own instruction stream
                 // (slots and all) — the closest possible collision shape.
+                // It holds slots, so it has no key and is never cached.
                 let concrete =
                     CompileJob::new("c", template.circuit().clone(), Device::mumbai(5), strategy)
                         .with_cost_model(spec);
-                assert_ne!(
-                    bind.template_key(),
-                    concrete.key(),
-                    "{strategy}/{spec}: template and concrete jobs collide"
-                );
+                assert_eq!(concrete.key(), None, "{strategy}/{spec}");
                 // And against the bound concrete circuit, which is what a
-                // client would actually submit to /v1/compile.
+                // client would actually submit to /v1/compile: its shape
+                // lifts to the same template, in another domain.
                 let bound =
                     bind_circuit(template.circuit(), template.num_slots(), &values).unwrap();
                 let concrete_bound =
                     CompileJob::new("c", bound, Device::mumbai(5), strategy).with_cost_model(spec);
-                assert_ne!(bind.template_key(), concrete_bound.key());
+                assert_ne!(
+                    Some(bind.template_key()),
+                    concrete_bound.key(),
+                    "{strategy}/{spec}: template and concrete jobs collide"
+                );
             }
         }
     }

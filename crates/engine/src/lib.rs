@@ -12,9 +12,12 @@
 //!   order, regardless of which worker finished first) and per-job panic
 //!   isolation (a panicking job becomes a [`JobError`], never a dead
 //!   batch).
-//! * [`CompileCache`] memoizes compile reports under a content-addressed
-//!   [`caqr_circuit::Fingerprint`] of circuit + device calibration +
-//!   strategy, with LRU eviction and hit/miss counters.
+//! * [`CompileCache`] memoizes compile reports under a cache key: the
+//!   job's shape (its circuit after the peephole, angles lifted into
+//!   slots) + device calibration + strategy + routing policy. A job of a
+//!   cached shape binds its own angles into the stored template instead
+//!   of compiling; each entry keeps its key's content and compares it on
+//!   a hit. LRU eviction, hit/miss/collision counters.
 //! * [`EngineMetrics`] aggregates per-stage wall-clock (width analysis,
 //!   reuse pass, routing, scheduling) and compile counters (SWAPs
 //!   inserted, reuse pairs, cache hits) into a human table or JSON lines.

@@ -183,6 +183,10 @@ impl EngineMetrics {
             "cache_evictions        {}\n",
             self.cache.evictions
         ));
+        out.push_str(&format!(
+            "cache_key_collisions   {}\n",
+            self.cache.key_collisions
+        ));
         for stage in Stage::ALL {
             let total = self.stage_totals.get(&stage).copied().unwrap_or_default();
             out.push_str(&format!(
@@ -261,7 +265,7 @@ impl EngineMetrics {
              \"stage_us\":{{{}}},\"pass_us\":{{{}}},\"queue_wait_us\":{},\"compile_us\":{},\
              \"batch_wall_us\":{},\"binds_total\":{},\"bind_us\":{},\
              \"template_cache_hits\":{},\"template_cache_misses\":{},\
-             \"sweeps_computed\":{},\"sweeps_reused\":{}}}",
+             \"sweeps_computed\":{},\"sweeps_reused\":{},\"cache_key_collisions\":{}}}",
             self.jobs_total,
             self.jobs_ok,
             self.jobs_failed,
@@ -283,6 +287,7 @@ impl EngineMetrics {
             self.template_cache_misses,
             self.sweeps_computed,
             self.sweeps_reused,
+            self.cache.key_collisions,
         )
     }
 }
@@ -466,6 +471,35 @@ mod tests {
             ..Default::default()
         });
         assert_eq!((metrics.sweeps_computed, metrics.sweeps_reused), (25, 75));
+    }
+
+    #[test]
+    fn cache_key_collisions_surface_in_table_json_and_merge() {
+        let mut metrics = EngineMetrics {
+            cache: CacheStats {
+                key_collisions: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let table = metrics.render_table();
+        assert!(table.contains("cache_key_collisions   2"), "{table}");
+        let json = metrics.to_json();
+        assert!(
+            json.ends_with(",\"cache_key_collisions\":2}"),
+            "appended last: {json}"
+        );
+        metrics.merge(&EngineMetrics {
+            cache: CacheStats {
+                key_collisions: 3,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        assert_eq!(
+            metrics.cache.key_collisions, 3,
+            "a shared cache's stats are cumulative"
+        );
     }
 
     #[test]

@@ -7,6 +7,8 @@ use crate::job::{BatchReport, BatchRequest, CompileJob, FailedJob, JobError, Job
 use crate::metrics::EngineMetrics;
 use crate::sweep::SweepMemo;
 use caqr::{CancelToken, CaqrError, CompileCtx, CompileReport, PassManager, StageTrace};
+use caqr_circuit::parametric::bind_circuit;
+use caqr_circuit::ParametricCircuit;
 use caqr_sim::effective_workers;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -209,6 +211,12 @@ fn local_cache(request: &BatchRequest) -> Option<CompileCache> {
 }
 
 /// Compiles one job with cache lookup and panic isolation.
+///
+/// A job with a shape key ([`CompileJob::key`]) looks it up. A hit binds
+/// the job's own angle values into the cached template, and no compile
+/// runs. A miss compiles the literal job, exactly as without a cache,
+/// then stores the report with its circuit lifted back onto the key's
+/// slots, unless the output holds an angle the job's circuit lacks.
 fn run_one(
     job: &CompileJob,
     cache: Option<&CompileCache>,
@@ -216,13 +224,15 @@ fn run_one(
     queue_wait: std::time::Duration,
 ) -> Result<JobOutcome, FailedJob> {
     let started = Instant::now();
-    let key = cache.map(|cache| {
-        let key = job.key();
-        (cache, key)
-    });
+    let shape = cache.and_then(|cache| Some((cache, job.shape()?)));
 
-    if let Some((cache, key)) = key {
-        if let Some(report) = cache.get(key) {
+    if let Some((cache, shape)) = &shape {
+        if let Some(mut report) = cache.get(&shape.key) {
+            // Equal keys hold equal slot counts, and a shape's values are
+            // finite, so the bind cannot fail.
+            report.circuit =
+                bind_circuit(&report.circuit, shape.values.len() as u32, &shape.values)
+                    .expect("a cached template binds its shape's values");
             return Ok(JobOutcome {
                 name: job.name.clone(),
                 strategy: job.strategy,
@@ -240,8 +250,14 @@ fn run_one(
     let compiled = catch_unwind(AssertUnwindSafe(compile));
     match compiled {
         Ok((Ok(report), trace)) => {
-            if let Some((cache, fingerprint)) = key {
-                cache.insert(fingerprint, report.clone());
+            if let Some((cache, shape)) = shape {
+                if let Some(template) = ParametricCircuit::lift(&report.circuit, &shape.values) {
+                    let template = CompileReport {
+                        circuit: template.into_circuit(),
+                        ..report.clone()
+                    };
+                    cache.insert(shape.key, template);
+                }
             }
             Ok(JobOutcome {
                 name: job.name.clone(),

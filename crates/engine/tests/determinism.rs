@@ -49,7 +49,14 @@ fn suite_fingerprints_do_not_collide() {
     // must map to a distinct cache key — a collision here would silently
     // serve one benchmark's compile for another.
     let jobs = suite_jobs(&[Strategy::Baseline, Strategy::QsMinDepth, Strategy::Sr]);
-    let keys: BTreeSet<u128> = jobs.iter().map(|j| j.key().as_u128()).collect();
+    let keys: BTreeSet<u128> = jobs
+        .iter()
+        .map(|j| {
+            j.key()
+                .expect("suite circuits are finite literals")
+                .as_u128()
+        })
+        .collect();
     assert_eq!(keys.len(), jobs.len(), "cache-key collision in the suite");
 
     // The underlying circuit fingerprints are distinct too.

@@ -22,9 +22,10 @@
 //! open-loop (`--rate`) arrivals, and per-connection error accounting.
 //!
 //! Reports a table or JSON (`--json`); `--check` exits non-zero unless
-//! some requests succeeded, no 5xx/transport error was seen, and the
+//! some requests succeeded, no 5xx/transport error was seen, the
 //! engine's template cache saw at least one hit on the repeated bind-run
-//! traffic (the CI smoke gate).
+//! traffic, and a `/v1/compile` literal whose shape another literal
+//! cached answered `"cache_hit":true` (the CI smoke gate).
 
 use caqr_serve::client::Client;
 use caqr_serve::loadgen::{self, LoadConfig, Shot};
@@ -209,6 +210,25 @@ fn bind_run_shots() -> Vec<Shot> {
         .collect()
 }
 
+/// Two `/v1/compile` bodies: literals bound from one QAOA template with
+/// different angles, so they share one shape in the engine's cache. The
+/// angles are ones no other body of the workload sends.
+fn shape_probe_bodies() -> [String; 2] {
+    let bench =
+        caqr_benchmarks::qaoa::qaoa_benchmark(5, 0.5, caqr_benchmarks::qaoa::GraphKind::Random, 7);
+    let graph = bench.graph.expect("QAOA benchmarks carry their graph");
+    let template = caqr_benchmarks::qaoa::maxcut_template(&graph, 1);
+    [[0.31, 1.27], [1.13, 0.52]].map(|angles| {
+        let circuit = template
+            .bind(&angles)
+            .expect("two angles bind one QAOA layer");
+        format!(
+            r#"{{"circuit":{},"name":"shape-probe"}}"#,
+            circuit_to_value(&circuit).encode()
+        )
+    })
+}
+
 fn run(args: &[String]) -> Result<bool, String> {
     let options = parse(args)?;
     let config = &options.load;
@@ -316,15 +336,18 @@ fn run(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-/// Replays each bind-run shot once, then reads the engine's
-/// `template_cache_hits` counter off `/metrics`.
+/// Replays each bind-run shot once, posts [`shape_probe_bodies`] to
+/// `/v1/compile`, then reads the engine's `template_cache_hits` counter
+/// off `/metrics`.
 ///
 /// The replay makes the assertion deterministic regardless of how far the
 /// timed run rotated through the workload: each distinct binding is either
 /// already in the response cache (the engine bound it during the run) or
 /// reaches the engine now — so after all three, at least two bindings of
 /// the same template have hit the engine and the second onward were
-/// template-cache hits.
+/// template-cache hits. The second compile body has the first one's
+/// shape, so it must answer `"cache_hit":true`: the engine bound the
+/// template the first compile cached, and no compile ran.
 fn template_cache_hits_after_probe(addr: SocketAddr) -> Result<u64, String> {
     let mut client = Client::connect(addr).with_timeout(Duration::from_secs(30));
     for shot in bind_run_shots() {
@@ -338,6 +361,28 @@ fn template_cache_hits_after_probe(addr: SocketAddr) -> Result<u64, String> {
                 response.text()
             ));
         }
+    }
+    let mut shape_hit = None;
+    for body in shape_probe_bodies() {
+        let response = client
+            .post("/v1/compile", body.as_bytes())
+            .map_err(|e| format!("compile probe failed: {e}"))?;
+        if response.status != 200 {
+            return Err(format!(
+                "compile probe returned {}: {}",
+                response.status,
+                response.text()
+            ));
+        }
+        let parsed = caqr_wire::parse(&response.text())
+            .map_err(|e| format!("compile probe body did not parse: {e}"))?;
+        shape_hit = parsed.get("cache_hit").and_then(Value::as_bool);
+    }
+    if shape_hit != Some(true) {
+        return Err(format!(
+            "a /v1/compile literal with a cached shape answered cache_hit = {shape_hit:?} \
+             (expected true)"
+        ));
     }
     let response = client
         .get("/metrics")

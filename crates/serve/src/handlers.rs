@@ -539,7 +539,9 @@ fn failure_response(failed: &FailedJob) -> Response {
 
 /// `POST /v1/compile`: one circuit through the engine (and the shared
 /// cache), returning the full report with the compiled circuit in wire
-/// form.
+/// form. `"cache_hit"` is `true` when no compile ran for this job: the
+/// engine bound the circuit's angles into the cached template of its
+/// shape, or the response cache replayed the same body's answer.
 fn compile(state: &AppState, body: &[u8]) -> Response {
     match compile_inner(state, body) {
         Ok(response) => response,
