@@ -27,6 +27,9 @@ pub struct Device {
     topology: Topology,
     calibration: Calibration,
     dpqa: Option<GridGeometry>,
+    /// [`Device::fingerprint`], hashed once by the constructor that
+    /// fixes the last of the fields above.
+    fingerprint: Fingerprint,
 }
 
 impl Device {
@@ -41,11 +44,14 @@ impl Device {
             calibration.num_qubits(),
             "calibration does not match topology"
         );
-        Device {
+        let mut dev = Device {
             topology,
             calibration,
             dpqa: None,
-        }
+            fingerprint: Fingerprint(0),
+        };
+        dev.fingerprint = dev.hash();
+        dev
     }
 
     /// A DPQA device: a `rows x cols` grid coupling graph (the Rydberg
@@ -54,6 +60,7 @@ impl Device {
     pub fn dpqa_grid(rows: usize, cols: usize, seed: u64) -> Self {
         let mut dev = Device::with_synthetic_calibration(Topology::grid(rows, cols), seed);
         dev.dpqa = Some(GridGeometry::new(rows, cols));
+        dev.fingerprint = dev.hash();
         dev
     }
 
@@ -110,8 +117,14 @@ impl Device {
 
     /// A stable content fingerprint of this device: topology (name, size,
     /// sorted edge list) combined with the full calibration tables. Used
-    /// as the device half of the engine's compile-cache key.
+    /// as the device half of the engine's compile-cache key. Hashed once
+    /// at construction, so a call costs nothing.
     pub fn fingerprint(&self) -> Fingerprint {
+        self.fingerprint
+    }
+
+    /// Hashes the content [`Device::fingerprint`] stands for.
+    fn hash(&self) -> Fingerprint {
         let mut h = StableHasher::new();
         h.write_str(self.topology.name());
         h.write_usize(self.topology.num_qubits());
@@ -308,5 +321,18 @@ mod tests {
         // Topology changes it even under the same seed.
         let line = Device::with_synthetic_calibration(Topology::line(27), 7);
         assert_ne!(Device::mumbai(7).fingerprint(), line.fingerprint());
+    }
+
+    /// The fingerprint a constructor stores is the hash of the finished
+    /// device, so no field set after it is left out.
+    #[test]
+    fn stored_fingerprint_equals_a_fresh_hash() {
+        for device in [
+            Device::mumbai(7),
+            Device::with_synthetic_calibration(Topology::line(5), 3),
+            Device::dpqa_grid(3, 4, 7),
+        ] {
+            assert_eq!(device.fingerprint(), device.hash(), "{device}");
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! The content-addressed compile cache.
 //!
 //! Compile results are cached under a `CacheKey`: a [`Fingerprint`] of
-//! a template circuit, the device (topology + full calibration tables),
-//! the strategy and the routing policy, in a domain each kind of job
-//! names. An entry keeps the key's content beside the report, and a hit
-//! compares it in full, so two inputs whose 128-bit hashes collide never
-//! share an entry: the lookup misses and counts a key collision.
+//! a job's shape (a template circuit), the device (topology + full
+//! calibration tables), the strategy and the routing policy. An entry
+//! keeps the key's content beside the report, and a hit compares it in
+//! full, so two inputs whose 128-bit hashes collide never share an
+//! entry: the lookup misses and counts a key collision.
 //! Eviction is LRU with a fixed entry capacity; hits, misses, collisions,
 //! insertions and evictions are counted so batch reports can prove a warm
 //! run recompiled nothing.
@@ -16,6 +16,10 @@ use caqr_circuit::fingerprint::{Fingerprint, StableHasher};
 use caqr_circuit::ParametricCircuit;
 use std::collections::HashMap;
 use std::sync::Mutex;
+
+/// The tag every key hashes first. Bumping it would re-key every entry;
+/// it stays as it is so that no fingerprint moves.
+const DOMAIN: &str = "caqr/shape-job/v1";
 
 /// Counters describing cache behaviour so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,15 +40,13 @@ pub struct CacheStats {
 /// A cache key: the content a compile depends on, and its fingerprint.
 ///
 /// The content is a template circuit (a job's circuit with its angles
-/// lifted into slots, or a bind job's template), the strategy, the
-/// routing policy's [`RouterConfig::cache_tag`] and the device's
-/// fingerprint, under a domain tag naming the kind of job. The
+/// lifted into slots), the strategy, the routing policy's
+/// [`RouterConfig::cache_tag`] and the device's fingerprint. The
 /// fingerprint hashes all of it; [`CompileCache`] keeps the content with
 /// each entry and compares it on every hit.
 #[derive(Debug)]
 pub(crate) struct CacheKey {
     fingerprint: Fingerprint,
-    domain: &'static str,
     template: ParametricCircuit,
     strategy: Strategy,
     router_tag: String,
@@ -53,9 +55,8 @@ pub(crate) struct CacheKey {
 
 impl CacheKey {
     /// The key of compiling `template` onto `device` under `strategy`
-    /// and `router`, in `domain`.
+    /// and `router`.
     pub(crate) fn new(
-        domain: &'static str,
         template: ParametricCircuit,
         strategy: Strategy,
         router: &RouterConfig,
@@ -64,7 +65,7 @@ impl CacheKey {
         let router_tag = router.cache_tag();
         let device = device.fingerprint();
         let mut h = StableHasher::new();
-        h.write_str(domain);
+        h.write_str(DOMAIN);
         h.write_str(&strategy.to_string());
         h.write_str(&router_tag);
         let fingerprint = h
@@ -73,7 +74,6 @@ impl CacheKey {
             .combine(device);
         CacheKey {
             fingerprint,
-            domain,
             template,
             strategy,
             router_tag,
@@ -89,8 +89,7 @@ impl CacheKey {
     /// Whether `self` and `other` hold the same content. Template angles
     /// compare by bit pattern, since slot angles are NaN and never `==`.
     fn same_content(&self, other: &CacheKey) -> bool {
-        self.domain == other.domain
-            && self.strategy == other.strategy
+        self.strategy == other.strategy
             && self.device == other.device
             && self.router_tag == other.router_tag
             && self.template.same_template(&other.template)
@@ -235,7 +234,6 @@ mod tests {
         CacheKey {
             fingerprint: Fingerprint(slot),
             ..CacheKey::new(
-                "test",
                 template,
                 Strategy::Baseline,
                 &RouterConfig::default(),
@@ -282,9 +280,6 @@ mod tests {
         let mut other_strategy = key(7, 1);
         other_strategy.strategy = Strategy::Sr;
         assert!(cache.get(&other_strategy).is_none());
-        let mut other_domain = key(7, 1);
-        other_domain.domain = "other";
-        assert!(cache.get(&other_domain).is_none());
         let mut other_device = key(7, 1);
         other_device.device = Device::mumbai(2).fingerprint();
         assert!(cache.get(&other_device).is_none());
@@ -294,8 +289,8 @@ mod tests {
         assert_eq!(
             cache.stats(),
             CacheStats {
-                misses: 5,
-                key_collisions: 5,
+                misses: 4,
+                key_collisions: 4,
                 insertions: 1,
                 ..Default::default()
             }

@@ -13,11 +13,6 @@ use caqr_circuit::{Circuit, ParametricCircuit};
 use std::fmt;
 use std::time::Duration;
 
-/// Domain tag for compile-job shape keys. The bind path keys its
-/// templates in a domain of its own, so the two kinds of entry never
-/// share a key.
-const SHAPE_DOMAIN: &str = "caqr/shape-job/v1";
-
 /// A job's shape: its cache key, and the angle values that bind the
 /// key's template back to the job's circuit after the peephole.
 #[derive(Debug)]
@@ -84,7 +79,7 @@ impl CompileJob {
     /// The shape cache key: the job's circuit after
     /// [`caqr_circuit::optimize::peephole`], with its angles lifted by
     /// [`ParametricCircuit::parametrize`], x device (topology +
-    /// calibration) x strategy x routing policy, in a domain of its own.
+    /// calibration) x strategy x routing policy.
     /// Angle values are not part of the key; which rotations share an
     /// angle, and what the peephole merged or cancelled, are. `None` when
     /// the circuit is not a finite literal (it holds template slots or a
@@ -120,13 +115,7 @@ impl CompileJob {
         let optimized = peephole(&self.circuit);
         validate_angles(&optimized, 0).ok()?;
         let (template, values) = ParametricCircuit::parametrize(&optimized);
-        let key = CacheKey::new(
-            SHAPE_DOMAIN,
-            template,
-            self.strategy,
-            &self.router,
-            &self.device,
-        );
+        let key = CacheKey::new(template, self.strategy, &self.router, &self.device);
         Some(Shape { key, values })
     }
 }
@@ -205,10 +194,6 @@ pub enum JobError {
     Compile(CaqrError),
     /// The job panicked; the batch continued without it.
     Panic(String),
-    /// Binding values into a routed template failed (arity mismatch or a
-    /// non-finite value); the routed template itself compiled fine and
-    /// stays cached.
-    Bind(String),
 }
 
 impl fmt::Display for JobError {
@@ -216,7 +201,6 @@ impl fmt::Display for JobError {
         match self {
             JobError::Compile(e) => write!(f, "compile error: {e}"),
             JobError::Panic(msg) => write!(f, "job panicked: {msg}"),
-            JobError::Bind(msg) => write!(f, "bind error: {msg}"),
         }
     }
 }
@@ -225,7 +209,7 @@ impl std::error::Error for JobError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             JobError::Compile(e) => Some(e),
-            JobError::Panic(_) | JobError::Bind(_) => None,
+            JobError::Panic(_) => None,
         }
     }
 }

@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bind;
 pub mod cache;
 pub mod job;
 pub mod metrics;
@@ -55,7 +54,6 @@ pub mod pool;
 pub mod stream;
 mod sweep;
 
-pub use bind::{BindJob, BindOutcome, BindReport};
 pub use cache::{CacheStats, CompileCache};
 pub use job::{
     router_label, BatchOptions, BatchReport, BatchRequest, CompileJob, FailedJob, JobError,

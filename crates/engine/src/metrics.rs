@@ -68,18 +68,20 @@ pub struct EngineMetrics {
     pub compile_total: Duration,
     /// End-to-end batch wall-clock.
     pub batch_wall: Duration,
-    /// Bind-runs executed (template bind requests, hit or miss).
+    /// Bind-runs whose values bound and whose bound circuit ran as a job
+    /// (`caqr-serve`'s `/v1/bind-run`, hit or miss).
     pub binds_total: usize,
-    /// Total time spent stamping concrete angles into routed templates —
-    /// the O(gates) bind step, disjoint from
-    /// [`EngineMetrics::compile_total`].
+    /// Total time bind-runs spent stamping their values into their
+    /// templates: the O(gates) bind step before the job runs, disjoint
+    /// from [`EngineMetrics::compile_total`].
     pub bind_total: Duration,
-    /// Bind-runs whose routed template was served from the compile cache
-    /// (no compile ran). Tracked separately from
-    /// [`EngineMetrics::cache`]: a shared cache's stats mix concrete and
-    /// template entries, these count template traffic alone.
+    /// Bind-runs whose job was served from the compile cache (no compile
+    /// ran). Counted apart from [`EngineMetrics::cache`], whose shared
+    /// stats mix in every other job, so these count bind-run traffic
+    /// alone.
     pub template_cache_hits: usize,
-    /// Bind-runs that compiled their template cold.
+    /// Bind-runs whose job was not served from the compile cache: it
+    /// compiled, or it failed.
     pub template_cache_misses: usize,
     /// Logical QS sweeps the batch built. A job that consumes a sweep (SR
     /// or QS) builds it unless another job of the batch with the same

@@ -1,6 +1,7 @@
-//! The batch executor: a fixed worker pool over `std::thread::scope`,
-//! with per-job panic isolation, an optional shared compile cache, a
-//! per-batch memo of QS sweeps, and deterministic result ordering.
+//! The batch executor: a fixed worker pool over `std::thread::scope`
+//! whose last worker is the calling thread, with per-job panic
+//! isolation, an optional shared compile cache, a per-batch memo of QS
+//! sweeps, and deterministic result ordering.
 
 use crate::cache::CompileCache;
 use crate::job::{BatchReport, BatchRequest, CompileJob, FailedJob, JobError, JobOutcome};
@@ -10,9 +11,8 @@ use caqr::{CancelToken, CaqrError, CompileCtx, CompileReport, PassManager, Stage
 use caqr_circuit::parametric::bind_circuit;
 use caqr_circuit::ParametricCircuit;
 use caqr_sim::effective_workers;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 
 /// A per-job compiler for [`Engine::run_with`]: every job of the batch
@@ -113,6 +113,10 @@ impl Engine {
         Self::run_impl(request, cache, &compile, &memo, cancel)
     }
 
+    /// Runs the batch on `workers` loops pulling job indices from one
+    /// counter: `workers - 1` scoped threads, and the calling thread,
+    /// which runs the last loop itself so that a one-job batch spawns
+    /// nothing. Results are sorted back into request order.
     fn run_impl(
         request: &BatchRequest,
         cache: Option<&CompileCache>,
@@ -122,51 +126,43 @@ impl Engine {
     ) -> BatchReport {
         let started = Instant::now();
         let workers = effective_workers(request.options.workers, request.jobs.len());
-
-        let mut slots: Vec<Option<Result<JobOutcome, FailedJob>>> =
-            (0..request.jobs.len()).map(|_| None).collect();
         let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<JobOutcome, FailedJob>)>();
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = request.jobs.get(index) else {
+                    break done;
+                };
+                let queue_wait = started.elapsed();
+                let result = if cancel.is_cancelled() {
+                    Err(FailedJob {
+                        name: job.name.clone(),
+                        strategy: job.strategy,
+                        cost_model: job.router.cost_model,
+                        backend: job.router.backend,
+                        error: JobError::Compile(CaqrError::DeadlineExceeded { phase: "queued" }),
+                        queue_wait,
+                    })
+                } else {
+                    run_one(job, cache, || compile(index, job), queue_wait)
+                };
+                memo.finish(index);
+                done.push((index, result));
+            }
+        };
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let jobs = &request.jobs;
-                scope.spawn(move || loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(index) else { break };
-                    let queue_wait = started.elapsed();
-                    let result = if cancel.is_cancelled() {
-                        Err(FailedJob {
-                            name: job.name.clone(),
-                            strategy: job.strategy,
-                            cost_model: job.router.cost_model,
-                            backend: job.router.backend,
-                            error: JobError::Compile(CaqrError::DeadlineExceeded {
-                                phase: "queued",
-                            }),
-                            queue_wait,
-                        })
-                    } else {
-                        run_one(job, cache, || compile(index, job), queue_wait)
-                    };
-                    memo.finish(index);
-                    if tx.send((index, result)).is_err() {
-                        break;
-                    }
-                });
+        let mut done = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut done = work();
+            for helper in helpers {
+                done.extend(helper.join().unwrap_or_else(|panic| resume_unwind(panic)));
             }
-            drop(tx);
-            for (index, result) in rx {
-                slots[index] = Some(result);
-            }
+            done
         });
-
-        let results: Vec<Result<JobOutcome, FailedJob>> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every job index produced a result"))
-            .collect();
+        done.sort_unstable_by_key(|&(index, _)| index);
+        let results: Vec<Result<JobOutcome, FailedJob>> =
+            done.into_iter().map(|(_, result)| result).collect();
 
         let mut metrics = EngineMetrics {
             jobs_total: request.jobs.len(),
@@ -291,7 +287,7 @@ fn run_one(
 }
 
 /// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -12,7 +12,7 @@
 //! QAOA template, plus a streaming-compile request whose raw-QASM body is
 //! delivered as `Transfer-Encoding: chunked` frames. Compile bodies
 //! repeat, so the server's caches see realistic hit traffic; the distinct
-//! bindings exercise the engine's template cache (compile once, bind per
+//! bindings exercise the engine's shape cache (compile once, bind per
 //! request); the chunked body keeps the incremental body-assembly path
 //! under concurrent load.
 //!
@@ -23,9 +23,10 @@
 //!
 //! Reports a table or JSON (`--json`); `--check` exits non-zero unless
 //! some requests succeeded, no 5xx/transport error was seen, the
-//! engine's template cache saw at least one hit on the repeated bind-run
-//! traffic, and a `/v1/compile` literal whose shape another literal
-//! cached answered `"cache_hit":true` (the CI smoke gate).
+//! engine's `template_cache_hits` counted at least one repeated bind-run
+//! served from its cache, and two `/v1/compile` literals bound from the bind-run
+//! template with new angles both answered `"cache_hit":true` (the CI
+//! smoke gate).
 
 use caqr_serve::client::Client;
 use caqr_serve::loadgen::{self, LoadConfig, Shot};
@@ -189,10 +190,11 @@ fn workload() -> Vec<Shot> {
 
 /// Bind-run requests: one QAOA template, several distinct angle bindings.
 ///
-/// The bodies differ only in `values`, so on the server every request maps
-/// to the *same* engine template-cache entry (compile once) but a distinct
-/// response-cache entry (bindings must never cross-serve). Repeat traffic
-/// therefore produces both template-cache hits and response-cache hits.
+/// The bodies differ only in `values`, so on the server every bound
+/// circuit has the *same* shape, one engine compile-cache entry (compile
+/// once), but a distinct response-cache entry (bindings must never
+/// cross-serve). Repeat traffic therefore produces both engine cache hits
+/// and response-cache hits.
 fn bind_run_shots() -> Vec<Shot> {
     let bench =
         caqr_benchmarks::qaoa::qaoa_benchmark(5, 0.5, caqr_benchmarks::qaoa::GraphKind::Random, 7);
@@ -210,9 +212,10 @@ fn bind_run_shots() -> Vec<Shot> {
         .collect()
 }
 
-/// Two `/v1/compile` bodies: literals bound from one QAOA template with
-/// different angles, so they share one shape in the engine's cache. The
-/// angles are ones no other body of the workload sends.
+/// Two `/v1/compile` bodies: literals bound from the bind-run template
+/// with angles no other body of the workload sends, on the bind-run
+/// shots' device (`"seed":17`), so they share the shape the bind-run
+/// traffic cached in the engine.
 fn shape_probe_bodies() -> [String; 2] {
     let bench =
         caqr_benchmarks::qaoa::qaoa_benchmark(5, 0.5, caqr_benchmarks::qaoa::GraphKind::Random, 7);
@@ -223,7 +226,7 @@ fn shape_probe_bodies() -> [String; 2] {
             .bind(&angles)
             .expect("two angles bind one QAOA layer");
         format!(
-            r#"{{"circuit":{},"name":"shape-probe"}}"#,
+            r#"{{"circuit":{},"seed":17,"name":"shape-probe"}}"#,
             circuit_to_value(&circuit).encode()
         )
     })
@@ -345,9 +348,9 @@ fn run(args: &[String]) -> Result<bool, String> {
 /// already in the response cache (the engine bound it during the run) or
 /// reaches the engine now — so after all three, at least two bindings of
 /// the same template have hit the engine and the second onward were
-/// template-cache hits. The second compile body has the first one's
-/// shape, so it must answer `"cache_hit":true`: the engine bound the
-/// template the first compile cached, and no compile ran.
+/// template-cache hits. Both compile bodies have the bind-run circuits'
+/// shape, so each must answer `"cache_hit":true`: the engine bound the
+/// template the bind-run traffic cached, and no compile ran.
 fn template_cache_hits_after_probe(addr: SocketAddr) -> Result<u64, String> {
     let mut client = Client::connect(addr).with_timeout(Duration::from_secs(30));
     for shot in bind_run_shots() {
@@ -362,7 +365,6 @@ fn template_cache_hits_after_probe(addr: SocketAddr) -> Result<u64, String> {
             ));
         }
     }
-    let mut shape_hit = None;
     for body in shape_probe_bodies() {
         let response = client
             .post("/v1/compile", body.as_bytes())
@@ -376,13 +378,13 @@ fn template_cache_hits_after_probe(addr: SocketAddr) -> Result<u64, String> {
         }
         let parsed = caqr_wire::parse(&response.text())
             .map_err(|e| format!("compile probe body did not parse: {e}"))?;
-        shape_hit = parsed.get("cache_hit").and_then(Value::as_bool);
-    }
-    if shape_hit != Some(true) {
-        return Err(format!(
-            "a /v1/compile literal with a cached shape answered cache_hit = {shape_hit:?} \
-             (expected true)"
-        ));
+        let shape_hit = parsed.get("cache_hit").and_then(Value::as_bool);
+        if shape_hit != Some(true) {
+            return Err(format!(
+                "a /v1/compile literal with a cached shape answered cache_hit = {shape_hit:?} \
+                 (expected true)"
+            ));
+        }
     }
     let response = client
         .get("/metrics")

@@ -14,10 +14,12 @@
 //! reproducing exactly the bytes the engine path would have produced on
 //! its own cache hit (the golden-corpus byte-identity property survives).
 //!
-//! Only `200` responses to `/v1/compile` and `/v1/simulate` are cached.
+//! Only `200` responses to `/v1/compile`, `/v1/simulate` and
+//! `/v1/bind-run` are cached, each endpoint in a namespace of its own.
 //! Errors are cheap to recompute and must reflect current server state;
 //! batch responses are large, rarer, and carry per-entry `cache_hit`
-//! fields, so they go to the engine every time.
+//! fields, so they go to the engine every time; streamed bodies can be
+//! megabytes, too large to keep as keys.
 
 use caqr_circuit::fingerprint::StableHasher;
 use std::collections::HashMap;
