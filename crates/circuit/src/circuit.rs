@@ -334,12 +334,49 @@ impl Circuit {
         self.instrs.iter()
     }
 
+    /// A circuit with the given register sizes holding `instrs` in order,
+    /// without copying them: the buffer becomes the circuit's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any operand index is out of range, as [`push`](Circuit::push)
+    /// does.
+    pub fn from_instructions(
+        num_qubits: usize,
+        num_clbits: usize,
+        instrs: Vec<Instruction>,
+    ) -> Self {
+        let circuit = Circuit::new(num_qubits, num_clbits);
+        for instr in &instrs {
+            circuit.check(instr);
+        }
+        Circuit { instrs, ..circuit }
+    }
+
+    /// The instructions in program order, as the buffer that held them.
+    pub fn into_instructions(self) -> Vec<Instruction> {
+        self.instrs
+    }
+
+    /// The instruction buffer, for passes that rewrite it in place. They
+    /// only drop instructions or change a gate on the same operands, so
+    /// every operand stays in range.
+    pub(crate) fn instructions_mut(&mut self) -> &mut Vec<Instruction> {
+        &mut self.instrs
+    }
+
     /// Appends an instruction.
     ///
     /// # Panics
     ///
     /// Panics if any operand index is out of range for this circuit.
     pub fn push(&mut self, instr: Instruction) {
+        self.check(&instr);
+        self.instrs.push(instr);
+    }
+
+    /// Panics unless every operand of `instr` is in range.
+    fn check(&self, instr: &Instruction) {
         for q in &instr.qubits {
             assert!(
                 q.index() < self.num_qubits,
@@ -354,7 +391,6 @@ impl Circuit {
                 self.num_clbits
             );
         }
-        self.instrs.push(instr);
     }
 
     /// Appends a plain gate on the given qubits.

@@ -29,28 +29,35 @@ use crate::gate::Gate;
 /// assert_eq!(opt.len(), 1);
 /// ```
 pub fn peephole(circuit: &Circuit) -> Circuit {
-    let (mut current, mut changed) = pass(circuit);
-    while changed {
-        (current, changed) = pass(&current);
-    }
-    current
+    let mut out = circuit.clone();
+    peephole_in_place(&mut out);
+    out
 }
 
-/// One left-to-right pass. Returns the rewritten circuit and whether
+/// [`peephole`] applied to `circuit` itself: its instructions are
+/// rewritten where they stand, with no copy.
+pub fn peephole_in_place(circuit: &mut Circuit) {
+    let num_qubits = circuit.num_qubits();
+    while pass(circuit.instructions_mut(), num_qubits) {}
+}
+
+/// One left-to-right pass over `instrs` on `n` wires. Returns whether
 /// anything changed. Allocates only the pass's own tables, nothing per
 /// instruction.
-fn pass(circuit: &Circuit) -> (Circuit, bool) {
-    let n = circuit.num_qubits();
-    // Slot per emitted instruction; None = cancelled.
-    let mut slots: Vec<Option<Instruction>> = Vec::with_capacity(circuit.len());
-    // Last live slot on each wire, if its instruction is still eligible.
+fn pass(instrs: &mut Vec<Instruction>, n: usize) -> bool {
+    // Whether each instruction survives: one merged into an earlier one,
+    // or cancelled with it, does not.
+    let mut keep = vec![true; instrs.len()];
+    // Last surviving instruction on each wire, if it is still eligible.
     let mut last: Vec<Option<usize>> = vec![None; n];
     let mut changed = false;
 
-    for instr in circuit {
+    for i in 0..instrs.len() {
+        let (done, rest) = instrs.split_at_mut(i);
+        let instr = &rest[0];
         let barrier = instr.gate.is_non_unitary() || instr.condition.is_some();
         if !barrier {
-            // All wires must point at the same previous slot, and that slot
+            // All wires must point at the same previous instruction, and it
             // must cover exactly these wires in the same operand order for
             // direction-sensitive gates.
             let prev = instr
@@ -58,51 +65,48 @@ fn pass(circuit: &Circuit) -> (Circuit, bool) {
                 .iter()
                 .map(|q| last[q.index()])
                 .reduce(|a, b| if a == b { a } else { None })
-                .flatten();
+                .flatten()
+                .filter(|&pi| keep[pi]);
             if let Some(pi) = prev {
-                if let Some(prev_instr) = slots[pi].as_mut() {
-                    let same_operands = prev_instr.qubits == instr.qubits;
-                    let symmetric_match =
-                        instr.gate.is_symmetric() && prev_instr.gate.is_symmetric() && {
-                            let mut a = prev_instr.qubits;
-                            let mut b = instr.qubits;
-                            a.sort();
-                            b.sort();
-                            a == b
-                        };
-                    if same_operands || symmetric_match {
-                        if let Some(rewritten) =
-                            combine(&prev_instr.gate, &instr.gate, same_operands)
-                        {
-                            changed = true;
-                            match rewritten {
-                                None => {
-                                    // Full cancellation.
-                                    slots[pi] = None;
-                                    for q in &instr.qubits {
-                                        last[q.index()] = None;
-                                    }
+                let prev_instr = &mut done[pi];
+                let same_operands = prev_instr.qubits == instr.qubits;
+                let symmetric_match =
+                    instr.gate.is_symmetric() && prev_instr.gate.is_symmetric() && {
+                        let mut a = prev_instr.qubits;
+                        let mut b = instr.qubits;
+                        a.sort();
+                        b.sort();
+                        a == b
+                    };
+                if same_operands || symmetric_match {
+                    if let Some(rewritten) = combine(&prev_instr.gate, &instr.gate, same_operands) {
+                        changed = true;
+                        keep[i] = false;
+                        match rewritten {
+                            None => {
+                                // Full cancellation.
+                                keep[pi] = false;
+                                for q in &instr.qubits {
+                                    last[q.index()] = None;
                                 }
-                                Some(gate) => prev_instr.gate = gate,
                             }
-                            continue;
+                            Some(gate) => prev_instr.gate = gate,
                         }
+                        continue;
                     }
                 }
             }
         }
-        let idx = slots.len();
-        slots.push(Some(instr.clone()));
         for q in &instr.qubits {
-            last[q.index()] = if barrier { None } else { Some(idx) };
+            last[q.index()] = if barrier { None } else { Some(i) };
         }
     }
 
-    let mut out = Circuit::new(circuit.num_qubits(), circuit.num_clbits());
-    for slot in slots.into_iter().flatten() {
-        out.push(slot);
+    if changed {
+        let mut keep = keep.into_iter();
+        instrs.retain(|_| keep.next().unwrap_or(true));
     }
-    (out, changed)
+    changed
 }
 
 /// Tries to combine `first` then `second` on identical operands.

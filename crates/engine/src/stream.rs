@@ -144,6 +144,25 @@ mod tests {
         assert!(outcome.report.metrics.wires < spec.total_qubits());
     }
 
+    /// The smoke spec's streamed digest, as `BENCH_stream.json` freezes
+    /// it: any change to the parser, window, peephole or digest that moves
+    /// one output byte moves this value.
+    #[test]
+    fn smoke_spec_digest_is_pinned() {
+        let spec = StreamSpec::smoke(2023);
+        let outcome = Engine::compile_streamed(
+            spec.text_chunks(),
+            StreamOptions::default(),
+            &CancelToken::new(),
+        )
+        .expect("streams");
+        assert_eq!(
+            outcome.report.digest.to_string(),
+            "cfd1eb14daaa58e0ac1baa6d6b43338e"
+        );
+        assert_eq!(outcome.report.metrics.gates_in, 25_400);
+    }
+
     #[test]
     fn cancelled_token_stops_between_chunks() {
         let token = CancelToken::new();

@@ -10,7 +10,7 @@
 //! the bytes were split — so any two deliveries of the same program
 //! produce byte-identical chunk sequences and digests.
 
-use caqr_circuit::optimize::peephole;
+use caqr_circuit::optimize::peephole_in_place;
 use caqr_circuit::qasm::{DeclaredRanges, QasmStmt};
 use caqr_circuit::{Circuit, Fingerprint, Instruction};
 
@@ -272,16 +272,17 @@ impl<S: ChunkSink> StreamSession<S> {
         self.ranges.clbits().max(self.used_clbits)
     }
 
+    /// Hands the emitted instructions on as one chunk. The chunk takes the
+    /// `emitted` buffer, the peephole rewrites it in place, and it comes
+    /// back empty for the next chunk: no instruction is copied.
     fn flush_chunk(&mut self) {
         if self.emitted.is_empty() {
             return;
         }
-        let mut chunk = Circuit::new(self.sched.width(), self.clbits());
-        for i in self.emitted.drain(..) {
-            chunk.push(i);
-        }
+        let emitted = std::mem::take(&mut self.emitted);
+        let mut chunk = Circuit::from_instructions(self.sched.width(), self.clbits(), emitted);
         if self.opts.optimize_chunks {
-            chunk = peephole(&chunk);
+            peephole_in_place(&mut chunk);
         }
         for i in chunk.iter() {
             self.digest.absorb(i);
@@ -289,6 +290,8 @@ impl<S: ChunkSink> StreamSession<S> {
         self.gates_out += chunk.len() as u64;
         self.chunks += 1;
         self.sink.accept(&chunk);
+        self.emitted = chunk.into_instructions();
+        self.emitted.clear();
     }
 }
 
