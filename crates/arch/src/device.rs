@@ -8,6 +8,9 @@ use caqr_circuit::fingerprint::{Fingerprint, StableHasher};
 use caqr_circuit::{Gate, Instruction};
 use std::fmt;
 
+/// Human-readable grammar for [`Device::parse`].
+pub const DEVICE_GRAMMAR: &str = "mumbai | heavy-hex:<n> | line:<n> | grid:<r>x<c>";
+
 /// A quantum device: coupling graph + calibration data. The input every
 /// CaQR pass and the noisy simulator consume. Two devices are `==` when
 /// their topologies, calibration tables and DPQA geometries all are.
@@ -90,6 +93,42 @@ impl Device {
     pub fn with_synthetic_calibration(topology: Topology, seed: u64) -> Self {
         let calibration = Calibration::synthetic(&topology, seed);
         Device::new(topology, calibration)
+    }
+
+    /// Parses the device grammar of the `caqr` CLI's `--device` and the
+    /// wire `device` field, [`DEVICE_GRAMMAR`], seeded by `seed`.
+    ///
+    /// Sizes are bounded (heavy-hex 1-2048 qubits, line 1-4096, grid
+    /// 1-256 a side), so no spec can panic or build an unbounded device.
+    /// A grid carries DPQA geometry ([`Device::dpqa_grid`]): the same
+    /// topology and calibration for the SWAP backend, and a movement
+    /// target for the DPQA backend.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the spec when it is unknown or a size is
+    /// malformed or out of bounds.
+    pub fn parse(spec: &str, seed: u64) -> Result<Self, String> {
+        let size = |n: &str, max: usize| n.parse::<usize>().ok().filter(|n| (1..=max).contains(n));
+        if spec == "mumbai" {
+            return Ok(Device::mumbai(seed));
+        }
+        if let Some(n) = spec.strip_prefix("heavy-hex:") {
+            let n = size(n, 2048).ok_or_else(|| format!("bad heavy-hex size in '{spec}'"))?;
+            return Ok(Device::scaled_heavy_hex(n, seed));
+        }
+        if let Some(n) = spec.strip_prefix("line:") {
+            let n = size(n, 4096).ok_or_else(|| format!("bad line size in '{spec}'"))?;
+            return Ok(Device::with_synthetic_calibration(Topology::line(n), seed));
+        }
+        if let Some(dims) = spec.strip_prefix("grid:") {
+            let (r, c) = dims
+                .split_once('x')
+                .and_then(|(r, c)| Some((size(r, 256)?, size(c, 256)?)))
+                .ok_or_else(|| format!("bad grid spec in '{spec}'"))?;
+            return Ok(Device::dpqa_grid(r, c, seed));
+        }
+        Err(format!("unknown device '{spec}' ({DEVICE_GRAMMAR})"))
     }
 
     /// The coupling topology.
@@ -333,6 +372,34 @@ mod tests {
             Device::dpqa_grid(3, 4, 7),
         ] {
             assert_eq!(device.fingerprint(), device.hash(), "{device}");
+        }
+    }
+
+    #[test]
+    fn device_specs_parse_within_their_bounds() {
+        let parse = |spec: &str| Device::parse(spec, 7);
+        assert_eq!(parse("mumbai"), Ok(Device::mumbai(7)));
+        assert_eq!(parse("heavy-hex:28"), Ok(Device::scaled_heavy_hex(28, 7)));
+        assert_eq!(
+            parse("line:5"),
+            Ok(Device::with_synthetic_calibration(Topology::line(5), 7))
+        );
+        assert_eq!(parse("grid:2x3"), Ok(Device::dpqa_grid(2, 3, 7)));
+        for (spec, message) in [
+            ("heavy-hex:0", "bad heavy-hex size in 'heavy-hex:0'"),
+            ("heavy-hex:2049", "bad heavy-hex size in 'heavy-hex:2049'"),
+            ("line:0", "bad line size in 'line:0'"),
+            ("line:4097", "bad line size in 'line:4097'"),
+            ("grid:0x3", "bad grid spec in 'grid:0x3'"),
+            ("grid:1x0", "bad grid spec in 'grid:1x0'"),
+            ("grid:257x1", "bad grid spec in 'grid:257x1'"),
+            ("grid:3", "bad grid spec in 'grid:3'"),
+            (
+                "falcon",
+                "unknown device 'falcon' (mumbai | heavy-hex:<n> | line:<n> | grid:<r>x<c>)",
+            ),
+        ] {
+            assert_eq!(parse(spec), Err(message.to_string()), "{spec}");
         }
     }
 }

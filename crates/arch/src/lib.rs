@@ -43,7 +43,7 @@ mod layout;
 mod topology;
 
 pub use calibration::{Calibration, DT_NANOSECONDS};
-pub use device::Device;
+pub use device::{Device, DEVICE_GRAMMAR};
 pub use grid::{manhattan, AtomMove, GridGeometry, MoveStage, MovementSchedule, MovementTimes};
 pub use layout::{Layout, WireState};
 pub use topology::Topology;

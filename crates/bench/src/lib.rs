@@ -5,14 +5,18 @@
 //! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
 //! paper-vs-measured results. This library provides the bits they share:
 //! aligned-table printing, the canonical experiment seeds, and a couple of
-//! compile wrappers.
+//! compile wrappers. It also builds the workloads that the tests in
+//! `tests/` hold to the committed `BENCH_*.json` files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use caqr::Strategy;
+use caqr::manager::NoopObserver;
+use caqr::{CancelToken, CompileCtx, CompileReport, PassManager, Strategy};
 use caqr_arch::Device;
-use caqr_benchmarks::Benchmark;
+use caqr_benchmarks::qaoa::{maxcut_template, GraphKind};
+use caqr_benchmarks::{bv, revlib, Benchmark};
+use caqr_circuit::{Circuit, ParametricCircuit};
 use caqr_engine::{BatchRequest, CompileJob, Engine};
 use caqr_sim::Engine as SimEngine;
 
@@ -127,7 +131,7 @@ pub fn device_for(n: usize) -> Device {
 pub fn compile_grid(
     benches: &[Benchmark],
     strategies: &[Strategy],
-) -> Vec<Vec<Result<caqr::CompileReport, String>>> {
+) -> Vec<Vec<Result<CompileReport, String>>> {
     let mut jobs = Vec::with_capacity(benches.len() * strategies.len());
     for bench in benches {
         let device = device_for(bench.circuit.num_qubits());
@@ -154,6 +158,75 @@ pub fn compile_grid(
                 .collect()
         })
         .collect()
+}
+
+/// The Table 3 circuits (BV_5, BV_10, Multiply_13, CC_10, CC_13), each
+/// compiled by the baseline for [`mumbai`] and compacted to its used
+/// wires: the workload whose executor configurations `BENCH_sim.json`
+/// records.
+pub fn table3_baseline_circuits() -> Vec<(String, Circuit)> {
+    let device = mumbai();
+    let benches = [
+        bv::bv_all_ones(5),
+        bv::bv_all_ones(10),
+        revlib::multiply_13(),
+        revlib::cc_10(),
+        revlib::cc_13(),
+    ];
+    benches
+        .into_iter()
+        .map(|bench| {
+            let report = caqr::compile(&bench.circuit, &device, Strategy::Baseline)
+                .expect("Table 3 fits Mumbai");
+            (bench.name, report.circuit.compact_qubits().0)
+        })
+        .collect()
+}
+
+/// One row of `BENCH_param.json`: a Figs. 15/16 QAOA max-cut template
+/// and the strategy that compiles it.
+#[derive(Debug, Clone)]
+pub struct TemplateRow {
+    /// `QAOA10-<density>`.
+    pub bench: String,
+    /// QAOA layers in the template.
+    pub layers: usize,
+    /// The strategy the template is compiled under.
+    pub strategy: Strategy,
+    /// The template, one slot per angle.
+    pub template: ParametricCircuit,
+}
+
+impl TemplateRow {
+    /// Every row, in file order: the 10-vertex random graphs at
+    /// densities 0.3 and 0.5, one and two layers, baseline and SR.
+    pub fn all() -> Vec<TemplateRow> {
+        let mut rows = Vec::new();
+        for density in [0.3, 0.5] {
+            let graph = GraphKind::Random.generate(10, density, EXPERIMENT_SEED);
+            for layers in [1, 2] {
+                for strategy in [Strategy::Baseline, Strategy::Sr] {
+                    rows.push(TemplateRow {
+                        bench: format!("QAOA10-{density}"),
+                        layers,
+                        strategy,
+                        template: maxcut_template(&graph, layers),
+                    });
+                }
+            }
+        }
+        rows
+    }
+
+    /// Compiles the template for `device` ([`mumbai`] in the pinned
+    /// rows), keeping its slots.
+    pub fn compile(&self, device: &Device) -> CompileReport {
+        let ctx = CompileCtx::new(self.template.circuit().clone(), device, self.strategy)
+            .with_parametric(self.template.num_slots());
+        PassManager::for_strategy(self.strategy)
+            .run(ctx, &mut NoopObserver, &CancelToken::new())
+            .expect("the template fits the device")
+    }
 }
 
 /// A minimal fixed-width table printer for harness output.

@@ -9,22 +9,9 @@
 //! on — the streaming mode changes *when* memory is spent, never *what*
 //! comes out.
 
-use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
-use caqr_benchmarks::Benchmark;
+use caqr_benchmarks::suite::golden_corpus;
 use caqr_circuit::qasm::{from_qasm, to_qasm};
 use caqr_stream::{schedule_circuit, CollectSink, StreamOptions, StreamSession};
-
-fn golden_corpus() -> Vec<Benchmark> {
-    vec![
-        caqr_benchmarks::revlib::xor_5(),
-        caqr_benchmarks::revlib::four_mod5(),
-        caqr_benchmarks::revlib::rd32(),
-        caqr_benchmarks::bv::bv_all_ones(5),
-        caqr_benchmarks::bv::bv_all_ones(8),
-        qaoa_benchmark(6, 0.3, GraphKind::Random, 2029),
-        qaoa_benchmark(8, 0.3, GraphKind::Random, 2031),
-    ]
-}
 
 #[test]
 fn golden_corpus_streams_identically_to_batch() {

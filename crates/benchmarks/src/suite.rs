@@ -66,6 +66,22 @@ pub fn regular_suite() -> Vec<Benchmark> {
     ]
 }
 
+/// The golden corpus: regular circuits (reversible, BV) and commuting
+/// (QAOA) circuits, all narrow enough to compile under every strategy in
+/// seconds. The golden files, `BENCH_route.json` and `BENCH_stream.json`
+/// pin what the compiler makes of it.
+pub fn golden_corpus() -> Vec<Benchmark> {
+    vec![
+        revlib::xor_5(),
+        revlib::four_mod5(),
+        revlib::rd32(),
+        bv::bv_all_ones(5),
+        bv::bv_all_ones(8),
+        qaoa_benchmark(6, 0.3, GraphKind::Random, 2029),
+        qaoa_benchmark(8, 0.3, GraphKind::Random, 2031),
+    ]
+}
+
 /// The paper's Table 1/2 QAOA instances: `QAOA{5,10,15,20,25}-0.3` on
 /// random graphs.
 pub fn qaoa_table_suite(seed: u64) -> Vec<Benchmark> {

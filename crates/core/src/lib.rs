@@ -85,7 +85,8 @@ pub use error::CaqrError;
 pub use manager::{create_pass, PassManager, PassObserver, REGISTERED_PASSES};
 pub use pass::{AnalysisCache, CompileCtx, LogicalSweep, Pass, RoutedSweep};
 pub use pipeline::{
-    compile, CompileReport, Stage, StageTrace, Strategy, LOGICAL_SWEEP_PASSES, SWEEP_PASSES,
+    compile, CompileReport, Stage, StageTrace, Strategy, LOGICAL_SWEEP_PASSES, STRATEGY_GRAMMAR,
+    SWEEP_PASSES,
 };
 pub use router::{
     CostModel, CostModelSpec, RoutedProgram, RouterConfig, RoutingBackend, RoutingBackendSpec,

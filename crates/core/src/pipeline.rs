@@ -39,6 +39,10 @@ pub const SWEEP_PASSES: [&str; 4] = {
     [optimize, analysis, sweep, "route-sweep"]
 };
 
+/// Human-readable grammar for [`Strategy::parse`].
+pub const STRATEGY_GRAMMAR: &str =
+    "baseline | qs-max | qs-min-depth | qs-min-swap | qs-max-esp | sr";
+
 /// Which compiler to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
@@ -117,6 +121,25 @@ impl Strategy {
             None => &LOGICAL_SWEEP_PASSES,
         };
         sweep.iter().chain(&selection).copied().collect()
+    }
+
+    /// Parses the `caqr` CLI's `--strategy` and the wire `strategy` field:
+    /// [`STRATEGY_GRAMMAR`], or a strategy's `Display` form
+    /// (`qs-max-reuse`), so that a name read from a report round-trips.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unknown strategy and the grammar.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "baseline" => Ok(Strategy::Baseline),
+            "qs-max" | "qs-max-reuse" => Ok(Strategy::QsMaxReuse),
+            "qs-min-depth" => Ok(Strategy::QsMinDepth),
+            "qs-min-swap" => Ok(Strategy::QsMinSwap),
+            "qs-max-esp" => Ok(Strategy::QsMaxEsp),
+            "sr" => Ok(Strategy::Sr),
+            _ => Err(format!("unknown strategy '{name}' ({STRATEGY_GRAMMAR})")),
+        }
     }
 }
 
@@ -587,5 +610,17 @@ mod tests {
             ]
         );
         assert!(Strategy::Baseline.selection_pass_names().is_none());
+    }
+
+    #[test]
+    fn strategy_names_parse_and_round_trip() {
+        for strategy in Strategy::ALL {
+            assert_eq!(Strategy::parse(&strategy.to_string()), Ok(strategy));
+        }
+        assert_eq!(Strategy::parse("qs-max"), Ok(Strategy::QsMaxReuse));
+        assert_eq!(
+            Strategy::parse("qs"),
+            Err(format!("unknown strategy 'qs' ({STRATEGY_GRAMMAR})"))
+        );
     }
 }

@@ -21,34 +21,9 @@
 
 use caqr::{compile, esp, sr, Strategy};
 use caqr_arch::Device;
-use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
-use caqr_benchmarks::{bv, revlib, Benchmark};
+use caqr_benchmarks::suite::{golden_corpus, Benchmark};
 
 const GOLDEN_PATH: &str = "tests/golden/pipeline.txt";
-
-const STRATEGIES: [Strategy; 6] = [
-    Strategy::Baseline,
-    Strategy::QsMaxReuse,
-    Strategy::QsMinDepth,
-    Strategy::QsMinSwap,
-    Strategy::QsMaxEsp,
-    Strategy::Sr,
-];
-
-/// The equivalence corpus: regular circuits (BV, reversible) and
-/// commuting (QAOA) circuits, all narrow enough to compile under every
-/// strategy in seconds.
-fn corpus() -> Vec<Benchmark> {
-    vec![
-        revlib::xor_5(),
-        revlib::four_mod5(),
-        revlib::rd32(),
-        bv::bv_all_ones(5),
-        bv::bv_all_ones(8),
-        qaoa_benchmark(6, 0.3, GraphKind::Random, 2029),
-        qaoa_benchmark(8, 0.3, GraphKind::Random, 2031),
-    ]
-}
 
 /// What compiles a corpus circuit for one golden line.
 #[derive(Clone, Copy)]
@@ -103,10 +78,10 @@ fn fingerprint_line(bench: &Benchmark, compiler: Compiler, device: &Device) -> S
 
 fn current_fingerprints() -> String {
     let device = Device::mumbai(2023);
-    let corpus = corpus();
+    let corpus = golden_corpus();
     let pipeline = corpus
         .iter()
-        .flat_map(|bench| STRATEGIES.map(|strategy| (bench, Compiler::Pipeline(strategy))));
+        .flat_map(|bench| Strategy::ALL.map(|strategy| (bench, Compiler::Pipeline(strategy))));
     let sr = corpus
         .iter()
         .flat_map(|bench| [Compiler::SrFidelity, Compiler::SrFree].map(|c| (bench, c)));

@@ -15,15 +15,6 @@ use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
 use caqr_circuit::parametric::{bind_circuit, has_slots, slot_census};
 use caqr_circuit::{Circuit, ParametricCircuit, Qubit};
 
-const STRATEGIES: [Strategy; 6] = [
-    Strategy::Baseline,
-    Strategy::QsMaxReuse,
-    Strategy::QsMinDepth,
-    Strategy::QsMinSwap,
-    Strategy::QsMaxEsp,
-    Strategy::Sr,
-];
-
 fn cost_models() -> [CostModelSpec; 3] {
     [
         CostModelSpec::Hop,
@@ -88,7 +79,7 @@ fn bound_template_is_byte_identical_to_direct_compile() {
             template.num_slots() > 0,
             "{name}: corpus circuit must carry rotations"
         );
-        for strategy in STRATEGIES {
+        for strategy in Strategy::ALL {
             for cost_model in cost_models() {
                 let tag = format!("{name} / {strategy} / {cost_model}");
                 let direct = compile(&circuit, &device, strategy, cost_model, None)

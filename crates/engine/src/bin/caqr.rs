@@ -28,8 +28,9 @@ use caqr::manager::NoopObserver;
 use caqr::{
     advisor, qs, CancelToken, CompileCtx, CostModelSpec, PassManager, RouterConfig,
     RoutingBackendSpec, Strategy, COST_MODEL_GRAMMAR, REGISTERED_PASSES, ROUTING_BACKEND_GRAMMAR,
+    STRATEGY_GRAMMAR,
 };
-use caqr_arch::{Device, Topology};
+use caqr_arch::{Device, DEVICE_GRAMMAR};
 use caqr_circuit::{qasm, Circuit};
 use caqr_engine::{BatchOptions, BatchRequest, CompileJob, Engine};
 use std::process::ExitCode;
@@ -49,10 +50,8 @@ fn main() -> ExitCode {
             eprintln!("  caqr sweep   <file.qasm> [--device D] [--seed N]");
             eprintln!("  caqr info    <file.qasm>");
             eprintln!();
-            eprintln!(
-                "strategies: baseline | qs-max | qs-min-depth | qs-min-swap | qs-max-esp | sr"
-            );
-            eprintln!("devices: mumbai | heavy-hex:<min_qubits> | line:<n> | grid:<r>x<c>");
+            eprintln!("strategies: {STRATEGY_GRAMMAR}");
+            eprintln!("devices: {DEVICE_GRAMMAR}");
             eprintln!("suites: regular | qaoa | full");
             eprintln!("cost models: {COST_MODEL_GRAMMAR} (--router is an alias)");
             eprintln!("routing backends: {ROUTING_BACKEND_GRAMMAR}");
@@ -211,18 +210,6 @@ fn suite_by_name(name: &str, seed: u64) -> Result<Vec<caqr_benchmarks::suite::Be
     }
 }
 
-fn parse_strategy(v: &str) -> Result<Strategy, String> {
-    match v {
-        "baseline" => Ok(Strategy::Baseline),
-        "qs-max" => Ok(Strategy::QsMaxReuse),
-        "qs-min-depth" => Ok(Strategy::QsMinDepth),
-        "qs-min-swap" => Ok(Strategy::QsMinSwap),
-        "qs-max-esp" => Ok(Strategy::QsMaxEsp),
-        "sr" => Ok(Strategy::Sr),
-        other => Err(format!("unknown strategy '{other}'")),
-    }
-}
-
 fn load(path: &str) -> Result<Circuit, String> {
     let text = if path == "-" {
         use std::io::Read as _;
@@ -263,7 +250,7 @@ impl Flags {
             match flag.as_str() {
                 "--strategy" => {
                     let v = it.next().ok_or("--strategy needs a value")?;
-                    flags.strategy = parse_strategy(v)?;
+                    flags.strategy = Strategy::parse(v)?;
                 }
                 "--passes" => {
                     let v = it.next().ok_or("--passes needs a value")?;
@@ -311,31 +298,7 @@ impl Flags {
     }
 
     fn device(&self) -> Result<Device, String> {
-        let spec = self.device_spec.as_str();
-        if spec == "mumbai" {
-            return Ok(Device::mumbai(self.seed));
-        }
-        if let Some(n) = spec.strip_prefix("heavy-hex:") {
-            let n: usize = n.parse().map_err(|_| "bad heavy-hex size")?;
-            return Ok(Device::scaled_heavy_hex(n, self.seed));
-        }
-        if let Some(n) = spec.strip_prefix("line:") {
-            let n: usize = n.parse().map_err(|_| "bad line size")?;
-            return Ok(Device::with_synthetic_calibration(
-                Topology::line(n),
-                self.seed,
-            ));
-        }
-        if let Some(dims) = spec.strip_prefix("grid:") {
-            let (r, c) = dims.split_once('x').ok_or("grid wants <r>x<c>")?;
-            let r: usize = r.parse().map_err(|_| "bad grid rows")?;
-            let c: usize = c.parse().map_err(|_| "bad grid cols")?;
-            // Grid devices carry DPQA geometry: same topology and
-            // calibration as before for the SWAP backend, and a valid
-            // movement target for `--routing-backend dpqa`.
-            return Ok(Device::dpqa_grid(r, c, self.seed));
-        }
-        Err(format!("unknown device '{spec}'"))
+        Device::parse(&self.device_spec, self.seed)
     }
 }
 
@@ -380,7 +343,7 @@ impl BatchFlags {
                     let v = it.next().ok_or("--strategy needs a value")?;
                     out.strategies = v
                         .split(',')
-                        .map(parse_strategy)
+                        .map(Strategy::parse)
                         .collect::<Result<Vec<_>, _>>()?;
                     if out.strategies.is_empty() {
                         return Err("--strategy needs at least one value".into());

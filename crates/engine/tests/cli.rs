@@ -1,7 +1,7 @@
 //! End-to-end tests of the `caqr` command line.
 
 use std::io::Write as _;
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
 
 const BV3_QASM: &str = "OPENQASM 2.0;
 include \"qelib1.inc\";
@@ -20,6 +20,15 @@ measure q[1] -> c[1];
 ";
 
 fn run(args: &[&str], stdin: &str) -> (String, String, bool) {
+    let out = output(args, stdin);
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.success(),
+    )
+}
+
+fn output(args: &[&str], stdin: &str) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_caqr"))
         .args(args)
         .stdin(Stdio::piped())
@@ -33,12 +42,7 @@ fn run(args: &[&str], stdin: &str) -> (String, String, bool) {
         .expect("stdin piped")
         .write_all(stdin.as_bytes())
         .expect("write stdin");
-    let out = child.wait_with_output().expect("wait");
-    (
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
-    )
+    child.wait_with_output().expect("wait")
 }
 
 #[test]
@@ -353,4 +357,34 @@ fn bad_usage_fails_with_help() {
     let (_, stderr, ok) = run(&["compile", "-", "--strategy", "nope"], BV3_QASM);
     assert!(!ok);
     assert!(stderr.contains("unknown strategy"));
+}
+
+/// A device spec past the grammar's bounds is a usage error: exit 1 with
+/// a message naming it, never a panic or an unbounded build.
+#[test]
+fn out_of_bounds_devices_exit_1_with_a_message() {
+    for spec in ["grid:0x3", "grid:1x0", "heavy-hex:0", "heavy-hex:100000"] {
+        let out = output(&["compile", "-", "--device", spec], BV3_QASM);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{spec}: {stderr}");
+        assert!(stderr.contains(&format!("'{spec}'")), "{spec}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+    }
+}
+
+/// `compile-batch` prints QS-max as `qs-max-reuse`, and `--strategy`
+/// takes that name back.
+#[test]
+fn strategy_accepts_the_name_reports_print() {
+    let compile = |strategy| {
+        run(
+            &["compile", "-", "--strategy", strategy, "--emit"],
+            BV3_QASM,
+        )
+    };
+    let (short, _, ok) = compile("qs-max");
+    assert!(ok, "{short}");
+    let (long, stderr, ok) = compile("qs-max-reuse");
+    assert!(ok, "{stderr}");
+    assert_eq!(long, short);
 }

@@ -6,38 +6,16 @@
 
 use caqr::Strategy;
 use caqr_arch::Device;
-use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
-use caqr_benchmarks::{bv, revlib, Benchmark};
+use caqr_benchmarks::suite::golden_corpus;
 use caqr_engine::{BatchRequest, CompileJob, Engine, JobError};
-
-const STRATEGIES: [Strategy; 6] = [
-    Strategy::Baseline,
-    Strategy::QsMaxReuse,
-    Strategy::QsMinDepth,
-    Strategy::QsMinSwap,
-    Strategy::QsMaxEsp,
-    Strategy::Sr,
-];
-
-fn corpus() -> Vec<Benchmark> {
-    vec![
-        revlib::xor_5(),
-        revlib::four_mod5(),
-        revlib::rd32(),
-        bv::bv_all_ones(5),
-        bv::bv_all_ones(8),
-        qaoa_benchmark(6, 0.3, GraphKind::Random, 2029),
-        qaoa_benchmark(8, 0.3, GraphKind::Random, 2031),
-    ]
-}
 
 #[test]
 fn suite_compiles_without_panics_or_errors() {
     let device = Device::mumbai(2023);
-    let jobs: Vec<CompileJob> = corpus()
+    let jobs: Vec<CompileJob> = golden_corpus()
         .into_iter()
         .flat_map(|bench| {
-            STRATEGIES.map(|strategy| {
+            Strategy::ALL.map(|strategy| {
                 CompileJob::new(
                     format!("{}/{}", bench.name, strategy),
                     bench.circuit.clone(),

@@ -16,15 +16,6 @@ use caqr_engine::{BatchOptions, BatchRequest, CompileCache, CompileJob, Engine, 
 use proptest::collection;
 use proptest::prelude::*;
 
-const STRATEGIES: [Strategy; 6] = [
-    Strategy::Baseline,
-    Strategy::QsMaxReuse,
-    Strategy::QsMinDepth,
-    Strategy::QsMinSwap,
-    Strategy::QsMaxEsp,
-    Strategy::Sr,
-];
-
 /// Angles that stay the same in both literals of a case; `U` draws its
 /// angles from here, and `1.25 + -0.75` merges into `0.5`.
 const CONSTS: [f64; 3] = [0.5, 1.25, -0.75];
@@ -153,7 +144,7 @@ proptest! {
         let warm = literal(n, &specs, &first);
         let next = literal(n, &specs, &second);
         for (router, device) in routings() {
-            for strategy in STRATEGIES {
+            for strategy in Strategy::ALL {
                 let job = |name: &str, circuit: &Circuit| {
                     CompileJob::new(name, circuit.clone(), device.clone(), strategy)
                         .with_router(router)

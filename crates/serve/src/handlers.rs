@@ -15,7 +15,7 @@ use crate::http::{Request, Response};
 use crate::metrics::{ReactorMetrics, ServerMetrics};
 use crate::respcache::ResponseCache;
 use caqr::{CancelToken, CaqrError, CostModelSpec, RouterConfig, RoutingBackendSpec, Strategy};
-use caqr_arch::{Device, Topology};
+use caqr_arch::Device;
 use caqr_circuit::{qasm, Circuit};
 use caqr_engine::{
     BatchOptions, BatchRequest, CompileCache, CompileJob, Engine, EngineMetrics, FailedJob,
@@ -111,7 +111,7 @@ impl AppState {
         if let Some((_, device)) = memo.iter().find(|((s, d), _)| s == spec && *d == seed) {
             return Ok(device.clone());
         }
-        let device = parse_device(spec, seed)?;
+        let device = Device::parse(spec, seed).map_err(Reject::unprocessable)?;
         if memo.len() >= DEVICE_MEMO_CAP {
             memo.remove(0);
         }
@@ -351,11 +351,7 @@ fn strategy_field(body: &Value, key: &str, default: Strategy) -> Result<Strategy
     let name = value
         .as_str()
         .ok_or_else(|| Reject::bad(format!("'{key}' must be a string")))?;
-    parse_strategy(name).ok_or_else(|| {
-        Reject::unprocessable(format!(
-            "unknown strategy '{name}' (baseline | qs-max | qs-min-depth | qs-min-swap | qs-max-esp | sr)"
-        ))
-    })
+    Strategy::parse(name).map_err(Reject::unprocessable)
 }
 
 /// The optional `"router"` field: a routing cost-model spec in the CLI's
@@ -387,68 +383,6 @@ fn routing_backend_field(
         .ok_or_else(|| Reject::bad("'routing_backend' must be a string"))?;
     RoutingBackendSpec::parse(spec)
         .map_err(|e| Reject::unprocessable(format!("bad routing_backend: {e}")))
-}
-
-/// The CLI's strategy names, plus each [`Strategy`]'s `Display` form so a
-/// strategy string read from a response round-trips.
-fn parse_strategy(name: &str) -> Option<Strategy> {
-    match name {
-        "baseline" => Some(Strategy::Baseline),
-        "qs-max" | "qs-max-reuse" => Some(Strategy::QsMaxReuse),
-        "qs-min-depth" => Some(Strategy::QsMinDepth),
-        "qs-min-swap" => Some(Strategy::QsMinSwap),
-        "qs-max-esp" => Some(Strategy::QsMaxEsp),
-        "sr" => Some(Strategy::Sr),
-        _ => None,
-    }
-}
-
-/// The CLI's device grammar: `mumbai | heavy-hex:<n> | line:<n> |
-/// grid:<r>x<c>`, seeded by `seed`.
-fn parse_device(spec: &str, seed: u64) -> Result<Device, Reject> {
-    if spec == "mumbai" {
-        return Ok(Device::mumbai(seed));
-    }
-    let parsed = spec.strip_prefix("heavy-hex:").map(|n| {
-        n.parse::<usize>()
-            .ok()
-            .filter(|&n| (1..=2048).contains(&n))
-            .map(|n| Device::scaled_heavy_hex(n, seed))
-    });
-    if let Some(device) = parsed {
-        return device
-            .ok_or_else(|| Reject::unprocessable(format!("bad heavy-hex size in '{spec}'")));
-    }
-    if let Some(n) = spec.strip_prefix("line:") {
-        let n = n
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| (1..=4096).contains(&n))
-            .ok_or_else(|| Reject::unprocessable(format!("bad line size in '{spec}'")))?;
-        return Ok(Device::with_synthetic_calibration(Topology::line(n), seed));
-    }
-    if let Some(dims) = spec.strip_prefix("grid:") {
-        let parsed = dims.split_once('x').and_then(|(r, c)| {
-            let r = r
-                .parse::<usize>()
-                .ok()
-                .filter(|&r| (1..=256).contains(&r))?;
-            let c = c
-                .parse::<usize>()
-                .ok()
-                .filter(|&c| (1..=256).contains(&c))?;
-            Some((r, c))
-        });
-        let (r, c) =
-            parsed.ok_or_else(|| Reject::unprocessable(format!("bad grid spec in '{spec}'")))?;
-        // Grid devices carry DPQA geometry: identical topology and
-        // calibration for the SWAP backend, and a valid movement target
-        // for `"routing_backend":"dpqa"`.
-        return Ok(Device::dpqa_grid(r, c, seed));
-    }
-    Err(Reject::unprocessable(format!(
-        "unknown device '{spec}' (mumbai | heavy-hex:<n> | line:<n> | grid:<r>x<c>)"
-    )))
 }
 
 fn device_field(state: &AppState, body: &Value, seed: u64) -> Result<Device, Reject> {

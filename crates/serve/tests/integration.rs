@@ -3,6 +3,7 @@
 
 use caqr::Strategy;
 use caqr_arch::Device;
+use caqr_benchmarks::suite::golden_corpus;
 use caqr_circuit::{qasm, Circuit, Clbit, Qubit};
 use caqr_engine::{BatchRequest, CompileJob, Engine};
 use caqr_serve::client::Client;
@@ -253,41 +254,16 @@ fn shutdown_drains_and_refuses_late_requests() {
 /// byte-identical to an in-process `Engine::run`, floats included.
 #[test]
 fn golden_corpus_wire_compile_is_byte_identical() {
-    use caqr_benchmarks::qaoa::{qaoa_benchmark, GraphKind};
-
-    let corpus: Vec<(String, Circuit)> = vec![
-        ("xor_5".into(), caqr_benchmarks::revlib::xor_5().circuit),
-        ("4mod5".into(), caqr_benchmarks::revlib::four_mod5().circuit),
-        ("rd32".into(), caqr_benchmarks::revlib::rd32().circuit),
-        ("bv5".into(), caqr_benchmarks::bv::bv_all_ones(5).circuit),
-        ("bv8".into(), caqr_benchmarks::bv::bv_all_ones(8).circuit),
-        (
-            "qaoa6".into(),
-            qaoa_benchmark(6, 0.3, GraphKind::Random, 2029).circuit,
-        ),
-        (
-            "qaoa8".into(),
-            qaoa_benchmark(8, 0.3, GraphKind::Random, 2031).circuit,
-        ),
-    ];
-    let strategies = [
-        Strategy::Baseline,
-        Strategy::QsMaxReuse,
-        Strategy::QsMinDepth,
-        Strategy::QsMinSwap,
-        Strategy::QsMaxEsp,
-        Strategy::Sr,
-    ];
     let seed = 2023u64;
 
     // In-process reference: the exact entry point the CLI uses.
-    let jobs: Vec<CompileJob> = corpus
-        .iter()
-        .flat_map(|(name, circuit)| {
-            strategies.iter().map(move |&strategy| {
+    let jobs: Vec<CompileJob> = golden_corpus()
+        .into_iter()
+        .flat_map(|bench| {
+            Strategy::ALL.map(|strategy| {
                 CompileJob::new(
-                    name.clone(),
-                    circuit.clone(),
+                    bench.name.clone(),
+                    bench.circuit.clone(),
                     Device::mumbai(seed),
                     strategy,
                 )

@@ -6,15 +6,6 @@ use caqr_arch::Device;
 use caqr_benchmarks::suite;
 use caqr_sim::Executor;
 
-const STRATEGIES: [Strategy; 6] = [
-    Strategy::Baseline,
-    Strategy::QsMaxReuse,
-    Strategy::QsMinDepth,
-    Strategy::QsMinSwap,
-    Strategy::QsMaxEsp,
-    Strategy::Sr,
-];
-
 fn device_for(n: usize) -> Device {
     if n <= 27 {
         Device::mumbai(1)
@@ -27,7 +18,7 @@ fn device_for(n: usize) -> Device {
 fn regular_suite_all_strategies_hardware_compliant() {
     for bench in suite::regular_suite() {
         let device = device_for(bench.circuit.num_qubits());
-        for strategy in STRATEGIES {
+        for strategy in Strategy::ALL {
             let report = compile(&bench.circuit, &device, strategy)
                 .unwrap_or_else(|e| panic!("{} under {strategy}: {e}", bench.name));
             for instr in &report.circuit {
@@ -54,7 +45,7 @@ fn deterministic_benchmarks_stay_correct_through_every_strategy() {
         let correct = bench.correct_output.expect("regular suite is exact");
         let clbits = bench.circuit.num_clbits();
         let device = device_for(bench.circuit.num_qubits());
-        for strategy in STRATEGIES {
+        for strategy in Strategy::ALL {
             let report = compile(&bench.circuit, &device, strategy).expect("compiles");
             let (compact, _) = report.circuit.compact_qubits();
             assert!(
@@ -82,7 +73,7 @@ fn deterministic_benchmarks_stay_correct_through_every_strategy() {
 fn qaoa_suite_compiles_under_all_strategies() {
     for bench in suite::qaoa_table_suite(5) {
         let device = device_for(bench.circuit.num_qubits());
-        for strategy in STRATEGIES {
+        for strategy in Strategy::ALL {
             let report = compile(&bench.circuit, &device, strategy)
                 .unwrap_or_else(|e| panic!("{} under {strategy}: {e}", bench.name));
             assert!(
